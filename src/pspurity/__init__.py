@@ -52,7 +52,6 @@ from .subtraction import (
     MomentReport,
     SubtractedState,
     extract_bogoliubov,
-    gaussian_polynomial_moment,
     marginal_subtracted,
     moments_subtracted,
     purity_subtracted,

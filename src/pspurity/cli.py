@@ -23,17 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .bounds import bound_f, purification_conditions
-from .crosscheck import verify_all
+from .bounds import purification_conditions
+from .crosscheck import check_three_mode_fock, verify_all
 from .errors import SubtractionFromVacuumError
 from .gaussian import ModeSelector, gaussian_wigner_fn
-from .quadrature import GridSpec
 from .scenarios import (
     random_state,
     reference_single_mode_state,
     sweep,
     topology_search,
-    three_mode_circuit,
 )
 from .subtraction import (
     extract_bogoliubov,
@@ -188,9 +186,9 @@ def _reproduce_fig3(config: RunConfig) -> int:
     if topology is None:
         payload["found"] = False
     else:
-        from .crosscheck import check_three_mode_fock
-
-        oracle = check_three_mode_fock()
+        oracle = check_three_mode_fock(
+            config.alpha, config.s_db, search=(topology, table)
+        )
         payload["found"] = True
         payload["topology"] = [[a + 1, b + 1] for a, b in topology]
         payload["ratios"] = {

@@ -1,4 +1,8 @@
-"""Cross-oracle verification: closed form vs moment engine vs grid vs Fock.
+"""Cross-oracle verification: closed form vs prefactor moments vs grid vs Fock.
+
+The closed form works from the Bogoliubov row of the normal-mode
+decomposition; the moment route integrates the subtracted state's quadratic
+prefactor against its Gaussian covariance, with no normal-mode decomposition.
 
 Each check returns a CheckResult with the worst deviation observed and the
 tolerance it must stay under.  The CLI ``verify`` command prints them; the
@@ -16,11 +20,14 @@ from .fock import (
     run_circuit_fock,
     subtract_photon_fock,
 )
-from .gaussian import ModeSelector, purity_gaussian, reduce_modes
+from .gaussian import (
+    ModeSelector,
+    circuit_to_gaussian,
+    gaussian_wigner_fn,
+    purity_gaussian,
+)
 from .quadrature import GridSpec, purity_by_grid, variance_by_grid
 from .scenarios import (
-    circuit_to_gaussian,
-    mode_ratio_table,
     random_state,
     reference_single_mode_state,
     three_mode_circuit,
@@ -34,7 +41,6 @@ from .subtraction import (
     subtract_photon,
     subtracted_wigner_fn,
 )
-from .gaussian import gaussian_wigner_fn
 
 
 @dataclass(frozen=True)
@@ -62,7 +68,7 @@ def _single_mode_corpus(count: int, seed0: int = 1000):
 
 
 def check_closed_form_vs_moments(count: int = 20) -> CheckResult:
-    """Closed-form ratio against the Wick-engine purity, single-mode states."""
+    """Closed-form ratio against the prefactor-moment purity, single-mode states."""
     worst = 0.0
     for state in _single_mode_corpus(count):
         sel = ModeSelector.for_mode(0, 1)
@@ -89,12 +95,19 @@ def check_closed_form_vs_grid(count: int = 20) -> CheckResult:
     return CheckResult("closed form vs grid quadrature", worst, 1e-4)
 
 
-def check_three_mode_fock() -> CheckResult:
-    """Per-mode ratio table of the matched topology: analytic vs Fock."""
-    topology, analytic = topology_search()
+def check_three_mode_fock(
+    alpha: float = 1.6, s_db: float = 3.0, search=None
+) -> CheckResult:
+    """Per-mode ratio table of the matched topology: analytic vs Fock.
+
+    ``search`` is the ``topology_search(alpha, s_db)`` result when the caller
+    already holds it; otherwise the search runs here.  The Fock circuit is
+    built from the same topology, alpha and s_db as the analytic table.
+    """
+    topology, analytic = search if search is not None else topology_search(alpha, s_db)
     if topology is None:
         return CheckResult("three-mode table vs number basis", np.inf, 1e-3)
-    circuit = three_mode_circuit(topology)
+    circuit = three_mode_circuit(topology, alpha=alpha, s_db=s_db)
     fock = run_circuit_fock(circuit)
     worst = 0.0
     before = [reduced_purity_fock(fock, [j]) for j in range(3)]

@@ -4,7 +4,8 @@ Brute-force verification backend: circuits are run by exponentiating the
 standard quadratic generators in a truncated product Fock basis, photon
 subtraction is the literal annihilation matrix, and purities come from
 partial traces.  Nothing here shares code with the covariance-matrix
-machinery, which is the point.
+purity and moment machinery, which is the point; the covariance route only
+sizes the initial cutoffs and supplies the normal modes of a Gaussian input.
 
 Mixed Gaussian states are realized by purification: every thermal normal
 mode is entangled with one ancilla mode through a two-mode squeezer, and
@@ -31,6 +32,7 @@ from scipy.sparse.linalg import expm_multiply
 from .errors import SubtractionFromVacuumError, TruncationInsufficientError
 from .gaussian import (
     GaussianState,
+    circuit_to_gaussian,
     symplectic_form,
     williamson,
 )
@@ -205,7 +207,7 @@ def run_circuit_fock(circuit, truncation: TruncationSpec | None = None) -> FockS
                 f"{truncation.deficiency_tolerance:.1e}"
             )
         return FockState(psi, truncation, deficiency)
-    cutoffs = _auto_cutoffs_for_circuit(circuit)
+    cutoffs = _cutoffs_from_mean_photons(_per_mode_photons(circuit_to_gaussian(circuit)))
     tol = 1e-8
 
     def attempt(cut):
@@ -238,28 +240,6 @@ def _run_gates(circuit, cutoffs: tuple) -> tuple[np.ndarray, np.ndarray]:
         psi = _apply_gate(psi, gate.kind, dict(gate.params),
                           tuple(gate.modes), tuple(cutoffs), leak)
     return psi, leak
-
-
-def _auto_cutoffs_for_circuit(circuit) -> tuple:
-    from .gaussian import apply_displacement, apply_symplectic, make_vacuum, symplectic_gate
-
-    state = make_vacuum(circuit.mode_count)
-    for gate in circuit.gates:
-        if gate.kind == "displacement":
-            delta = np.zeros(2 * circuit.mode_count)
-            delta[gate.modes[0]] = 2.0 * gate.params.get("re", 0.0)
-            delta[circuit.mode_count + gate.modes[0]] = 2.0 * gate.params.get("im", 0.0)
-            state = apply_displacement(state, delta)
-        else:
-            params = dict(gate.params)
-            if len(gate.modes) == 1:
-                params["mode"] = gate.modes[0]
-            else:
-                params["mode_a"], params["mode_b"] = gate.modes
-            state = apply_symplectic(
-                state, symplectic_gate(gate.kind, params, circuit.mode_count)
-            )
-    return _cutoffs_from_mean_photons(_per_mode_photons(state))
 
 
 def _per_mode_photons(state: GaussianState) -> np.ndarray:
@@ -444,13 +424,22 @@ def subtract_photon_fock(state: FockState, mode: int) -> FockState:
                      state.num_ancilla)
 
 
+def _split_modes(state: FockState, modes) -> np.ndarray:
+    """Amplitudes as a matrix: rows over ``modes``, columns over the rest."""
+    modes = list(modes)
+    if len(set(modes)) != len(modes):
+        raise ValueError("duplicate mode indices")
+    for j in modes:
+        if not 0 <= j < state.mode_count:
+            raise ValueError(f"mode {j} out of range")
+    rest = [j for j in range(state.mode_count) if j not in modes]
+    dim_keep = int(np.prod([state.truncation.cutoffs[j] for j in modes]))
+    return np.transpose(state.amplitudes, modes + rest).reshape(dim_keep, -1)
+
+
 def reduced_density_matrix(state: FockState, modes) -> np.ndarray:
     """Density matrix of a subset of modes (complement traced out)."""
-    modes = list(modes)
-    rest = [j for j in range(state.mode_count) if j not in modes]
-    perm = modes + rest
-    dim_keep = int(np.prod([state.truncation.cutoffs[j] for j in modes]))
-    mat = np.transpose(state.amplitudes, perm).reshape(dim_keep, -1)
+    mat = _split_modes(state, modes)
     return mat @ mat.conj().T
 
 
@@ -460,26 +449,12 @@ def reduced_purity_fock(state: FockState, modes) -> float:
     Uses the Gram matrix on the smaller side of the bipartition, so tracing
     out many modes costs no more than keeping them.
     """
-    modes = list(modes)
-    if len(set(modes)) != len(modes):
-        raise ValueError("duplicate mode indices")
-    for j in modes:
-        if not 0 <= j < state.mode_count:
-            raise ValueError(f"mode {j} out of range")
-    rest = [j for j in range(state.mode_count) if j not in modes]
-    perm = modes + rest
-    dim_keep = int(np.prod([state.truncation.cutoffs[j] for j in modes]))
-    mat = np.transpose(state.amplitudes, perm).reshape(dim_keep, -1)
+    mat = _split_modes(state, modes)
     if mat.shape[0] <= mat.shape[1]:
         gram = mat @ mat.conj().T
     else:
         gram = mat.conj().T @ mat
     return float(np.real(np.sum(np.abs(gram) ** 2)))
-
-
-def physical_purity_fock(state: FockState, physical_modes) -> float:
-    """Reduced purity over physical-mode indices, ancillas always dropped."""
-    return reduced_purity_fock(state, list(physical_modes))
 
 
 def mean_photon_fock(state: FockState, mode: int) -> float:

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +79,8 @@ class GaussianState:
             raise UnphysicalStateError(
                 f"displacement shape {disp.shape} does not match covariance {cov.shape}"
             )
+        if not (np.isfinite(cov).all() and np.isfinite(disp).all()):
+            raise UnphysicalStateError("covariance and displacement must be finite")
         scale = max(np.abs(cov).max(), 1.0)
         if np.abs(cov - cov.T).max() > SYMMETRY_TOL * scale:
             raise UnphysicalStateError("covariance matrix is not symmetric")
@@ -135,6 +138,8 @@ class ModeSelector:
         gp = np.asarray(self.basis_p, dtype=float)
         if gx.ndim != 1 or gx.shape != gp.shape or gx.size % 2:
             raise ValueError("selector vectors must be equal-length 2m vectors")
+        if not (np.isfinite(gx).all() and np.isfinite(gp).all()):
+            raise ValueError("selector vectors must be finite")
         m = gx.size // 2
         if abs(np.linalg.norm(gx) - 1.0) > 1e-10 or abs(np.linalg.norm(gp) - 1.0) > 1e-10:
             raise ValueError("selector vectors must be unit norm")
@@ -339,6 +344,74 @@ def symplectic_gate(kind: str, params: dict, num_modes: int) -> SymplecticTransf
             params["transmittance"], params["mode_a"], params["mode_b"], num_modes
         )
     raise ValueError(f"unknown gate kind {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# circuits
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Gate:
+    """One circuit element: kind, parameter dict, target modes."""
+
+    kind: str
+    params: dict
+    modes: tuple
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "params": dict(self.params),
+                "modes": list(self.modes)}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "Gate":
+        return cls(data["kind"], dict(data["params"]), tuple(data["modes"]))
+
+
+@dataclass(frozen=True)
+class CircuitDescription:
+    """Ordered gate list on a fixed number of modes; JSON round-trippable."""
+
+    mode_count: int
+    gates: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "gates", tuple(self.gates))
+        for gate in self.gates:
+            for m in gate.modes:
+                if not 0 <= m < self.mode_count:
+                    raise ValueError(f"gate targets mode {m} of {self.mode_count}")
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {"mode_count": self.mode_count,
+             "gates": [g.to_dict() for g in self.gates]},
+            sort_keys=True,
+        )
+
+    @classmethod
+    def from_json(cls, text: str) -> "CircuitDescription":
+        data = json.loads(text)
+        return cls(data["mode_count"], tuple(Gate.from_dict(g) for g in data["gates"]))
+
+
+def circuit_to_gaussian(circuit: CircuitDescription) -> GaussianState:
+    """Covariance-route realization of a circuit description."""
+    state = make_vacuum(circuit.mode_count)
+    m = circuit.mode_count
+    for gate in circuit.gates:
+        if gate.kind == "displacement":
+            delta = np.zeros(2 * m)
+            delta[gate.modes[0]] = 2.0 * gate.params.get("re", 0.0)
+            delta[m + gate.modes[0]] = 2.0 * gate.params.get("im", 0.0)
+            state = apply_displacement(state, delta)
+            continue
+        params = dict(gate.params)
+        if len(gate.modes) == 1:
+            params["mode"] = gate.modes[0]
+        else:
+            params["mode_a"], params["mode_b"] = gate.modes
+        state = apply_symplectic(state, symplectic_gate(gate.kind, params, m))
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -11,23 +11,21 @@ rather than hard-coding one.
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SubtractionFromVacuumError
 from .gaussian import (
+    CircuitDescription,
+    Gate,
     GaussianState,
     ModeSelector,
-    apply_displacement,
-    apply_symplectic,
+    circuit_to_gaussian,
     db_to_squeezing_parameter,
     db_to_variance_factor,
-    make_vacuum,
     purity_gaussian,
     reduce_modes,
-    symplectic_gate,
 )
 from .subtraction import (
     extract_bogoliubov,
@@ -36,7 +34,7 @@ from .subtraction import (
     relative_purity_closed_form,
     subtract_photon,
 )
-from .bounds import bound_f, purification_conditions
+from .bounds import purification_conditions
 
 #: squeezer pairings searched for the three-mode example (modes 0-indexed)
 MODE_PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -47,75 +45,11 @@ TARGET_SIGN_PATTERN = ((1, 1, 1), (-1, -1, -1), (1, 1, -1))
 
 
 @dataclass(frozen=True)
-class Gate:
-    """One circuit element: kind, parameter dict, target modes."""
-
-    kind: str
-    params: dict
-    modes: tuple
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params),
-                "modes": list(self.modes)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Gate":
-        return cls(data["kind"], dict(data["params"]), tuple(data["modes"]))
-
-
-@dataclass(frozen=True)
-class CircuitDescription:
-    """Ordered gate list on a fixed number of modes; JSON round-trippable."""
-
-    mode_count: int
-    gates: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-        for gate in self.gates:
-            for m in gate.modes:
-                if not 0 <= m < self.mode_count:
-                    raise ValueError(f"gate targets mode {m} of {self.mode_count}")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"mode_count": self.mode_count,
-             "gates": [g.to_dict() for g in self.gates]},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CircuitDescription":
-        data = json.loads(text)
-        return cls(data["mode_count"], tuple(Gate.from_dict(g) for g in data["gates"]))
-
-
-@dataclass(frozen=True)
 class SweepRecord:
     """One grid point of a sweep: named inputs and named outputs."""
 
     params: dict
     outputs: dict
-
-
-def circuit_to_gaussian(circuit: CircuitDescription) -> GaussianState:
-    """Covariance-route realization of a circuit description."""
-    state = make_vacuum(circuit.mode_count)
-    m = circuit.mode_count
-    for gate in circuit.gates:
-        if gate.kind == "displacement":
-            delta = np.zeros(2 * m)
-            delta[gate.modes[0]] = 2.0 * gate.params.get("re", 0.0)
-            delta[m + gate.modes[0]] = 2.0 * gate.params.get("im", 0.0)
-            state = apply_displacement(state, delta)
-            continue
-        params = dict(gate.params)
-        if len(gate.modes) == 1:
-            params["mode"] = gate.modes[0]
-        else:
-            params["mode_a"], params["mode_b"] = gate.modes
-        state = apply_symplectic(state, symplectic_gate(gate.kind, params, m))
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +230,11 @@ def sweep(figure: str, points: int = 241) -> list[SweepRecord]:
         for squeezing 1, 10, 30 dB at n = 10, amplitude 6.
     fig1b: ratio vs displacement amplitude in [0, 12] for four
         (n, phi) combinations at 10 dB.
-    fig3: per-mode ratio table of the matched three-mode topology.
     """
     if figure == "fig1a":
         return _sweep_fig1a(points)
     if figure == "fig1b":
         return _sweep_fig1b(points)
-    if figure == "fig3":
-        return _sweep_fig3()
     raise ValueError(f"unknown sweep {figure!r}")
 
 
@@ -339,24 +270,6 @@ def _sweep_fig1b(points: int) -> list[SweepRecord]:
                     {"alpha_mag": float(alpha_mag), "n_g": float(n_g),
                      "phi": float(phi)},
                     out,
-                )
-            )
-    return records
-
-
-def _sweep_fig3() -> list[SweepRecord]:
-    topology, table = topology_search()
-    if topology is None:
-        return [SweepRecord({"match": 0.0}, {"found": False})]
-    records = []
-    for g in range(3):
-        for j in range(3):
-            records.append(
-                SweepRecord(
-                    {"subtract_mode": float(g + 1), "observed_mode": float(j + 1)},
-                    {"ratio": float(table[g, j]),
-                     "topology": str(tuple(tuple(int(x + 1) for x in p)
-                                           for p in topology))},
                 )
             )
     return records

@@ -4,8 +4,14 @@ Subtracting a photon from mode g of a Gaussian state produces a non-Gaussian
 state whose Wigner function is a quadratic polynomial times the original
 Gaussian.  This module builds that polynomial, extracts the mode-transform
 (Bogoliubov) coefficients from the normal-mode decomposition, and evaluates
-purities and quadrature moments of the subtracted state in closed form via
-Wick/Isserlis contractions of Gaussian moments.
+purities and quadrature moments of the subtracted state in closed form.  Two
+independent routes give the purity: the Bogoliubov-row formula
+``relative_purity_closed_form``, and the second moment of the prefactor under
+a Gaussian, which for P(w) = d0 + d1.w + w^T C w and w ~ N(0, Sigma) is
+
+    E[P^2] = (d0 + tr C Sigma)^2 + d1^T Sigma d1 + 2 tr(C Sigma C Sigma)
+
+(Isserlis pairings of the degree-4 terms).
 
 Two displacement conventions meet here and are converted in exactly one
 place, ``extract_bogoliubov``: phase-space vectors carry ``(2 Re<a>,
@@ -17,15 +23,11 @@ factor-of-two errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    InconsistentRowError,
-    SubtractionFromVacuumError,
-    UnphysicalStateError,
-)
+from .errors import InconsistentRowError, SubtractionFromVacuumError
 from .gaussian import (
     GaussianState,
     ModeSelector,
@@ -38,93 +40,6 @@ from .gaussian import (
 
 #: photon subtraction is undefined below this mean-photon-scaled threshold
 VACUUM_THRESHOLD = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# polynomial moments of Gaussian distributions (Wick/Isserlis engine)
-#
-# A polynomial is a mapping from a sorted tuple of variable indices to a
-# coefficient: {(): 1.0, (0, 0): 2.0} means 1 + 2 x0^2.
-# ---------------------------------------------------------------------------
-
-Polynomial = Mapping[tuple, float]
-
-
-def poly_from_quadratic(c0: float, c1: np.ndarray, c2: np.ndarray) -> dict:
-    """Monomial form of c0 + c1.b + b^T C2 b (C2 symmetric)."""
-    poly = {(): float(c0)}
-    for i, v in enumerate(c1):
-        if v != 0.0:
-            poly[(i,)] = float(v)
-    n = c2.shape[0]
-    for i in range(n):
-        for j in range(i, n):
-            v = c2[i, j] if i == j else c2[i, j] + c2[j, i]
-            if v != 0.0:
-                poly[(i, j)] = poly.get((i, j), 0.0) + float(v)
-    return poly
-
-
-def poly_multiply(p: Polynomial, q: Polynomial) -> dict:
-    out: dict = {}
-    for ki, vi in p.items():
-        for kj, vj in q.items():
-            key = tuple(sorted(ki + kj))
-            out[key] = out.get(key, 0.0) + vi * vj
-    return out
-
-
-def poly_shift(p: Polynomial, delta: np.ndarray) -> dict:
-    """Substitute b = w + delta, returning the polynomial in w."""
-    out: dict = {}
-    for key, coeff in p.items():
-        partial = {(): coeff}
-        for var in key:
-            grown: dict = {}
-            for k, c in partial.items():
-                nk = tuple(sorted(k + (var,)))
-                grown[nk] = grown.get(nk, 0.0) + c
-                if delta[var] != 0.0:
-                    grown[k] = grown.get(k, 0.0) + c * delta[var]
-            partial = grown
-        for k, c in partial.items():
-            out[k] = out.get(k, 0.0) + c
-    return out
-
-
-def _central_moment(key: tuple, cov: np.ndarray) -> float:
-    """E[w_i w_j ...] for centered Gaussian w, monomials up to degree 4."""
-    deg = len(key)
-    if deg > 4:
-        raise ValueError(f"monomial degree {deg} > 4 is unsupported")
-    if deg == 0:
-        return 1.0
-    if deg % 2:
-        return 0.0
-    if deg == 2:
-        return cov[key[0], key[1]]
-    a, b, c, d = key
-    return (
-        cov[a, b] * cov[c, d]
-        + cov[a, c] * cov[b, d]
-        + cov[a, d] * cov[b, c]
-    )
-
-
-def moment_centered(p: Polynomial, cov: np.ndarray) -> float:
-    """Expectation of a degree <= 4 polynomial under a centered Gaussian."""
-    return float(sum(c * _central_moment(k, cov) for k, c in p.items()))
-
-
-def gaussian_polynomial_moment(cov: np.ndarray, mean: np.ndarray, poly: Polynomial) -> float:
-    """Exact integral of poly(b) against the normal density N(mean, cov).
-
-    The polynomial must have degree at most 4 (pairwise Wick contractions
-    of the centered monomials).
-    """
-    cov = np.asarray(cov, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    return moment_centered(poly_shift(poly, mean), cov)
 
 
 # ---------------------------------------------------------------------------
@@ -374,22 +289,23 @@ def relative_purity_closed_form(row: BogoliubovRow) -> float:
 
 
 def purity_subtracted(sub: SubtractedState) -> float:
-    """Purity of the subtracted state, exactly, via Gaussian moments.
+    """Purity of the subtracted state, exactly, from the prefactor moments.
 
     The squared Wigner function integrates against a Gaussian of covariance
-    V/2, so the purity is mu * E[P(w)^2] / normalization^2 with P the
-    centered prefactor.  Agrees with
-    ``relative_purity_closed_form * purity_gaussian`` to near machine
-    precision.
+    Sigma = V/2, so the purity is mu * E[P(w)^2] / normalization^2 with P the
+    centered prefactor and E[P^2] the matrix identity in the module
+    docstring.  Agrees with ``relative_purity_closed_form * purity_gaussian``
+    to near machine precision.
     """
     d0, d1, c2 = sub.prefactor_centered()
-    poly = poly_from_quadratic(d0, d1, c2)
-    ep2 = moment_centered(poly_multiply(poly, poly), sub.base.covariance / 2.0)
+    sigma = sub.base.covariance / 2.0
+    cs = c2 @ sigma
+    ep2 = (d0 + np.trace(cs)) ** 2 + d1 @ sigma @ d1 + 2.0 * np.sum(cs * cs.T)
     return float(purity_gaussian(sub.base) * ep2 / sub.normalization**2)
 
 
 def relative_purity_subtracted(sub: SubtractedState) -> float:
-    """purity(subtracted) / purity(base), via the moment engine."""
+    """purity(subtracted) / purity(base), via the prefactor moments."""
     return purity_subtracted(sub) / purity_gaussian(sub.base)
 
 
@@ -397,7 +313,9 @@ def moments_subtracted(sub: SubtractedState) -> MomentReport:
     """Mean vector and covariance matrix of the subtracted state.
 
     First and second moments of the polynomial-times-Gaussian Wigner
-    function, computed exactly with degree <= 4 Wick contractions.
+    function, exactly: the mean shifts by V d1 / normalization and the
+    covariance gains 2 V C V / normalization less the outer product of that
+    shift.  The purity comes from ``purity_subtracted``.
     """
     d0, d1, c2 = sub.prefactor_centered()
     cov = sub.base.covariance

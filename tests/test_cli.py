@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from pspurity.cli import RunConfig, main
+from pspurity.fock import reduced_purity_fock, run_circuit_fock, subtract_photon_fock
+from pspurity.scenarios import circuit_to_gaussian, mode_ratio_table, three_mode_circuit
 
 
 def read_csv(path):
@@ -73,6 +75,24 @@ def test_fig3_dataset(tmp_path):
     assert ratios["subtract_mode_3"]["mode_2"] > 1
     assert ratios["subtract_mode_3"]["mode_3"] < 1
     assert data["oracle_max_deviation"] < data["oracle_tolerance"]
+
+
+def test_fig3_oracle_uses_its_own_configuration(tmp_path):
+    out = tmp_path / "fig3.json"
+    assert main(["reproduce", "fig3", "--alpha", "1.4", "--output", str(out)]) == 0
+    data = json.loads(out.read_text())
+    topology = [(a - 1, b - 1) for a, b in data["topology"]]
+    circuit = three_mode_circuit(topology, alpha=1.4, s_db=3.0)
+    analytic = mode_ratio_table(circuit_to_gaussian(circuit))
+    fock = run_circuit_fock(circuit)
+    before = [reduced_purity_fock(fock, [j]) for j in range(3)]
+    expected = max(
+        abs(reduced_purity_fock(subtract_photon_fock(fock, g), [j]) / before[j]
+            - analytic[g, j])
+        for g in range(3)
+        for j in range(3)
+    )
+    assert data["oracle_max_deviation"] == pytest.approx(expected, rel=1e-6, abs=0.0)
 
 
 def test_fuzz_small_run_passes(capsys):

@@ -64,6 +64,11 @@ def test_unphysical_covariance_rejected():
         GaussianState(0.5 * np.eye(2), np.zeros(2))
     with pytest.raises(UnphysicalStateError):
         GaussianState(np.array([[1.0, 0.5], [0.2, 1.0]]), np.zeros(2))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(UnphysicalStateError):
+            GaussianState(np.eye(2), np.array([bad, 0.0]))
+        with pytest.raises(UnphysicalStateError):
+            GaussianState(np.array([[bad, 0.0], [0.0, 1.0]]), np.zeros(2))
 
 
 def test_squeezer_10db_on_vacuum():
@@ -187,6 +192,10 @@ def test_wigner_coarse_normalization():
 def test_selector_validation():
     with pytest.raises(ValueError):
         ModeSelector(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        ModeSelector(np.array([np.nan, 0.0]), np.array([0.0, np.nan]))
+    with pytest.raises(ValueError):
+        ModeSelector(np.array([np.inf, 0.0]), np.array([0.0, 1.0]))
     sel = ModeSelector.for_mode(0, 2)
     omega = symplectic_form(2)
     assert sel.basis_x @ omega @ sel.basis_p == pytest.approx(1.0)
