@@ -18,6 +18,7 @@ from .errors import (
     GridExtentError,
     InconsistentRowError,
     NumericDegenerateError,
+    PspurityError,
     SubtractionFromVacuumError,
     TruncationInsufficientError,
     UnphysicalStateError,

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .bounds import purification_conditions
 from .crosscheck import check_three_mode_fock, verify_all
-from .errors import SubtractionFromVacuumError
+from .errors import PspurityError, SubtractionFromVacuumError
 from .gaussian import ModeSelector, gaussian_wigner_fn
 from .scenarios import (
     random_state,
@@ -221,14 +221,25 @@ def _cmd_fuzz(config: RunConfig) -> int:
         m = int(rng.integers(1, 5))
         seed = int(rng.integers(0, 2**63 - 1))
         displaced = bool(rng.random() < 0.8)
-        state = random_state(m, seed, d_max=8.0 if displaced else 0.0)
         g = int(rng.integers(0, m))
-        row = extract_bogoliubov(state, ModeSelector.for_mode(g, m))
         try:
+            state = random_state(m, seed, d_max=8.0 if displaced else 0.0)
+            row = extract_bogoliubov(state, ModeSelector.for_mode(g, m))
             ratio = relative_purity_closed_form(row)
+            report = purification_conditions(row)
         except SubtractionFromVacuumError:
             continue
-        report = purification_conditions(row)
+        except PspurityError as exc:
+            failures.append(
+                {
+                    "seed": seed,
+                    "modes": m,
+                    "subtract_mode": g,
+                    "exception": type(exc).__name__,
+                    "message": str(exc),
+                }
+            )
+            continue
         problems = []
         if not 0.5 - 1e-10 <= ratio < 1.2:
             problems.append(f"ratio {ratio} outside [0.5, 1.2)")

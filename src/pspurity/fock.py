@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 
 from .errors import SubtractionFromVacuumError, TruncationInsufficientError
@@ -37,8 +38,9 @@ from .gaussian import (
     williamson,
 )
 
-#: gate operators up to this dimension use dense expm; larger ones use
-#: sparse expm_multiply on the state (same truncated generator either way)
+#: per conserved-number block of a gate generator: blocks up to this
+#: dimension use dense expm, larger ones sparse expm_multiply on the state
+#: (same truncated generator either way)
 DENSE_EXPM_LIMIT = 1024
 
 MEMORY_ENV_VAR = "PSPURITY_FOCK_MEMORY_MB"
@@ -116,16 +118,41 @@ def _top_level_population(psi: np.ndarray, axis: int) -> float:
 
 
 def _apply_generator(psi: np.ndarray, gen: sp.spmatrix, modes: tuple) -> np.ndarray:
-    """Apply exp(gen) on the given modes of the amplitude tensor."""
+    """Apply exp(gen) on the given modes of the amplitude tensor.
+
+    The basis states split into the connected components of the generator's
+    nonzero pattern, and gen is block diagonal over them: the sectors of a
+    conserved number (n_a - n_b for a two-mode squeezer, n_a + n_b for a
+    beamsplitter, total parity for a quadratic generator).  Each block is
+    exponentiated on its own: a one-state block is a phase, blocks up to
+    ``DENSE_EXPM_LIMIT`` states get a dense expm, and the larger ones go
+    together through sparse expm_multiply.
+    """
     modes = tuple(modes)
     dim = gen.shape[0]
     moved = np.moveaxis(psi, modes, range(len(modes)))
     lead = moved.shape[: len(modes)]
     mat = moved.reshape(dim, -1)
-    if dim <= DENSE_EXPM_LIMIT:
-        out = expm(gen.toarray()) @ mat
-    else:
-        out = expm_multiply(gen.tocsc(), mat)
+    gen = sp.csr_matrix(gen)
+    count, labels = connected_components(abs(gen), directed=False)
+    sizes = np.bincount(labels, minlength=count)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    order = np.argsort(labels, kind="stable")
+    # in block order, block c is the diagonal square starts[c]:starts[c + 1]
+    perm = gen[order][:, order].tocoo()
+    entry_starts = np.searchsorted(perm.row, starts)
+    out = np.empty(mat.shape, dtype=complex)
+    single = sizes[labels] == 1
+    out[single] = np.exp(gen.diagonal()[single])[:, None] * mat[single]
+    for c in np.flatnonzero((sizes > 1) & (sizes <= DENSE_EXPM_LIMIT)):
+        span = slice(entry_starts[c], entry_starts[c + 1])
+        block = np.zeros((sizes[c], sizes[c]), dtype=gen.dtype)
+        block[perm.row[span] - starts[c], perm.col[span] - starts[c]] = perm.data[span]
+        idx = order[starts[c]:starts[c + 1]]
+        out[idx] = expm(block) @ mat[idx]
+    large = np.flatnonzero(sizes[labels] > DENSE_EXPM_LIMIT)
+    if large.size:
+        out[large] = expm_multiply(gen[large][:, large].tocsc(), mat[large])
     out = out.reshape(lead + moved.shape[len(modes):])
     return np.moveaxis(out, range(len(modes)), modes)
 

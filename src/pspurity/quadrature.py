@@ -3,12 +3,14 @@
 Brute-force numerical evaluation of the defining phase-space integrals for
 one- and two-mode states.  Deliberately independent of the closed-form
 machinery: it only ever sees a pointwise-evaluatable Wigner function.
-Composite Simpson rule on a tensor grid; the error estimate comes from
-comparing against the stride-2 subgrid (Richardson).
+Composite Simpson rule on a tensor grid, evaluated in chunks of whole
+last-axis rows with one Wigner call per chunk; the error estimate comes from
+comparing against the stride-2 subgrid of the same samples (Richardson).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -20,6 +22,12 @@ from .subtraction import SubtractedState, moments_subtracted
 
 #: relative tolerance on the total-probability check of every evaluated grid
 NORMALIZATION_TOL = 1e-5
+
+#: most grid points handed to one Wigner call: the grid is evaluated in
+#: chunks of whole last-axis rows under this budget (a one-mode 401 x 401
+#: grid takes three calls).  Larger chunks leave the cache and cost more
+#: per point.
+GRID_CHUNK_POINTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -82,16 +90,17 @@ def _simpson_weights(n: int, step: float) -> np.ndarray:
     return w * (step / 3.0)
 
 
-def _reduce_inner(arr: np.ndarray, weight_sets: list[np.ndarray], stride: int) -> float:
-    """Contract trailing axes of ``arr`` with per-axis weights (optionally strided)."""
-    red = arr
-    for w in reversed(weight_sets):
-        if stride == 2:
-            red = np.moveaxis(red, -1, 0)[::2]
-            red = np.tensordot(w, red, axes=(0, 0))
-        else:
-            red = red @ w
-    return float(red)
+def _fine_coarse_weights(axis: np.ndarray) -> np.ndarray:
+    """Simpson weights of one axis as columns (fine, coarse).
+
+    The coarse column is the Simpson rule of the stride-2 subgrid, placed on
+    the even nodes and zero on the odd ones, so both sums contract the same
+    contiguous samples in one pass.
+    """
+    step = axis[1] - axis[0]
+    coarse = np.zeros(axis.size)
+    coarse[::2] = _simpson_weights((axis.size + 1) // 2, 2.0 * step)
+    return np.stack([_simpson_weights(axis.size, step), coarse], axis=-1)
 
 
 def _grid_sums(
@@ -99,38 +108,35 @@ def _grid_sums(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simpson sums of W, W^2 and requested coordinate moments of W.
 
-    Evaluates plane by plane over the first axis so two-mode (4-D) grids
-    never materialize in memory.  Returns (fine, coarse) integral vectors
-    ordered [norm, square, (first, second moment) per requested axis]; the
-    coarse value uses the stride-2 subgrid of the same samples.
+    The grid is a stack of rows along its last axis, one row per index of
+    the leading axes (row-major).  It is evaluated in chunks of whole rows,
+    at most ``GRID_CHUNK_POINTS`` points per Wigner call, so two-mode (4-D)
+    grids never materialize in memory.  Returns (fine, coarse) integral
+    vectors ordered [norm, square, (first, second moment) per requested
+    axis]; the coarse value uses the stride-2 subgrid of the same samples.
     """
     dim = len(axes)
-    fine_w = [_simpson_weights(a.size, a[1] - a[0]) for a in axes]
-    coarse_w = [_simpson_weights((a.size + 1) // 2, 2 * (a[1] - a[0])) for a in axes]
-    n_out = 2 + 2 * len(moment_axes)
-    fine = np.zeros(n_out)
-    coarse = np.zeros(n_out)
-    inner_axes = axes[1:]
-    mesh = np.meshgrid(*inner_axes, indexing="ij") if inner_axes else []
-    inner_shape = tuple(a.size for a in inner_axes)
-    pts = np.empty(inner_shape + (dim,))
-    for j, g in enumerate(mesh):
-        pts[..., j + 1] = g
-    for i, x0 in enumerate(axes[0]):
-        pts[..., 0] = x0
-        vals = np.asarray(wigner(pts.reshape(-1, dim))).reshape(inner_shape)
+    weights = [_fine_coarse_weights(a) for a in axes]
+    lead_shape = tuple(a.size for a in axes[:-1])
+    total_rows = math.prod(lead_shape)
+    chunk_rows = max(1, GRID_CHUNK_POINTS // axes[-1].size)
+    sums = np.zeros((2 + 2 * len(moment_axes), 2))
+    for start in range(0, total_rows, chunk_rows):
+        index = np.unravel_index(
+            np.arange(start, min(start + chunk_rows, total_rows)), lead_shape
+        )
+        coords = [a[i][:, None] for a, i in zip(axes, index)] + [axes[-1]]
+        pts = np.empty((index[0].size, axes[-1].size, dim))
+        for k, x in enumerate(coords):
+            pts[..., k] = x
+        vals = np.asarray(wigner(pts.reshape(-1, dim))).reshape(pts.shape[:-1])
         integrands = [vals, vals * vals]
         for ax in moment_axes:
-            coord = x0 if ax == 0 else mesh[ax - 1]
-            integrands.append(vals * coord)
-            integrands.append(vals * coord * coord)
+            integrands += [vals * coords[ax], vals * coords[ax] * coords[ax]]
+        row_weights = np.prod([w[i] for w, i in zip(weights, index)], axis=0)
         for t, arr in enumerate(integrands):
-            fine[t] += fine_w[0][i] * _reduce_inner(arr, fine_w[1:], stride=1)
-            if i % 2 == 0:
-                coarse[t] += coarse_w[0][i // 2] * _reduce_inner(
-                    arr, coarse_w[1:], stride=2
-                )
-    return fine, coarse
+            sums[t] += np.sum((arr @ weights[-1]) * row_weights, axis=0)
+    return sums[:, 0], sums[:, 1]
 
 
 def _check_modes(num_modes: int):

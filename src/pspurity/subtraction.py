@@ -106,6 +106,9 @@ class BogoliubovRow:
         noise = np.asarray(self.noise, dtype=float)
         if not (k.shape == l.shape == noise.shape) or k.ndim != 1:
             raise ValueError("k, l, noise must be equal-length vectors")
+        if not (np.isfinite(self.alpha_g) and np.isfinite(k).all()
+                and np.isfinite(l).all() and np.isfinite(noise).all()):
+            raise ValueError("alpha_g, k, l and noise must be finite")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "noise", noise)

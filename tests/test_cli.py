@@ -100,6 +100,37 @@ def test_fuzz_small_run_passes(capsys):
     assert "no violations" in capsys.readouterr().out
 
 
+def test_fuzz_records_library_error_and_continues(monkeypatch, capsys):
+    """A library error on one state is one violation naming its seed; the
+    remaining states are still checked."""
+    from pspurity import cli
+    from pspurity.errors import NumericDegenerateError
+
+    seeds = []
+    real_state, real_extract = cli.random_state, cli.extract_bogoliubov
+
+    def recording_state(m, seed, **kwargs):
+        seeds.append(seed)
+        return real_state(m, seed, **kwargs)
+
+    def failing_third(state, selector):
+        if len(seeds) == 3:
+            raise NumericDegenerateError("injected")
+        return real_extract(state, selector)
+
+    monkeypatch.setattr(cli, "random_state", recording_state)
+    monkeypatch.setattr(cli, "extract_bogoliubov", failing_third)
+    assert main(["fuzz", "--count", "40", "--seed", "7"]) == 1
+    assert len(seeds) == 40
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out[-1] == "fuzz: 1 violations in 40 states"
+    (record,) = json.loads("\n".join(out[:-1]))
+    assert record["seed"] == seeds[2]
+    assert record["exception"] == "NumericDegenerateError"
+    assert record["message"] == "injected"
+    assert {"modes", "subtract_mode"} <= set(record)
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

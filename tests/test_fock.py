@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from pspurity import fock as fock_module
 from pspurity import (
     GaussianState,
     ModeSelector,
@@ -21,6 +23,9 @@ from pspurity import (
 )
 from pspurity.fock import (
     TruncationSpec,
+    _apply_generator,
+    _gate_generator,
+    _quadratic_generator,
     gaussian_state_to_fock,
     mean_photon_fock,
     quadrature_moments_fock,
@@ -293,3 +298,35 @@ def test_reference_state_fock_cross_check():
     mm2 = quadrature_moments_fock(sub_fock, 0)
     assert mm2["mean_x"] == pytest.approx(21.7777778, abs=1e-4)
     assert mm2["var_x"] / mm["var_x"] == pytest.approx(0.85, abs=0.01)
+
+
+# (kind, params, per-mode cutoffs) for every gate kind of _gate_generator
+GATE_CASES = [
+    ("displacement", {"re": 0.7, "im": -0.4}, (9,)),
+    ("phase_rotation", {"theta": 0.9}, (9,)),
+    ("single_mode_squeezer", {"r": 0.5}, (10,)),
+    ("two_mode_squeezer", {"r": 0.4}, (7, 9)),
+    ("beamsplitter", {"transmittance": 0.3}, (8, 6)),
+]
+
+
+def _generators():
+    for kind, params, cut in GATE_CASES:
+        yield kind, _gate_generator(kind, params, cut), cut
+    coeff = 0.3 * np.random.default_rng(3).normal(size=(4, 4))
+    yield "quadratic", _quadratic_generator(coeff, (6, 5)), (6, 5)
+
+
+@pytest.mark.parametrize("limit", [fock_module.DENSE_EXPM_LIMIT, 3])
+def test_blockwise_generator_matches_dense_expm(monkeypatch, limit):
+    """Block-by-block exponentials equal exp of the whole generator; with a
+    small dense limit the larger blocks go through expm_multiply."""
+    monkeypatch.setattr(fock_module, "DENSE_EXPM_LIMIT", limit)
+    rng = np.random.default_rng(11)
+    for kind, gen, cut in _generators():
+        shape = (3,) + cut  # a spectator mode ahead of the gate's modes
+        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = _apply_generator(psi, gen, tuple(range(1, len(cut) + 1)))
+        mat = np.moveaxis(psi, 0, -1).reshape(gen.shape[0], -1)
+        want = np.moveaxis((expm(gen.toarray()) @ mat).reshape(cut + (3,)), -1, 0)
+        assert np.abs(got - want).max() <= 1e-12, kind

@@ -15,16 +15,16 @@ from pspurity import (
     subtracted_wigner_fn,
     two_mode_squeezer,
 )
+from pspurity import quadrature
 from pspurity.quadrature import (
     GridSpec,
+    _grid_sums,
     mean_by_grid,
     normalization_by_grid,
     purity_by_grid,
     variance_by_grid,
 )
 from pspurity.scenarios import reference_single_mode_state
-
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
 def test_gridspec_validation():
@@ -132,3 +132,35 @@ def test_bad_extent_reported():
     )
     with pytest.raises(GridExtentError):
         purity_by_grid(gaussian_wigner_fn(th), 1, lying)
+
+
+def test_chunked_grid_sums_match_single_chunk(monkeypatch):
+    """Chunks of whole rows, many starting at odd row indices and not on a
+    plane boundary, give the same fine and stride-2 coarse sums as one chunk
+    over the whole grid."""
+    gate = two_mode_squeezer(r=0.5, mode_a=0, mode_b=1, num_modes=2)
+    from pspurity import apply_displacement
+
+    state = apply_displacement(
+        apply_symplectic(make_thermal([2.0, 1.2]), gate), [1.0, 0.5, -0.5, 0.0]
+    )
+    sub = subtract_photon(state, ModeSelector.for_mode(0, 2))
+    wig = subtracted_wigner_fn(sub)
+    n = 21
+    axes = GridSpec.for_subtracted(sub, points_per_axis=n).axes(2)
+    calls = []
+
+    def counted(points):
+        calls.append(len(points))
+        return wig(points)
+
+    monkeypatch.setattr(quadrature, "GRID_CHUNK_POINTS", n**4)
+    single = _grid_sums(counted, axes, moment_axes=(0, 1))
+    assert calls == [n**4]
+    calls.clear()
+    # 999 rows of n points per chunk: chunks start at rows 0, 999, 1998, ...
+    monkeypatch.setattr(quadrature, "GRID_CHUNK_POINTS", 999 * n + n - 1)
+    chunked = _grid_sums(counted, axes, moment_axes=(0, 1))
+    assert calls == [999 * n] * 9 + [(n**3 - 9 * 999) * n]
+    for want, got in zip(single, chunked):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pspurity import (
+    BogoliubovRow,
     GaussianState,
     ModeSelector,
     SubtractionFromVacuumError,
@@ -86,6 +87,24 @@ def test_extraction_vacuum_row():
     assert abs(row.l[0]) == pytest.approx(1.0, abs=1e-12)
     assert row.noise[0] == pytest.approx(1.0, abs=1e-10)
     assert row.alpha_g == pytest.approx(1.0 + 0.0j)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["alpha_g", "k", "l", "noise"])
+def test_bogoliubov_row_rejects_non_finite(name, bad):
+    fields = {
+        "alpha_g": 0.5 + 0.25j,
+        "k": np.array([0.3, 0.1]),
+        "l": np.array([1.0, 0.2]),
+        "noise": np.array([1.5, 2.0]),
+    }
+    BogoliubovRow(**fields)
+    if name == "alpha_g":
+        fields[name] = complex(bad, 0.0)
+    else:
+        fields[name][1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        BogoliubovRow(**fields)
 
 
 def test_extraction_ten_db_values():
