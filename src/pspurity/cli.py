@@ -17,7 +17,9 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,22 +45,14 @@ from .subtraction import (
 
 CONVENTIONS = "displacement=(2*Re<a>,2*Im<a>) squeeze=10^(dB/10)"
 
-CONFIG_FIELDS = {
-    "command": str,
-    "figure": str,
-    "output": str,
-    "seed": int,
-    "count": int,
-    "points": int,
-    "grid_points": int,
-    "alpha": float,
-    "s_db": float,
-}
-
 
 @dataclass
 class RunConfig:
-    """Flat run description; serializes to ``key = value`` lines."""
+    """Flat run description; serializes to ``key = value`` lines.
+
+    The field defaults are the CLI defaults.  Out-of-range values raise
+    ValueError at construction.
+    """
 
     command: str
     figure: str = ""
@@ -70,6 +64,18 @@ class RunConfig:
     alpha: float = 1.6
     s_db: float = 3.0
 
+    def __post_init__(self):
+        for name in ("count", "points", "grid_points"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        for name in ("alpha", "s_db"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+
     def to_text(self) -> str:
         lines = []
         for f in dataclasses.fields(self):
@@ -80,6 +86,7 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
+        field_types = typing.get_type_hints(cls)
         values = {}
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
@@ -89,9 +96,9 @@ class RunConfig:
                 raise ValueError(f"line {lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in CONFIG_FIELDS:
+            if key not in field_types:
                 raise ValueError(f"line {lineno}: unknown key {key!r}")
-            caster = CONFIG_FIELDS[key]
+            caster = field_types[key]
             value = value.strip()
             if caster is str:
                 if value.startswith(("'", '"')) and value.endswith(value[0]):
@@ -205,6 +212,15 @@ def _reproduce_fig3(config: RunConfig) -> int:
     return 0 if payload.get("found") else 1
 
 
+#: figure name -> (handler, default output path)
+FIGURES = {
+    "fig1a": (_reproduce_fig1a, "fig1a.csv"),
+    "fig1b": (_reproduce_fig1b, "fig1b.csv"),
+    "fig2": (_reproduce_fig2, "fig2.csv"),
+    "fig3": (_reproduce_fig3, "fig3.json"),
+}
+
+
 def _cmd_verify(config: RunConfig) -> int:
     results = verify_all()
     for res in results:
@@ -278,25 +294,13 @@ def _cmd_fuzz(config: RunConfig) -> int:
 
 def _dispatch(config: RunConfig) -> int:
     if config.command == "reproduce":
-        if not config.output:
-            config.output = {
-                "fig1a": "fig1a.csv",
-                "fig1b": "fig1b.csv",
-                "fig2": "fig2.csv",
-                "fig3": "fig3.json",
-            }.get(config.figure, "out.csv")
-        handler = {
-            "fig1a": _reproduce_fig1a,
-            "fig1b": _reproduce_fig1b,
-            "fig2": _reproduce_fig2,
-            "fig3": _reproduce_fig3,
-        }.get(config.figure)
-        if handler is None:
+        if config.figure not in FIGURES:
             print(f"unknown figure {config.figure!r}", file=sys.stderr)
             return 2
+        handler, default_output = FIGURES[config.figure]
+        config.output = config.output or default_output
         status = handler(config)
-        if config.output:
-            print(f"wrote {config.output}")
+        print(f"wrote {config.output}")
         return status
     if config.command == "verify":
         return _cmd_verify(config)
@@ -313,20 +317,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    rep = sub.add_parser("reproduce", help="write sweep datasets")
-    rep.add_argument("figure", choices=["fig1a", "fig1b", "fig2", "fig3"])
-    rep.add_argument("--output", default="", help="output path")
-    rep.add_argument("--points", type=int, default=241, help="sweep resolution")
-    rep.add_argument("--grid-points", type=int, default=201, dest="grid_points")
-    rep.add_argument("--alpha", type=float, default=1.6)
-    rep.add_argument("--s-db", type=float, default=3.0, dest="s_db")
+    # options left out of the command line take the RunConfig defaults
+    rep = sub.add_parser("reproduce", help="write sweep datasets",
+                         argument_default=argparse.SUPPRESS)
+    rep.add_argument("figure", choices=list(FIGURES))
+    rep.add_argument("--output", help="output path")
+    rep.add_argument("--points", type=int, help="sweep resolution")
+    rep.add_argument("--grid-points", type=int, dest="grid_points")
+    rep.add_argument("--alpha", type=float)
+    rep.add_argument("--s-db", type=float, dest="s_db")
 
-    ver = sub.add_parser("verify", help="run the cross-oracle suite")
+    sub.add_parser("verify", help="run the cross-oracle suite")
 
-    fuzz = sub.add_parser("fuzz", help="property-check bounds on random states")
-    fuzz.add_argument("--count", type=int, default=10000)
-    fuzz.add_argument("--seed", type=int, default=7)
-    fuzz.add_argument("--output", default="", help="where to dump violations")
+    fuzz = sub.add_parser("fuzz", help="property-check bounds on random states",
+                          argument_default=argparse.SUPPRESS)
+    fuzz.add_argument("--count", type=int)
+    fuzz.add_argument("--seed", type=int)
+    fuzz.add_argument("--output", help="where to dump violations")
 
     run = sub.add_parser("run", help="execute a config file")
     run.add_argument("config", help="path to a key = value config file")
@@ -336,13 +343,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "run":
-        with open(args.config) as fh:
-            config = RunConfig.from_text(fh.read())
-    else:
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        values = {k: v for k, v in vars(args).items() if k in known and v is not None}
-        config = RunConfig(**values)
+    try:
+        if args.command == "run":
+            with open(args.config) as fh:
+                config = RunConfig.from_text(fh.read())
+        else:
+            known = {f.name for f in dataclasses.fields(RunConfig)}
+            config = RunConfig(**{k: v for k, v in vars(args).items() if k in known})
+    except ValueError as exc:
+        parser.error(str(exc))
     return _dispatch(config)
 
 

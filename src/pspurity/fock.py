@@ -14,8 +14,13 @@ the ancillas are ignored (traced out) by all measurement helpers.
 Truncation bookkeeping: unitaries of truncated anti-Hermitian generators
 preserve the norm exactly, so lost-norm is not a usable error signal.  The
 reported ``deficiency`` is instead the largest top-level occupation seen on
-any mode after any gate; raising cutoffs drives it to zero for the states
-considered here.
+any mode after any gate.  Both preparation routes size their own cutoffs:
+they start from a photon-number estimate and double every mode whose
+deficiency exceeds ``LEAKAGE_TOL``, within the memory budget.
+
+Quadrature moments come from the ladder operators: <a>, <a^2> and <a^dag a>
+are sums over neighbouring rows of the mode-first amplitude matrix, so no
+reduced density matrix is formed.
 """
 
 from __future__ import annotations
@@ -43,25 +48,24 @@ from .gaussian import (
 #: (same truncated generator either way)
 DENSE_EXPM_LIMIT = 1024
 
+#: largest top-level occupation a prepared state may carry on any mode
+LEAKAGE_TOL = 1e-8
+
 MEMORY_ENV_VAR = "PSPURITY_FOCK_MEMORY_MB"
 DEFAULT_MEMORY_MB = 2048.0
 
 
 @dataclass(frozen=True)
 class TruncationSpec:
-    """Per-mode Fock cutoffs plus the acceptable leakage level."""
+    """Per-mode Fock cutoffs."""
 
     cutoffs: tuple
-    deficiency_tolerance: float = 1e-8
 
     def __post_init__(self):
         cut = tuple(int(c) for c in self.cutoffs)
         if any(c < 2 for c in cut):
             raise ValueError("cutoffs must be at least 2")
         object.__setattr__(self, "cutoffs", cut)
-
-    def state_bytes(self) -> int:
-        return 16 * int(np.prod(self.cutoffs))
 
 
 @dataclass(frozen=True)
@@ -189,14 +193,19 @@ def _squeeze_param(params: dict) -> float:
     return 0.5 * np.log(10.0 ** (params["db"] / 10.0))
 
 
-def _apply_gate(psi: np.ndarray, kind: str, params: dict, modes: tuple,
-                cutoffs: tuple, leak: np.ndarray) -> np.ndarray:
-    gate_cut = tuple(cutoffs[m] for m in modes)
-    gen = _gate_generator(kind, params, gate_cut)
+def _evolve(psi: np.ndarray, gen: sp.spmatrix, modes: tuple,
+            leak: np.ndarray) -> np.ndarray:
+    """Apply exp(gen) on ``modes`` and record their top-level occupation."""
     psi = _apply_generator(psi, gen, modes)
     for m in modes:
         leak[m] = max(leak[m], _top_level_population(psi, m))
     return psi
+
+
+def _apply_gate(psi: np.ndarray, kind: str, params: dict, modes: tuple,
+                cutoffs: tuple, leak: np.ndarray) -> np.ndarray:
+    gen = _gate_generator(kind, params, tuple(cutoffs[m] for m in modes))
+    return _evolve(psi, gen, modes, leak)
 
 
 def _vacuum_tensor(cutoffs: tuple) -> np.ndarray:
@@ -215,45 +224,32 @@ def _check_budget(cutoffs: tuple):
         )
 
 
-def run_circuit_fock(circuit, truncation: TruncationSpec | None = None) -> FockState:
+def run_circuit_fock(circuit) -> FockState:
     """Run a gate circuit on the vacuum in the truncated number basis.
 
     ``circuit`` provides ``mode_count`` and ``gates`` (each with ``kind``,
-    ``params`` and ``modes``).  Without an explicit truncation the cutoffs
-    start from the covariance-route mean photon numbers and any mode whose
-    leakage exceeds the tolerance is doubled, up to the memory budget.
+    ``params`` and ``modes``).  The cutoffs start from the covariance-route
+    mean photon numbers and grow as ``_converge_cutoffs`` decides.
     """
-    if truncation is not None:
-        if len(truncation.cutoffs) != circuit.mode_count:
-            raise ValueError("truncation does not match the circuit")
-        psi, leak = _run_gates(circuit, truncation.cutoffs)
-        deficiency = float(leak.max())
-        if deficiency > truncation.deficiency_tolerance:
-            raise TruncationInsufficientError(
-                f"leakage {deficiency:.3e} above tolerance "
-                f"{truncation.deficiency_tolerance:.1e}"
-            )
-        return FockState(psi, truncation, deficiency)
     cutoffs = _cutoffs_from_mean_photons(_per_mode_photons(circuit_to_gaussian(circuit)))
-    tol = 1e-8
-
-    def attempt(cut):
-        return _run_gates(circuit, cut)
-
-    return _converge_cutoffs(attempt, cutoffs, tol, num_ancilla=0)
+    return _converge_cutoffs(lambda cut: _run_gates(circuit, cut), cutoffs,
+                             num_ancilla=0)
 
 
-def _converge_cutoffs(attempt, cutoffs: tuple, tol: float, num_ancilla: int) -> FockState:
-    """Re-run ``attempt`` doubling leaking modes until the tolerance is met."""
+def _converge_cutoffs(attempt, cutoffs: tuple, num_ancilla: int) -> FockState:
+    """Re-run ``attempt`` doubling leaking modes until ``LEAKAGE_TOL`` is met.
+
+    Every attempt is checked against the memory budget first.
+    """
     for _ in range(6):
         _check_budget(cutoffs)
-        psi, leak = attempt(tuple(cutoffs))
+        psi, leak = attempt(cutoffs)
         deficiency = float(leak.max())
-        if deficiency <= tol:
-            return FockState(psi, TruncationSpec(tuple(cutoffs), tol), deficiency,
+        if deficiency <= LEAKAGE_TOL:
+            return FockState(psi, TruncationSpec(cutoffs), deficiency,
                              num_ancilla=num_ancilla)
         cutoffs = tuple(
-            2 * c if leak[j] > tol else c for j, c in enumerate(cutoffs)
+            2 * c if leak[j] > LEAKAGE_TOL else c for j, c in enumerate(cutoffs)
         )
     raise TruncationInsufficientError(
         f"leakage {deficiency:.3e} persists at cutoffs {cutoffs}"
@@ -300,9 +296,7 @@ def _cutoffs_for_state(state: GaussianState) -> tuple:
     return tuple(out)
 
 
-def gaussian_state_to_fock(
-    state: GaussianState, truncation: TruncationSpec | None = None
-) -> FockState:
+def gaussian_state_to_fock(state: GaussianState) -> FockState:
     """Exact number-basis representation of a Gaussian state.
 
     The normal-mode decomposition gives thermal factors and a symplectic
@@ -310,38 +304,22 @@ def gaussian_state_to_fock(
     parameter acosh(n)/2 (marginal noise exactly n), the symplectic part is
     applied as a quadratic-generator exponential on the physical modes, and
     the displacement closes the preparation.  Ancilla modes trail the
-    physical ones; measurement helpers trace over them.
+    physical ones; measurement helpers trace over them.  Cutoffs start from
+    the Gaussian tail estimates and grow as ``_converge_cutoffs`` decides.
     """
     decomp = williamson(state)
-    m = state.mode_count
     noise = decomp.noise_factors
-    thermal = [i for i in range(m) if noise[i] > 1.0 + 1e-10]
-
-    def attempt(cut):
-        return _prepare_gaussian(state, decomp, thermal, cut)
-
-    if truncation is None:
-        anc = []
-        for i in thermal:
-            ratio = (noise[i] - 1.0) / (noise[i] + 1.0)  # thermal tail base
-            geom = int(math.ceil(math.log(1e-9) / math.log(ratio))) + 14
-            anc.append(max(geom, int(math.ceil(2.0 * (noise[i] - 1.0) + 10.0))))
-        cutoffs = _cutoffs_for_state(state) + tuple(anc)
-        return _converge_cutoffs(attempt, cutoffs, 1e-8, num_ancilla=len(thermal))
-    if len(truncation.cutoffs) != m + len(thermal):
-        raise ValueError(
-            f"need {m} physical + {len(thermal)} ancilla cutoffs, "
-            f"got {len(truncation.cutoffs)}"
-        )
-    _check_budget(truncation.cutoffs)
-    psi, leak = _prepare_gaussian(state, decomp, thermal, truncation.cutoffs)
-    deficiency = float(leak.max())
-    if deficiency > truncation.deficiency_tolerance:
-        raise TruncationInsufficientError(
-            f"leakage {deficiency:.3e} above tolerance "
-            f"{truncation.deficiency_tolerance:.1e}"
-        )
-    return FockState(psi, truncation, deficiency, num_ancilla=len(thermal))
+    thermal = [i for i in range(state.mode_count) if noise[i] > 1.0 + 1e-10]
+    anc = []
+    for i in thermal:
+        ratio = (noise[i] - 1.0) / (noise[i] + 1.0)  # thermal tail base
+        geom = int(math.ceil(math.log(1e-9) / math.log(ratio))) + 14
+        anc.append(max(geom, int(math.ceil(2.0 * (noise[i] - 1.0) + 10.0))))
+    cutoffs = _cutoffs_for_state(state) + tuple(anc)
+    return _converge_cutoffs(
+        lambda cut: _prepare_gaussian(state, decomp, thermal, cut), cutoffs,
+        num_ancilla=len(thermal),
+    )
 
 
 def _prepare_gaussian(state, decomp, thermal, cutoffs) -> tuple[np.ndarray, np.ndarray]:
@@ -393,9 +371,7 @@ def _apply_symplectic_fock(psi, s_matrix, cutoffs, m, leak) -> np.ndarray:
         if np.abs(log_s).max() < 1e-14:
             continue
         gen = _quadratic_generator(omega @ log_s, cutoffs[:m])
-        psi = _apply_generator(psi, gen, tuple(range(m)))
-        for j in range(m):
-            leak[j] = max(leak[j], _top_level_population(psi, j))
+        psi = _evolve(psi, gen, tuple(range(m)), leak)
     return psi
 
 
@@ -484,21 +460,40 @@ def reduced_purity_fock(state: FockState, modes) -> float:
     return float(np.real(np.sum(np.abs(gram) ** 2)))
 
 
+def _ladder_moments(state: FockState, mode: int) -> tuple[complex, complex, float]:
+    """<a>, <a^2> and <a^dag a> of one mode (the other modes traced out).
+
+    With rows of the mode-first amplitude matrix indexed by n,
+    <a> = sum sqrt(n) <row n-1|row n> and
+    <a^2> = sum sqrt(n (n-1)) <row n-2|row n>.
+    """
+    mat = _split_modes(state, [mode])
+    n = np.arange(mat.shape[0])
+    root = np.sqrt(n)
+    a1 = np.sum(root[1:] * np.sum(mat[:-1].conj() * mat[1:], axis=1))
+    a2 = np.sum(root[2:] * root[1:-1] * np.sum(mat[:-2].conj() * mat[2:], axis=1))
+    photons = np.sum(n * np.sum(np.abs(mat) ** 2, axis=1))
+    return complex(a1), complex(a2), float(photons)
+
+
 def mean_photon_fock(state: FockState, mode: int) -> float:
-    rho = reduced_density_matrix(state, [mode])
-    n = np.arange(rho.shape[0])
-    return float(np.real(np.sum(n * np.diag(rho))))
+    return _ladder_moments(state, mode)[2]
 
 
 def quadrature_moments_fock(state: FockState, mode: int) -> dict:
-    """Means and variances of x and p for one mode (ancillas traced out)."""
-    rho = reduced_density_matrix(state, [mode])
-    x, p = _quadratures(rho.shape[0])
-    mx = float(np.real(np.trace(x @ rho)))
-    mp = float(np.real(np.trace(p @ rho)))
-    vx = float(np.real(np.trace(x @ x @ rho))) - mx * mx
-    vp = float(np.real(np.trace(p @ p @ rho))) - mp * mp
-    return {"mean_x": mx, "mean_p": mp, "var_x": vx, "var_p": vp}
+    """Means and variances of x = a + a^dag and p = i(a^dag - a) for one mode.
+
+    x^2 = a^2 + a^dag^2 + 2 a^dag a + 1 and p^2 = -a^2 - a^dag^2 + 2 a^dag a + 1,
+    so both variances follow from the three ladder moments.
+    """
+    a1, a2, photons = _ladder_moments(state, mode)
+    mx, mp = 2.0 * a1.real, 2.0 * a1.imag
+    return {
+        "mean_x": mx,
+        "mean_p": mp,
+        "var_x": 2.0 * a2.real + 2.0 * photons + 1.0 - mx * mx,
+        "var_p": -2.0 * a2.real + 2.0 * photons + 1.0 - mp * mp,
+    }
 
 
 def wigner_origin_fock(state: FockState, modes) -> float:
@@ -507,13 +502,13 @@ def wigner_origin_fock(state: FockState, modes) -> float:
     In this package's convention W(0) = (1/2pi)^m * <parity>.
     """
     modes = list(modes)
-    rho = reduced_density_matrix(state, modes)
-    dims = [state.truncation.cutoffs[j] for j in modes]
+    # parity is diagonal: only the populations, the squared row norms of
+    # the mode-first amplitude matrix, enter
+    populations = np.sum(np.abs(_split_modes(state, modes)) ** 2, axis=1)
     parity = np.array([1.0])
-    for d in dims:
-        parity = np.kron(parity, (-1.0) ** np.arange(d))
-    val = float(np.real(np.sum(parity * np.diag(rho).real)))
-    return val / (2.0 * np.pi) ** len(modes)
+    for j in modes:
+        parity = np.kron(parity, (-1.0) ** np.arange(state.truncation.cutoffs[j]))
+    return float(np.sum(parity * populations)) / (2.0 * np.pi) ** len(modes)
 
 
 def state_overlap_fock(a: FockState, b: FockState) -> float:

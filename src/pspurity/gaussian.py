@@ -519,16 +519,13 @@ def williamson(state_or_cov) -> WilliamsonDecomposition:
     each normal-mode plane oriented so the first significant component of its
     x basis vector is positive.
 
-    Accepts a GaussianState or a bare covariance matrix.
+    Accepts a GaussianState or a bare covariance matrix, which is validated
+    as the covariance of an undisplaced GaussianState.
     """
-    if isinstance(state_or_cov, GaussianState):
-        cov = state_or_cov.covariance
-    else:
+    if not isinstance(state_or_cov, GaussianState):
         cov = np.asarray(state_or_cov, dtype=float)
-        if np.abs(cov - cov.T).max() > SYMMETRY_TOL * max(1.0, np.abs(cov).max()):
-            raise UnphysicalStateError("covariance matrix is not symmetric")
-        if symplectic_eigenvalues(cov).min() < 1.0 - PHYSICALITY_TOL:
-            raise UnphysicalStateError("covariance below the vacuum limit")
+        state_or_cov = GaussianState(cov, np.zeros(cov.shape[:1]))
+    cov = state_or_cov.covariance
     n2 = cov.shape[0]
     m = n2 // 2
     root = np.real(sqrtm(cov))

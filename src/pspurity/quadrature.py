@@ -1,4 +1,4 @@
-"""Grid-quadrature oracle for Wigner-integral purities and variances.
+"""Grid-quadrature oracle for Wigner-integral purities and moments.
 
 Brute-force numerical evaluation of the defining phase-space integrals for
 one- and two-mode states.  Deliberately independent of the closed-form
@@ -6,6 +6,10 @@ machinery: it only ever sees a pointwise-evaluatable Wigner function.
 Composite Simpson rule on a tensor grid, evaluated in chunks of whole
 last-axis rows with one Wigner call per chunk; the error estimate comes from
 comparing against the stride-2 subgrid of the same samples (Richardson).
+
+Two entry points, one grid pass each: ``purity_by_grid`` for the purity and
+``variance_by_grid`` for the means and variances of one mode's x and p.
+Both reject a grid whose total probability is off unity.
 """
 
 from __future__ import annotations
@@ -173,38 +177,25 @@ def purity_by_grid(
 
 
 def variance_by_grid(
-    wigner: Callable, mode: int, axis: str, num_modes: int, grid: GridSpec
-) -> float:
-    """Variance of one quadrature from the Wigner-integral definition.
+    wigner: Callable, mode: int, num_modes: int, grid: GridSpec
+) -> dict:
+    """Means and variances of x and p for one mode, in one grid pass.
 
-    ``axis`` is ``"x"`` or ``"p"``; the first moment is subtracted, so the
-    grid center does not need to match the state mean exactly.
+    Returns the keys of ``fock.quadrature_moments_fock``: ``mean_x``,
+    ``mean_p``, ``var_x`` and ``var_p``.  The first moments are subtracted,
+    so the grid center does not need to match the state mean exactly.
     """
     _check_modes(num_modes)
-    if axis not in ("x", "p"):
-        raise ValueError("axis must be 'x' or 'p'")
     if not 0 <= mode < num_modes:
         raise ValueError(f"mode {mode} out of range")
-    target = mode if axis == "x" else num_modes + mode
-    fine, _ = _grid_sums(wigner, grid.axes(num_modes), moment_axes=(target,))
+    fine, _ = _grid_sums(
+        wigner, grid.axes(num_modes), moment_axes=(mode, num_modes + mode)
+    )
     _check_normalization(fine[0])
-    first, second = fine[2], fine[3]
-    return float(second - first * first)
-
-
-def mean_by_grid(
-    wigner: Callable, mode: int, axis: str, num_modes: int, grid: GridSpec
-) -> float:
-    """First moment of one quadrature by grid integration."""
-    _check_modes(num_modes)
-    target = mode if axis == "x" else num_modes + mode
-    fine, _ = _grid_sums(wigner, grid.axes(num_modes), moment_axes=(target,))
-    _check_normalization(fine[0])
-    return float(fine[2])
-
-
-def normalization_by_grid(wigner: Callable, num_modes: int, grid: GridSpec) -> float:
-    """Integral of W over the grid (should be 1)."""
-    _check_modes(num_modes)
-    fine, _ = _grid_sums(wigner, grid.axes(num_modes))
-    return float(fine[0])
+    mean_x, second_x, mean_p, second_p = fine[2:]
+    return {
+        "mean_x": float(mean_x),
+        "mean_p": float(mean_p),
+        "var_x": float(second_x - mean_x * mean_x),
+        "var_p": float(second_p - mean_p * mean_p),
+    }

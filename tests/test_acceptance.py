@@ -78,11 +78,9 @@ def test_criterion_2_variance_suppression():
         assert abs(mom.covariance[0, 0] / state.covariance[0, 0] - 0.85) <= 0.01
         assert abs(mom.covariance[1, 1] / state.covariance[1, 1] - 1.0) <= 1e-9
         grid = GridSpec.for_subtracted(sub)
-        wig = subtracted_wigner_fn(sub)
-        var_q = variance_by_grid(wig, 0, "x", 1, grid)
-        var_p = variance_by_grid(wig, 0, "p", 1, grid)
-        assert abs(var_q / state.covariance[0, 0] - 0.85) <= 0.01
-        assert abs(var_p / state.covariance[1, 1] - 1.0) <= 1e-4
+        by_grid = variance_by_grid(subtracted_wigner_fn(sub), 0, 1, grid)
+        assert abs(by_grid["var_x"] / state.covariance[0, 0] - 0.85) <= 0.01
+        assert abs(by_grid["var_p"] / state.covariance[1, 1] - 1.0) <= 1e-4
 
     report(2, "quadrature variance ratios 0.85 and 1", check)
 

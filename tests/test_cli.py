@@ -137,6 +137,30 @@ def test_unknown_command_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reproduce", "fig1a", "--points", "0"],
+        ["reproduce", "fig2", "--grid-points", "-1"],
+        ["reproduce", "fig3", "--alpha", "nan"],
+        ["reproduce", "fig3", "--s-db", "inf"],
+        ["fuzz", "--count", "-3"],
+        ["fuzz", "--seed", "-1"],
+        ["run", "bad.cfg"],
+    ],
+    ids=["points", "grid_points", "alpha", "s_db", "count", "seed", "config_file"],
+)
+def test_out_of_range_input_rejected(tmp_path, monkeypatch, capsys, argv):
+    """Out-of-range values stop at the boundary: exit 2, nothing written."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_text("command = 'fuzz'\ncount = 0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--output", "out"] if argv[0] != "run" else []))
+    assert exc.value.code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+    assert "error:" in capsys.readouterr().err
+
+
 def test_config_round_trip():
     config = RunConfig(command="fuzz", seed=99, count=123)
     again = RunConfig.from_text(config.to_text())

@@ -13,19 +13,27 @@ from pspurity import (
     SubtractionFromVacuumError,
     TruncationInsufficientError,
     extract_bogoliubov,
+    gaussian_wigner_fn,
     make_vacuum,
     mean_photon,
     moments_subtracted,
     purity_gaussian,
+    reduce_modes,
     relative_purity_closed_form,
     subtract_photon,
+    subtracted_wigner_fn,
     wigner_subtracted_at,
 )
 from pspurity.fock import (
+    LEAKAGE_TOL,
+    MEMORY_ENV_VAR,
     TruncationSpec,
     _apply_generator,
+    _converge_cutoffs,
     _gate_generator,
     _quadratic_generator,
+    _run_gates,
+    _vacuum_tensor,
     gaussian_state_to_fock,
     mean_photon_fock,
     quadrature_moments_fock,
@@ -36,6 +44,7 @@ from pspurity.fock import (
     subtract_photon_fock,
     wigner_origin_fock,
 )
+from pspurity.quadrature import GridSpec, variance_by_grid
 from pspurity.scenarios import (
     CircuitDescription,
     Gate,
@@ -174,6 +183,14 @@ def test_subtracted_squeezed_vacuum_wigner_origin_sign():
     assert origin == pytest.approx(analytic, abs=1e-8)
 
 
+def test_wigner_origin_of_two_mode_marginal():
+    circ = three_mode_circuit()
+    marginal = reduce_modes(circuit_to_gaussian(circ), [0, 2])
+    want = gaussian_wigner_fn(marginal)(np.zeros(4))
+    got = wigner_origin_fock(run_circuit_fock(circ), [0, 2])
+    assert got == pytest.approx(want, rel=1e-6)
+
+
 def test_partial_trace_order_consistency():
     state = run_circuit_fock(three_mode_circuit())
     rho_a = reduced_density_matrix(state, [0])
@@ -196,22 +213,68 @@ def test_product_state_purity_one():
     assert reduced_purity_fock(state, [1]) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_explicit_truncation_too_small():
-    with pytest.raises(TruncationInsufficientError):
-        run_circuit_fock(
-            circuit(1, Gate("displacement", {"re": 2.0, "im": 0.0}, (0,))),
-            TruncationSpec((6,), 1e-8),
-        )
+def test_converge_cutoffs_raises_when_leakage_persists():
+    tried = []
+
+    def always_leaking(cut):
+        tried.append(cut)
+        return _vacuum_tensor(cut), np.array([1.0, 0.0])
+
+    with pytest.raises(TruncationInsufficientError, match="persists"):
+        _converge_cutoffs(always_leaking, (4, 3), num_ancilla=0)
+    # only the leaking mode is doubled, once per round
+    assert tried == [(4 * 2**k, 3) for k in range(6)]
+
+
+def test_run_circuit_fock_checks_memory_budget(monkeypatch):
+    circ = circuit(1, Gate("displacement", {"re": 2.0, "im": 0.0}, (0,)))
+    assert run_circuit_fock(circ).deficiency <= LEAKAGE_TOL
+    monkeypatch.setenv(MEMORY_ENV_VAR, "1e-6")  # 1 byte
+    with pytest.raises(TruncationInsufficientError, match=MEMORY_ENV_VAR):
+        run_circuit_fock(circ)
 
 
 def test_leakage_monotone_in_cutoff():
     circ = circuit(1, Gate("single_mode_squeezer", {"r": 0.7}, (0,)))
-    lax = TruncationSpec((30,), 1.0)
-    laxer = TruncationSpec((40,), 1.0)
-    assert (
-        run_circuit_fock(circ, laxer).deficiency
-        <= run_circuit_fock(circ, lax).deficiency
+    leaks = [_run_gates(circ, (cut,))[1][0] for cut in (20, 30, 40)]
+    assert leaks[0] > LEAKAGE_TOL
+    assert leaks[2] <= leaks[1] <= leaks[0]
+
+
+def test_moments_of_complex_displacement():
+    # <a> = 0.8 - 1.3i: phase-space mean (1.6, -2.6), vacuum variances
+    state = run_circuit_fock(
+        circuit(1, Gate("displacement", {"re": 0.8, "im": -1.3}, (0,)))
     )
+    mm = quadrature_moments_fock(state, 0)
+    assert mm["mean_x"] == pytest.approx(1.6, abs=1e-9)
+    assert mm["mean_p"] == pytest.approx(-2.6, abs=1e-9)
+    assert mm["var_x"] == pytest.approx(1.0, abs=1e-9)
+    assert mm["var_p"] == pytest.approx(1.0, abs=1e-9)
+    assert mean_photon_fock(state, 0) == pytest.approx(0.8**2 + 1.3**2, abs=1e-9)
+
+
+def test_grid_and_fock_moments_agree():
+    """Both oracles return the same moment dict for one displaced, squeezed
+    thermal state, before and after subtraction."""
+    from pspurity import apply_displacement, apply_symplectic, make_thermal, single_mode_squeezer
+
+    state = apply_displacement(
+        apply_symplectic(make_thermal([1.8]), single_mode_squeezer(r=0.4, mode=0, num_modes=1)),
+        [1.5, -0.8],
+    )
+    sub = subtract_photon(state, ModeSelector.for_mode(0, 1))
+    fock = gaussian_state_to_fock(state)
+    pairs = [
+        (quadrature_moments_fock(fock, 0),
+         variance_by_grid(gaussian_wigner_fn(state), 0, 1, GridSpec.for_state(state))),
+        (quadrature_moments_fock(subtract_photon_fock(fock, 0), 0),
+         variance_by_grid(subtracted_wigner_fn(sub), 0, 1, GridSpec.for_subtracted(sub))),
+    ]
+    for by_fock, by_grid in pairs:
+        assert by_grid.keys() == by_fock.keys()
+        for key, value in by_fock.items():
+            assert abs(by_grid[key] - value) <= 1e-4 * max(1.0, abs(value)), key
 
 
 def test_gaussian_state_to_fock_vacuum():

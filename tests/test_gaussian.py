@@ -258,6 +258,18 @@ def test_williamson_reconstruction_fuzz(modes):
         assert np.abs(s @ omega @ s.T - omega).max() < 1e-9 * max(1.0, scale)
 
 
+def test_williamson_bare_covariance():
+    """A bare matrix is validated like a GaussianState covariance and then
+    decomposed exactly as the state would be."""
+    state = random_state(2, 5)
+    bare = williamson(np.array(state.covariance))
+    assert np.array_equal(bare.noise_factors, williamson(state).noise_factors)
+    for cov in (np.full((2, 2), np.nan), np.diag([np.inf, 1.0]), np.eye(3),
+                np.diag([0.5, 0.5]), np.array([[1.0, 0.2], [0.0, 1.0]])):
+        with pytest.raises(UnphysicalStateError):
+            williamson(cov)
+
+
 def test_williamson_gauge_deterministic():
     state = random_state(3, 42)
     a = williamson(state)

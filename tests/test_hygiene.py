@@ -1,6 +1,8 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and every private
+module-level function is referenced somewhere else in the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,3 +32,40 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def referenced_names(tree) -> Counter:
+    """Occurrences of each name as a bare name or an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def unreferenced_private_functions(sources: dict) -> list[str]:
+    """Module-level ``_name`` functions that nothing outside their own body uses."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    total = sum((referenced_names(tree) for tree in trees.values()), Counter())
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                    and not node.name.startswith("__")
+                    and total[node.name] == referenced_names(node)[node.name]):
+                unused.append(f"{module}:{node.name}")
+    return unused
+
+
+def test_private_functions_are_referenced():
+    package = Path(pspurity.__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert unreferenced_private_functions(sources) == []
+
+
+def test_unreferenced_private_function_detected():
+    sources = {
+        "a.py": "def _used():\n    pass\n\ndef _recursive():\n    _recursive()\n",
+        "b.py": "from .a import _used\n\ndef public():\n    return _used()\n",
+    }
+    assert unreferenced_private_functions(sources) == ["a.py:_recursive"]

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from pspurity import (
+    GaussianState,
     GridExtentError,
     ModeSelector,
+    apply_displacement,
     apply_symplectic,
     gaussian_wigner_fn,
     make_thermal,
     make_vacuum,
     purity_gaussian,
+    purity_subtracted,
     subtract_photon,
     subtracted_wigner_fn,
     two_mode_squeezer,
@@ -19,8 +22,6 @@ from pspurity import quadrature
 from pspurity.quadrature import (
     GridSpec,
     _grid_sums,
-    mean_by_grid,
-    normalization_by_grid,
     purity_by_grid,
     variance_by_grid,
 )
@@ -50,20 +51,38 @@ def test_thermal_purity():
 
 
 def test_variance_reads_covariance_entry():
-    from pspurity import GaussianState
-
     state = GaussianState(np.diag([100.0, 1.0]), np.zeros(2))
     wig = gaussian_wigner_fn(state)
     grid = GridSpec.for_state(state)
-    assert variance_by_grid(wig, 0, "x", 1, grid) == pytest.approx(100.0, abs=1e-3)
-    assert variance_by_grid(wig, 0, "p", 1, grid) == pytest.approx(1.0, abs=1e-6)
-    assert mean_by_grid(wig, 0, "x", 1, grid) == pytest.approx(0.0, abs=1e-9)
+    mom = variance_by_grid(wig, 0, 1, grid)
+    assert mom["var_x"] == pytest.approx(100.0, abs=1e-3)
+    assert mom["var_p"] == pytest.approx(1.0, abs=1e-6)
+    assert mom["mean_x"] == pytest.approx(0.0, abs=1e-9)
+    assert mom["mean_p"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_vacuum_variance():
     vac = make_vacuum(1)
-    got = variance_by_grid(gaussian_wigner_fn(vac), 0, "x", 1, GridSpec.for_state(vac))
-    assert got == pytest.approx(1.0, abs=1e-6)
+    mom = variance_by_grid(gaussian_wigner_fn(vac), 0, 1, GridSpec.for_state(vac))
+    assert mom["var_x"] == pytest.approx(1.0, abs=1e-6)
+    assert mom["var_p"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_two_mode_variance_second_mode():
+    """mode=1 of a two-mode state reads the (x_2, p_2) entries."""
+    gate = two_mode_squeezer(r=0.3, mode_a=0, mode_b=1, num_modes=2)
+    state = apply_displacement(
+        apply_symplectic(make_thermal([1.5, 1.2]), gate), [0.4, -1.0, 0.7, 2.0]
+    )
+    mom = variance_by_grid(
+        gaussian_wigner_fn(state), 1, 2, GridSpec.for_state(state, points_per_axis=41)
+    )
+    assert mom["mean_x"] == pytest.approx(state.displacement[1], abs=1e-6)
+    assert mom["mean_p"] == pytest.approx(state.displacement[3], abs=1e-6)
+    assert mom["var_x"] == pytest.approx(state.covariance[1, 1], abs=1e-5)
+    assert mom["var_p"] == pytest.approx(state.covariance[3, 3], abs=1e-5)
+    with pytest.raises(ValueError):
+        variance_by_grid(gaussian_wigner_fn(state), 2, 2, GridSpec.for_state(state))
 
 
 def test_reference_subtracted_purity():
@@ -77,12 +96,15 @@ def test_reference_subtracted_purity():
 
 
 def test_subtracted_normalization():
-    state = reference_single_mode_state()
+    """purity_by_grid raises GridExtentError unless the grid holds unit
+    probability to 1e-5; an undisplaced subtracted state passes that check
+    and matches its exact purity."""
+    state = GaussianState(np.diag([6.0, 0.5]), np.zeros(2))
     sub = subtract_photon(state, ModeSelector.for_mode(0, 1))
-    total = normalization_by_grid(
+    value, err = purity_by_grid(
         subtracted_wigner_fn(sub), 1, GridSpec.for_subtracted(sub)
     )
-    assert total == pytest.approx(1.0, abs=1e-3)
+    assert abs(value - purity_subtracted(sub)) <= max(err, 1e-9)
 
 
 def test_two_mode_purity():
@@ -97,17 +119,18 @@ def test_two_mode_purity():
 
 
 def test_two_mode_subtracted_normalization():
+    """The 4-D grid of a displaced, entangled subtracted state holds unit
+    probability to 1e-5 (checked inside purity_by_grid) and its purity
+    matches the exact one."""
     gate = two_mode_squeezer(r=0.5, mode_a=0, mode_b=1, num_modes=2)
-    from pspurity import apply_displacement
-
     state = apply_displacement(
         apply_symplectic(make_thermal([2.0, 1.2]), gate), [1.0, 0.5, -0.5, 0.0]
     )
     sub = subtract_photon(state, ModeSelector.for_mode(0, 2))
-    total = normalization_by_grid(
+    value, _ = purity_by_grid(
         subtracted_wigner_fn(sub), 2, GridSpec.for_subtracted(sub, points_per_axis=81)
     )
-    assert total == pytest.approx(1.0, abs=1e-3)
+    assert value == pytest.approx(purity_subtracted(sub), abs=1e-9)
 
 
 def test_refinement_within_error_estimate():
@@ -139,8 +162,6 @@ def test_chunked_grid_sums_match_single_chunk(monkeypatch):
     plane boundary, give the same fine and stride-2 coarse sums as one chunk
     over the whole grid."""
     gate = two_mode_squeezer(r=0.5, mode_a=0, mode_b=1, num_modes=2)
-    from pspurity import apply_displacement
-
     state = apply_displacement(
         apply_symplectic(make_thermal([2.0, 1.2]), gate), [1.0, 0.5, -0.5, 0.0]
     )
