@@ -57,7 +57,6 @@ from .subtraction import (
     moments_subtracted,
     purity_subtracted,
     relative_purity_closed_form,
-    relative_purity_subtracted,
     subtract_photon,
     subtracted_wigner_fn,
     wigner_subtracted_at,

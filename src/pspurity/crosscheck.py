@@ -157,12 +157,12 @@ def check_reference_variances_by_grid() -> CheckResult:
     return CheckResult("reference-state variances by grid (scaled)", dev, 1.0)
 
 
-def verify_all(fast: bool = False) -> list[CheckResult]:
+def verify_all() -> list[CheckResult]:
     """The full cross-oracle suite (used by the CLI)."""
     checks = [
         check_reference_state(),
         check_closed_form_vs_moments(),
-        check_closed_form_vs_grid(5 if fast else 20),
+        check_closed_form_vs_grid(),
         check_reference_variances_by_grid(),
         check_three_mode_global_purity(),
         check_three_mode_fock(),

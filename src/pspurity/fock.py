@@ -39,6 +39,7 @@ from .errors import SubtractionFromVacuumError, TruncationInsufficientError
 from .gaussian import (
     GaussianState,
     circuit_to_gaussian,
+    db_to_squeezing_parameter,
     symplectic_form,
     williamson,
 )
@@ -188,9 +189,8 @@ def _gate_generator(kind: str, params: dict, cutoffs: tuple) -> sp.spmatrix:
 
 
 def _squeeze_param(params: dict) -> float:
-    if "r" in params and params["r"] is not None:
-        return float(params["r"])
-    return 0.5 * np.log(10.0 ** (params["db"] / 10.0))
+    r = params.get("r")
+    return float(r) if r is not None else db_to_squeezing_parameter(params["db"])
 
 
 def _evolve(psi: np.ndarray, gen: sp.spmatrix, modes: tuple,

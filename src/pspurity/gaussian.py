@@ -9,6 +9,10 @@ Conventions used throughout the package:
   ``(2 Re<a>, 2 Im<a>)``.
 * Squeezing strengths quoted in dB map to the variance factor
   ``s = 10**(db / 10)`` and the squeezing parameter ``r = ln(s) / 2``.
+
+Validation and ``williamson`` share one symplectic-spectrum route,
+``_normal_form``.  Its range is cond(V) <= ``MAX_CONDITION``; beyond it
+float64 no longer resolves the spectrum: ``NumericDegenerateError``.
 """
 
 from __future__ import annotations
@@ -17,12 +21,16 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import schur, solve_triangular, sqrtm
+from scipy.linalg import solve_triangular
 
 from .errors import NumericDegenerateError, UnphysicalStateError
 
-#: absolute tolerance on symplectic eigenvalues when checking physicality
+#: tolerance of symplectic eigenvalues below 1 (cond(V) * eps where larger)
 PHYSICALITY_TOL = 1e-9
+
+#: largest covariance condition number cond(V) = lambda_max / lambda_min that
+#: is accepted: about 40 dB of single-mode squeezing (cond = s^2)
+MAX_CONDITION = 1e8
 
 #: relative tolerance on covariance symmetry
 SYMMETRY_TOL = 1e-12
@@ -33,21 +41,42 @@ SYMPLECTIC_TOL = 1e-10
 
 def symplectic_form(num_modes: int) -> np.ndarray:
     """Return the 2m x 2m symplectic form Omega = [[0, I], [-I, 0]]."""
-    eye = np.eye(num_modes)
-    zero = np.zeros((num_modes, num_modes))
-    return np.block([[zero, eye], [-eye, zero]])
+    return np.eye(2 * num_modes, k=num_modes) - np.eye(2 * num_modes, k=-num_modes)
+
+
+def _vacuum_tolerance(cov: np.ndarray) -> float:
+    """How far below 1 a symplectic eigenvalue of ``cov`` may round.
+
+    An eigenvalue below zero by more than rounding is unphysical; one within
+    rounding of zero, like any cond(V) > ``MAX_CONDITION``, is out of range.
+    """
+    eps = np.finfo(float).eps
+    lam = np.linalg.eigvalsh(cov)
+    low, high = lam[0], lam[-1]
+    if high <= 0.0 or low < -cov.shape[0] * eps * high:
+        raise UnphysicalStateError(f"covariance is not positive definite ({low:.3e})")
+    if low * MAX_CONDITION < high:
+        raise NumericDegenerateError(
+            f"covariance eigenvalues {low:.3e} .. {high:.3e}: cond(V) > {MAX_CONDITION:.0e}")
+    return max(PHYSICALITY_TOL, high / low * eps)
+
+
+def _normal_form(cov: np.ndarray):
+    """(L, nu, E) of a covariance inside the supported range: V = L L^T, the
+    spectrum nu sorted descending and the unit eigenvectors of the Hermitian
+    ``i L^T Omega L``, whose eigenvalues are +/- nu (column i for +nu_i)."""
+    m = cov.shape[0] // 2
+    chol = np.linalg.cholesky(cov)
+    evals, evecs = np.linalg.eigh(1j * (chol.T @ symplectic_form(m) @ chol))
+    return chol, evals[m:][::-1], evecs[:, m:][:, ::-1]
 
 
 def symplectic_eigenvalues(covariance: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a symmetric positive matrix, sorted descending.
-
-    The values are the moduli of the (purely imaginary) eigenvalues of
-    ``Omega @ V``; each appears once per mode.
-    """
-    m = covariance.shape[0] // 2
-    ev = np.linalg.eigvals(symplectic_form(m) @ covariance)
-    nu = np.sort(np.abs(ev))[::-1]
-    return nu[::2].copy()  # pairs (+i nu, -i nu) collapse to one entry
+    """Symplectic spectrum of a positive-definite matrix, one value per mode,
+    sorted descending (errors as for ``GaussianState``)."""
+    cov = np.asarray(covariance, dtype=float)
+    _vacuum_tolerance(cov)
+    return _normal_form(cov)[1]
 
 
 def _as_readonly(arr: np.ndarray) -> np.ndarray:
@@ -85,14 +114,10 @@ class GaussianState:
         if np.abs(cov - cov.T).max() > SYMMETRY_TOL * scale:
             raise UnphysicalStateError("covariance matrix is not symmetric")
         cov = 0.5 * (cov + cov.T)
-        nu_min = symplectic_eigenvalues(cov).min()
-        if nu_min < 1.0 - PHYSICALITY_TOL:
-            raise UnphysicalStateError(
-                f"minimal symplectic eigenvalue {nu_min} violates the vacuum limit"
-            )
-        sign, logdet = np.linalg.slogdet(cov)
-        if sign <= 0 or (logdet < 0 and np.expm1(logdet) < -PHYSICALITY_TOL):
-            raise UnphysicalStateError("det(V) < 1: state below the vacuum limit")
+        tol = _vacuum_tolerance(cov)
+        nu_min = _normal_form(cov)[1][-1]
+        if nu_min < 1.0 - tol:
+            raise UnphysicalStateError(f"minimal symplectic eigenvalue {nu_min} is below 1")
         object.__setattr__(self, "covariance", _as_readonly(cov))
         object.__setattr__(self, "displacement", _as_readonly(disp))
 
@@ -153,8 +178,7 @@ class ModeSelector:
     @classmethod
     def for_mode(cls, mode: int, num_modes: int) -> "ModeSelector":
         """Selector for computational mode ``mode`` of an m-mode system."""
-        if not 0 <= mode < num_modes:
-            raise ValueError(f"mode {mode} out of range for {num_modes} modes")
+        _check_mode(mode, num_modes)
         gx = np.zeros(2 * num_modes)
         gp = np.zeros(2 * num_modes)
         gx[mode] = 1.0
@@ -183,12 +207,13 @@ class WilliamsonDecomposition:
     noise_factors: np.ndarray = field(repr=True)
 
     def __post_init__(self):
-        n = np.asarray(self.noise_factors, dtype=float)
-        if np.any(n < 1.0 - PHYSICALITY_TOL):
+        n = _as_readonly(self.noise_factors)
+        object.__setattr__(self, "noise_factors", n)
+        # the covariance's own tolerance, as GaussianState applies it
+        if np.any(n < 1.0 - _vacuum_tolerance(self.reconstruct())):
             raise UnphysicalStateError(f"noise factors below vacuum: {n}")
         if np.any(np.diff(n) > 1e-12):
             raise ValueError("noise factors must be sorted descending")
-        object.__setattr__(self, "noise_factors", _as_readonly(n))
 
     def reconstruct(self) -> np.ndarray:
         s = self.symplectic.matrix
@@ -444,8 +469,7 @@ def reduce_modes(state: GaussianState, modes) -> GaussianState:
         raise ValueError("mode subset must be non-empty")
     m = state.mode_count
     for j in modes:
-        if not 0 <= j < m:
-            raise ValueError(f"mode {j} out of range for {m} modes")
+        _check_mode(j, m)
     if len(set(modes)) != len(modes):
         raise ValueError("duplicate mode indices")
     idx = np.array(modes + [m + j for j in modes])
@@ -513,47 +537,29 @@ def wigner_gaussian_at(state: GaussianState, point) -> float | np.ndarray:
 def williamson(state_or_cov) -> WilliamsonDecomposition:
     """Decompose V = S diag(n_1..n_m, n_1..n_m) S^T with S symplectic.
 
-    Algorithm: real Schur form of the antisymmetric matrix
-    ``V^(1/2) Omega V^(1/2)`` whose 2x2 blocks carry the symplectic spectrum.
-    The gauge is fixed deterministically: noise factors sorted descending and
-    each normal-mode plane oriented so the first significant component of its
-    x basis vector is positive.
-
-    Accepts a GaussianState or a bare covariance matrix, which is validated
-    as the covariance of an undisplaced GaussianState.
+    With V = L L^T and E the +n eigenvectors of ``i L^T Omega L`` (see
+    ``_normal_form``), S = L sqrt(2) [Re E, -Im E] diag(n, n)^(-1/2).  The
+    gauge is deterministic: noise factors sorted descending, and each
+    normal-mode plane rotated so that mode i's own 2x2 block of S (rows and
+    columns i, m + i) is symmetric with non-negative trace; for one mode
+    S = (V / n)^(1/2).  Accepts a GaussianState or a bare covariance matrix,
+    which is validated as the covariance of an undisplaced GaussianState.
     """
     if not isinstance(state_or_cov, GaussianState):
         cov = np.asarray(state_or_cov, dtype=float)
         state_or_cov = GaussianState(cov, np.zeros(cov.shape[:1]))
     cov = state_or_cov.covariance
-    n2 = cov.shape[0]
-    m = n2 // 2
-    root = np.real(sqrtm(cov))
-    skew = root @ symplectic_form(m) @ root
-    skew = 0.5 * (skew - skew.T)
-    t, q = schur(skew, output="real")
-    nu = np.empty(m)
-    xcols = np.empty((n2, m))
-    pcols = np.empty((n2, m))
-    for i in range(m):
-        b = t[2 * i, 2 * i + 1]
-        u, w = q[:, 2 * i], q[:, 2 * i + 1]
-        if b < 0:
-            u, w, b = w, u, -b
-        nu[i] = b
-        xcols[:, i] = u
-        pcols[:, i] = w
-    order = np.argsort(-nu, kind="stable")
-    nu = nu[order]
-    basis = np.hstack([xcols[:, order], pcols[:, order]])
+    chol, nu, vecs = _normal_form(cov)
+    m = nu.size
     scale = np.concatenate([nu, nu])
-    s = root @ basis / np.sqrt(scale)
-    for i in range(m):
-        col = s[:, i]
-        lead = np.flatnonzero(np.abs(col) > 1e-9 * np.abs(col).max())[0]
-        if col[lead] < 0:
-            s[:, i] *= -1.0
-            s[:, m + i] *= -1.0
+    s = chol @ (np.sqrt(2.0) * np.hstack([vecs.real, -vecs.imag])) / np.sqrt(scale)
+    i = np.arange(m)  # turn plane i by the angle of (trace, asymmetry) of its block
+    cos, sin = s[i, i] + s[m + i, m + i], s[i, m + i] - s[m + i, i]
+    norm = np.hypot(cos, sin)
+    cos[norm == 0.0], norm[norm == 0.0] = 1.0, 1.0  # a vanishing block: any angle
+    cos, sin = cos / norm, sin / norm
+    x, p = s[:, :m], s[:, m:]
+    s = np.hstack([x * cos + p * sin, p * cos - x * sin])
     recon = (s * scale) @ s.T
     err = np.abs(recon - cov).max() / max(1.0, np.abs(cov).max())
     if err > 1e-9:

@@ -307,11 +307,6 @@ def purity_subtracted(sub: SubtractedState) -> float:
     return float(purity_gaussian(sub.base) * ep2 / sub.normalization**2)
 
 
-def relative_purity_subtracted(sub: SubtractedState) -> float:
-    """purity(subtracted) / purity(base), via the prefactor moments."""
-    return purity_subtracted(sub) / purity_gaussian(sub.base)
-
-
 def moments_subtracted(sub: SubtractedState) -> MomentReport:
     """Mean vector and covariance matrix of the subtracted state.
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import sqrtm
 
 from pspurity import (
     GaussianState,
@@ -276,6 +277,35 @@ def test_williamson_gauge_deterministic():
     b = williamson(state)
     assert np.array_equal(a.symplectic.matrix, b.symplectic.matrix)
     assert np.array_equal(a.noise_factors, b.noise_factors)
+
+
+@pytest.mark.parametrize("seed", [49, 61, 159, 212])
+def test_ill_conditioned_pure_states_accepted(seed):
+    """Pure four-mode states with cond(V) between 5e7 and 1e8 lie inside the
+    supported range: they are accepted and decomposed."""
+    state = random_state(4, seed, n_max=1.0, r_max=4.6)
+    dec = williamson(state)
+    assert dec.noise_factors == pytest.approx(np.ones(4), abs=1e-6)
+    scale = np.abs(state.covariance).max()
+    assert np.abs(dec.reconstruct() - state.covariance).max() / scale < 1e-9
+
+
+def test_williamson_single_mode_is_matrix_square_root():
+    """The gauge makes a one-mode S symmetric positive: S = (V / n)^(1/2)."""
+    state = apply_symplectic(
+        GaussianState(np.diag([3.0 * 8.0, 3.0 / 8.0]), np.zeros(2)),
+        phase_rotation(0.9, 0, 1),
+    )
+    dec = williamson(state)
+    root = sqrtm(state.covariance / dec.noise_factors[0]).real
+    assert dec.noise_factors == pytest.approx([3.0])
+    assert np.abs(dec.symplectic.matrix - root).max() < 1e-12
+
+
+def test_symplectic_eigenvalues_need_positive_definite_matrix():
+    for cov in (np.diag([1.0, -1.0]), np.zeros((2, 2)), np.diag([4.0, 4.0, 1.0, -2.0])):
+        with pytest.raises(UnphysicalStateError):
+            symplectic_eigenvalues(cov)
 
 
 def test_generated_states_physical():

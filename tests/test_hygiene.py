@@ -1,5 +1,7 @@
-"""Source hygiene: no module imports a name it never uses, and every private
-module-level function is referenced somewhere else in the package."""
+"""Source hygiene: no module imports a name it never uses, every private
+module-level function is referenced somewhere else in the package, and every
+public one (function or class) somewhere in the package, the tests or the
+benchmark harness."""
 
 import ast
 from collections import Counter
@@ -43,18 +45,30 @@ def referenced_names(tree) -> Counter:
     )
 
 
+def unreferenced(definitions: dict, users: dict, select) -> list[str]:
+    """Module-level definitions of ``definitions`` picked by ``select`` that
+    no source in either dict references outside their own body."""
+    trees = {name: ast.parse(text) for name, text in definitions.items()}
+    total = sum((referenced_names(tree) for tree in trees.values()), Counter())
+    total += sum((referenced_names(ast.parse(text)) for text in users.values()), Counter())
+    return [f"{module}:{node.name}"
+            for module, tree in trees.items() for node in tree.body
+            if select(node) and total[node.name] == referenced_names(node)[node.name]]
+
+
 def unreferenced_private_functions(sources: dict) -> list[str]:
     """Module-level ``_name`` functions that nothing outside their own body uses."""
-    trees = {name: ast.parse(text) for name, text in sources.items()}
-    total = sum((referenced_names(tree) for tree in trees.values()), Counter())
-    unused = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
-                    and not node.name.startswith("__")
-                    and total[node.name] == referenced_names(node)[node.name]):
-                unused.append(f"{module}:{node.name}")
-    return unused
+    return unreferenced(sources, {}, lambda node: (
+        isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+        and not node.name.startswith("__")))
+
+
+def unreferenced_public_names(sources: dict, users: dict) -> list[str]:
+    """Public module-level functions and classes of ``sources`` that neither
+    the package nor ``users`` reference outside their own body."""
+    return unreferenced(sources, users, lambda node: (
+        isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")))
 
 
 def test_private_functions_are_referenced():
@@ -69,3 +83,22 @@ def test_unreferenced_private_function_detected():
         "b.py": "from .a import _used\n\ndef public():\n    return _used()\n",
     }
     assert unreferenced_private_functions(sources) == ["a.py:_recursive"]
+
+
+def test_public_names_are_referenced():
+    """Every public function and class has a use besides its package export:
+    in the package, the tests or the benchmark harness."""
+    root = Path(__file__).resolve().parent.parent
+    sources = {p.name: p.read_text() for p in MODULES}
+    users = {str(p): p.read_text()
+             for folder in ("tests", "perfbench") for p in sorted((root / folder).rglob("*.py"))}
+    assert unreferenced_public_names(sources, users) == []
+
+
+def test_unreferenced_public_name_detected():
+    sources = {
+        "a.py": "class Used:\n    pass\n\ndef exported():\n    return exported\n",
+        "b.py": "from .a import Used\n\ndef helper():\n    return Used()\n",
+    }
+    users = {"test_b.py": "from pkg.b import helper\n\nhelper()\n"}
+    assert unreferenced_public_names(sources, users) == ["a.py:exported"]

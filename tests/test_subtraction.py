@@ -7,6 +7,7 @@ from pspurity import (
     BogoliubovRow,
     GaussianState,
     ModeSelector,
+    NumericDegenerateError,
     SubtractionFromVacuumError,
     apply_displacement,
     extract_bogoliubov,
@@ -236,3 +237,49 @@ def test_marginal_normalization_preserved():
     d0, d1, c2 = marg.prefactor_centered()
     expected = d0 + np.trace(c2 @ marg.base.covariance)
     assert expected == pytest.approx(marg.normalization, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# supported range
+# ---------------------------------------------------------------------------
+
+#: closed form vs prefactor moments may differ by at most this many cond(V) * eps
+RANGE_K = 20.0
+
+
+def _one_mode_regime(db, n):
+    s = 10.0 ** (db / 10.0)
+    c, t = np.cos(0.7), np.sin(0.7)
+    rot = np.array([[c, t], [-t, c]])
+    return GaussianState(rot @ np.diag([n * s, n / s]) @ rot.T, np.array([3.0, -1.0]))
+
+
+REGIMES = (
+    [(_one_mode_regime, (db, n)) for db in range(0, 101, 10) for n in (1.0, 10.0)]
+    + [(random_state, (4, seed, n_max, r_max)) for r_max in (1.5, 4.0, 6.0, 8.0, 10.0)
+       for n_max in (1.0, 20.0) for seed in range(50)]
+)
+
+
+def test_regime_map():
+    """Across squeezing regimes every state either lies outside the float64
+    range and raises NumericDegenerateError, or its closed form agrees with
+    the prefactor-moment purity within RANGE_K * cond(V) * eps.  Nothing
+    returns NaN, a ratio of 1.2 or more, or an "unphysical" verdict."""
+    eps = np.finfo(float).eps
+    refused = accepted = 0
+    for build, args in REGIMES:
+        try:
+            state = build(*args)
+        except NumericDegenerateError:
+            refused += 1
+            continue
+        sel = ModeSelector.for_mode(0, state.mode_count)
+        ratio = relative_purity_closed_form(extract_bogoliubov(state, sel))
+        exact = purity_subtracted(subtract_photon(state, sel))
+        lam = np.linalg.eigvalsh(state.covariance)
+        assert 0.5 <= ratio < 1.2, (build.__name__, args)
+        dev = abs(ratio * purity_gaussian(state) - exact) / exact
+        assert dev <= RANGE_K * (lam[-1] / lam[0]) * eps, (build.__name__, args, dev)
+        accepted += 1
+    assert accepted > 0 and refused > 0
