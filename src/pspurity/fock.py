@@ -1,15 +1,16 @@
 """Truncated number-basis oracle.
 
-Brute-force verification backend: circuits are run by exponentiating the
-standard quadratic generators in a truncated product Fock basis, photon
-subtraction is the literal annihilation matrix, and purities come from
-partial traces.  Nothing here shares code with the covariance-matrix
+Brute-force verification backend with one gate engine: a circuit of the
+five standard gates is run in a truncated product Fock basis, each gate as
+the exact exponential of its generator on its conserved-number sectors,
+which are tridiagonal chains.  A Gaussian state is compiled to such a
+circuit: ancilla two-mode squeezers purify its thermal normal modes (the
+ancillas are traced out by all measurement helpers), Bloch-Messiah and
+beamsplitter meshes give its symplectic part, displacements close it.
+Photon subtraction is the literal annihilation matrix, and purities come
+from partial traces.  Nothing here shares code with the covariance-matrix
 purity and moment machinery, which is the point; the covariance route only
 sizes the initial cutoffs and supplies the normal modes of a Gaussian input.
-
-Mixed Gaussian states are realized by purification: every thermal normal
-mode is entangled with one ancilla mode through a two-mode squeezer, and
-the ancillas are ignored (traced out) by all measurement helpers.
 
 Truncation bookkeeping: unitaries of truncated anti-Hermitian generators
 preserve the norm exactly, so lost-norm is not a usable error signal.  The
@@ -31,23 +32,18 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
+from scipy.linalg.lapack import dstevd
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import SubtractionFromVacuumError, TruncationInsufficientError
 from .gaussian import (
+    CircuitDescription,
+    Gate,
     GaussianState,
     circuit_to_gaussian,
     db_to_squeezing_parameter,
-    symplectic_form,
     williamson,
 )
-
-#: per conserved-number block of a gate generator: blocks up to this
-#: dimension use dense expm, larger ones sparse expm_multiply on the state
-#: (same truncated generator either way)
-DENSE_EXPM_LIMIT = 1024
 
 #: largest top-level occupation a prepared state may carry on any mode
 LEAKAGE_TOL = 1e-8
@@ -110,11 +106,6 @@ def annihilator(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
 
 
-def _quadratures(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    a = annihilator(cutoff)
-    return a + a.T, 1j * (a.T - a)
-
-
 def _top_level_population(psi: np.ndarray, axis: int) -> float:
     # top two levels: even- or odd-parity states leave one of them empty
     sl = [slice(None)] * psi.ndim
@@ -128,10 +119,13 @@ def _apply_generator(psi: np.ndarray, gen: sp.spmatrix, modes: tuple) -> np.ndar
     The basis states split into the connected components of the generator's
     nonzero pattern, and gen is block diagonal over them: the sectors of a
     conserved number (n_a - n_b for a two-mode squeezer, n_a + n_b for a
-    beamsplitter, total parity for a quadratic generator).  Each block is
-    exponentiated on its own: a one-state block is a phase, blocks up to
-    ``DENSE_EXPM_LIMIT`` states get a dense expm, and the larger ones go
-    together through sparse expm_multiply.
+    beamsplitter, parity for a single-mode squeezer; a displacement is one
+    sector).  In label order every sector is a chain: H = -i gen is
+    tridiagonal there, and any other generator raises ``ValueError``.  A
+    one-state sector is a phase.  On a longer one with sub-diagonal h, the
+    diagonal unitary D, the running product of h / |h|, makes T = D^dag H D
+    real symmetric tridiagonal; with T = Q diag(w) Q^T from LAPACK dstevd,
+    exp(gen) = D Q exp(iw) Q^T D^dag.
     """
     modes = tuple(modes)
     dim = gen.shape[0]
@@ -139,25 +133,31 @@ def _apply_generator(psi: np.ndarray, gen: sp.spmatrix, modes: tuple) -> np.ndar
     lead = moved.shape[: len(modes)]
     mat = moved.reshape(dim, -1)
     gen = sp.csr_matrix(gen)
+    gen.eliminate_zeros()
     count, labels = connected_components(abs(gen), directed=False)
     sizes = np.bincount(labels, minlength=count)
     starts = np.concatenate(([0], np.cumsum(sizes)))
     order = np.argsort(labels, kind="stable")
     # in block order, block c is the diagonal square starts[c]:starts[c + 1]
-    perm = gen[order][:, order].tocoo()
-    entry_starts = np.searchsorted(perm.row, starts)
+    ham = -1j * gen[order][:, order]
+    entries = ham.tocoo()
+    if np.any(np.abs(entries.row - entries.col) > 1):
+        raise ValueError("generator sectors are not chains in label order")
+    diag, sub = ham.diagonal().real, ham.diagonal(-1)
     out = np.empty(mat.shape, dtype=complex)
     single = sizes[labels] == 1
     out[single] = np.exp(gen.diagonal()[single])[:, None] * mat[single]
-    for c in np.flatnonzero((sizes > 1) & (sizes <= DENSE_EXPM_LIMIT)):
-        span = slice(entry_starts[c], entry_starts[c + 1])
-        block = np.zeros((sizes[c], sizes[c]), dtype=gen.dtype)
-        block[perm.row[span] - starts[c], perm.col[span] - starts[c]] = perm.data[span]
-        idx = order[starts[c]:starts[c + 1]]
-        out[idx] = expm(block) @ mat[idx]
-    large = np.flatnonzero(sizes[labels] > DENSE_EXPM_LIMIT)
-    if large.size:
-        out[large] = expm_multiply(gen[large][:, large].tocsc(), mat[large])
+    for c in np.flatnonzero(sizes > 1):
+        lo, hi = starts[c], starts[c + 1]
+        h = sub[lo:hi - 1]
+        mag = np.abs(h)
+        phase = np.concatenate(([1.0], np.cumprod(h / mag)))
+        w, q, info = dstevd(diag[lo:hi], mag)
+        if info:
+            raise np.linalg.LinAlgError(f"dstevd failed with info {info}")
+        idx = order[lo:hi]
+        rotated = q.T @ (phase.conj()[:, None] * mat[idx])
+        out[idx] = phase[:, None] * ((q * np.exp(1j * w)) @ rotated)
     out = out.reshape(lead + moved.shape[len(modes):])
     return np.moveaxis(out, range(len(modes)), modes)
 
@@ -193,19 +193,14 @@ def _squeeze_param(params: dict) -> float:
     return float(r) if r is not None else db_to_squeezing_parameter(params["db"])
 
 
-def _evolve(psi: np.ndarray, gen: sp.spmatrix, modes: tuple,
-            leak: np.ndarray) -> np.ndarray:
-    """Apply exp(gen) on ``modes`` and record their top-level occupation."""
+def _apply_gate(psi: np.ndarray, kind: str, params: dict, modes: tuple,
+                cutoffs: tuple, leak: np.ndarray) -> np.ndarray:
+    """Apply one gate on ``modes`` and record their top-level occupation."""
+    gen = _gate_generator(kind, params, tuple(cutoffs[m] for m in modes))
     psi = _apply_generator(psi, gen, modes)
     for m in modes:
         leak[m] = max(leak[m], _top_level_population(psi, m))
     return psi
-
-
-def _apply_gate(psi: np.ndarray, kind: str, params: dict, modes: tuple,
-                cutoffs: tuple, leak: np.ndarray) -> np.ndarray:
-    gen = _gate_generator(kind, params, tuple(cutoffs[m] for m in modes))
-    return _evolve(psi, gen, modes, leak)
 
 
 def _vacuum_tensor(cutoffs: tuple) -> np.ndarray:
@@ -299,112 +294,103 @@ def _cutoffs_for_state(state: GaussianState) -> tuple:
 def gaussian_state_to_fock(state: GaussianState) -> FockState:
     """Exact number-basis representation of a Gaussian state.
 
-    The normal-mode decomposition gives thermal factors and a symplectic
-    matrix.  Thermal modes are purified with ancilla two-mode squeezers of
-    parameter acosh(n)/2 (marginal noise exactly n), the symplectic part is
-    applied as a quadratic-generator exponential on the physical modes, and
-    the displacement closes the preparation.  Ancilla modes trail the
-    physical ones; measurement helpers trace over them.  Cutoffs start from
-    the Gaussian tail estimates and grow as ``_converge_cutoffs`` decides.
+    The state is compiled to a gate circuit (``_gaussian_circuit``) and run
+    on the vacuum by the same engine as ``run_circuit_fock``.  Ancilla modes
+    trail the physical ones; measurement helpers trace over them.  Cutoffs
+    start from the Gaussian tail estimates and grow as ``_converge_cutoffs``
+    decides.
+    """
+    circuit, noise = _gaussian_circuit(state)
+    anc = []
+    for n in noise:
+        ratio = (n - 1.0) / (n + 1.0)  # thermal tail base
+        geom = int(math.ceil(math.log(1e-9) / math.log(ratio))) + 14
+        anc.append(max(geom, int(math.ceil(2.0 * (n - 1.0) + 10.0))))
+    cutoffs = _cutoffs_for_state(state) + tuple(anc)
+    return _converge_cutoffs(lambda cut: _run_gates(circuit, cut), cutoffs,
+                             num_ancilla=len(noise))
+
+
+def _gaussian_circuit(state: GaussianState) -> tuple[CircuitDescription, np.ndarray]:
+    """Gates preparing ``state`` from the vacuum, and its thermal noise factors.
+
+    With V = S diag(n, n) S^T (n sorted descending), thermal normal mode i is
+    purified by a two-mode squeezer of parameter acosh(n_i)/2 with ancilla
+    mode m + i (marginal noise exactly n_i); the gates of
+    ``_symplectic_gates(S)`` and the displacements follow.
     """
     decomp = williamson(state)
-    noise = decomp.noise_factors
-    thermal = [i for i in range(state.mode_count) if noise[i] > 1.0 + 1e-10]
-    anc = []
-    for i in thermal:
-        ratio = (noise[i] - 1.0) / (noise[i] + 1.0)  # thermal tail base
-        geom = int(math.ceil(math.log(1e-9) / math.log(ratio))) + 14
-        anc.append(max(geom, int(math.ceil(2.0 * (noise[i] - 1.0) + 10.0))))
-    cutoffs = _cutoffs_for_state(state) + tuple(anc)
-    return _converge_cutoffs(
-        lambda cut: _prepare_gaussian(state, decomp, thermal, cut), cutoffs,
-        num_ancilla=len(thermal),
-    )
-
-
-def _prepare_gaussian(state, decomp, thermal, cutoffs) -> tuple[np.ndarray, np.ndarray]:
     m = state.mode_count
-    cutoffs = tuple(cutoffs)
-    psi = _vacuum_tensor(cutoffs)
-    leak = np.zeros(len(cutoffs))
-    for slot, i in enumerate(thermal):
-        r = float(np.arccosh(decomp.noise_factors[i])) / 2.0
-        psi = _apply_gate(psi, "two_mode_squeezer", {"r": r}, (i, m + slot),
-                          cutoffs, leak)
-    psi = _apply_symplectic_fock(psi, decomp.symplectic.matrix, cutoffs, m, leak)
+    noise = decomp.noise_factors[decomp.noise_factors > 1.0 + 1e-10]
+    gates = [Gate("two_mode_squeezer", {"r": float(np.arccosh(n)) / 2.0}, (i, m + i))
+             for i, n in enumerate(noise)]
+    gates += _symplectic_gates(decomp.symplectic.matrix)
     d = state.displacement
-    for j in range(m):
-        if d[j] != 0.0 or d[m + j] != 0.0:
-            psi = _apply_gate(
-                psi,
-                "displacement",
-                {"re": d[j] / 2.0, "im": d[m + j] / 2.0},
-                (j,),
-                cutoffs,
-                leak,
-            )
-    return psi, leak
+    gates += [Gate("displacement", {"re": d[j] / 2.0, "im": d[m + j] / 2.0}, (j,))
+              for j in range(m) if d[j] != 0.0 or d[m + j] != 0.0]
+    return CircuitDescription(m + noise.size, tuple(gates)), noise
 
 
-def _apply_symplectic_fock(psi, s_matrix, cutoffs, m, leak) -> np.ndarray:
-    """Apply the Gaussian unitary of a symplectic matrix to the first m modes.
+def _symplectic_gates(s: np.ndarray) -> list:
+    """Phase rotations, beamsplitters and single-mode squeezers whose product,
+    in circuit order, is the symplectic matrix ``s``.
 
-    The matrix is split by polar decomposition into a positive (active)
-    factor with a real symmetric logarithm and an orthogonal (passive)
-    factor whose logarithm comes from the corresponding unitary; each factor
-    maps to a quadratic generator (i/4) r^T (Omega log S) r.
+    Bloch-Messiah S = O1 Z O2 with no threshold on the squeezing: the m
+    eigenvectors of S^T S with the largest eigenvalues, read as complex
+    columns x + ip and snapped to the nearest unitary U, give the passive
+    Q = O2^T = [[Re U, -Im U], [Im U, Re U]]; Z = diag(z, 1/z) with z the
+    column norms of S Q[:, :m], and O1 = S Q Z^-1.  Gates with zero angle or
+    squeezing are left out, so the identity compiles to no gates.
     """
-    if np.abs(s_matrix - np.eye(2 * m)).max() < 1e-14:
-        return psi
-    omega = symplectic_form(m)
-    gram = s_matrix.T @ s_matrix
-    evals, evecs = np.linalg.eigh(gram)
-    pos = (evecs * np.sqrt(evals)) @ evecs.T  # (S^T S)^(1/2)
-    log_pos = (evecs * (0.5 * np.log(evals))) @ evecs.T
-    ortho = s_matrix @ np.linalg.inv(pos)
-    u = ortho[:m, :m] - 1j * ortho[:m, m:]
-    log_u = _unitary_log(u)
-    log_ortho = np.block(
-        [[log_u.real, -log_u.imag], [log_u.imag, log_u.real]]
-    )
-    for log_s in (log_pos, log_ortho):
-        if np.abs(log_s).max() < 1e-14:
-            continue
-        gen = _quadratic_generator(omega @ log_s, cutoffs[:m])
-        psi = _evolve(psi, gen, tuple(range(m)), leak)
-    return psi
+    m = s.shape[0] // 2
+    evals, evecs = np.linalg.eigh(s.T @ s)
+    top = evecs[:, np.argsort(-evals, kind="stable")[:m]]
+    left, _, right = np.linalg.svd(top[:m] + 1j * top[m:])
+    u = left @ right
+    q = np.block([[u.real, -u.imag], [u.imag, u.real]])
+    z = np.linalg.norm(s @ q[:, :m], axis=0)
+    gates = (_passive_gates(q.T)
+             + [Gate("single_mode_squeezer", {"r": float(np.log(z[j]))}, (j,))
+                for j in range(m)]
+             + _passive_gates(s @ q / np.concatenate([z, 1.0 / z])))
+    trivial = ({"r": 0.0}, {"theta": 0.0}, {"transmittance": 1.0})
+    return [g for g in gates if g.params not in trivial]
 
 
-def _unitary_log(u: np.ndarray) -> np.ndarray:
-    """Principal anti-Hermitian logarithm of a unitary matrix."""
-    evals, evecs = np.linalg.eig(u)
-    phases = np.angle(evals)
-    return (evecs * (1j * phases)) @ np.linalg.inv(evecs)
+def _passive_gates(o: np.ndarray) -> list:
+    """Beamsplitters and phase rotations, in circuit order, realizing the
+    orthogonal symplectic ``o``, which maps amplitudes by U = A + iB with
+    A = o[:m, :m] and B = o[m:, :m].
 
-
-def _quadratic_generator(coeff: np.ndarray, cutoffs) -> sp.spmatrix:
-    """(i/4) r^T coeff r as a sparse operator on the product space."""
-    coeff = 0.5 * (coeff + coeff.T)
-    m = len(cutoffs)
-    dims = [int(c) for c in cutoffs]
-    r_ops = []
-    for j in range(m):
-        x, p = _quadratures(dims[j])
-        for op in (x, p):
-            mats = [sp.eye(dims[t], format="csr") for t in range(m)]
-            mats[j] = sp.csr_matrix(op)
-            acc = mats[0]
-            for t in range(1, m):
-                acc = sp.kron(acc, mats[t], format="csr")
-            r_ops.append(acc)
-    r_ops = r_ops[0::2] + r_ops[1::2]  # reorder to (x_1..x_m, p_1..p_m)
-    dim = int(np.prod(dims))
-    gen = sp.csr_matrix((dim, dim), dtype=complex)
-    for a in range(2 * m):
-        for b in range(2 * m):
-            if coeff[a, b] != 0.0:
-                gen = gen + (0.25j * coeff[a, b]) * (r_ops[a] @ r_ops[b])
-    return gen
+    Givens steps on adjacent rows (i - 1, i) zero U below its diagonal, column
+    by column: phase rotations make both entries real and non-negative
+    (``phase_rotation(theta)`` multiplies <a> by e^{-i theta}), then a
+    beamsplitter with t = cos^2(theta), theta in [0, pi/2], zeroes row i.  The
+    circuit applies the remaining diagonal phases, then the inverse steps in
+    reverse order; the inverse of the rotation on rows (i - 1, i) is the
+    beamsplitter on modes (i, i - 1).
+    """
+    m = o.shape[0] // 2
+    u = o[:m, :m] + 1j * o[m:, :m]
+    steps = []
+    for j in range(m - 1):
+        for i in range(m - 1, j, -1):
+            top, low = u[i - 1, j], u[i, j]
+            if low == 0.0:
+                continue
+            angles = np.angle([top, low])
+            theta = math.atan2(abs(low), abs(top))
+            c, s = math.cos(theta), math.sin(theta)
+            rows = np.exp(-1j * angles)[:, None] * u[[i - 1, i]]
+            u[[i - 1, i]] = np.array([[c, s], [-s, c]]) @ rows
+            steps.append((i, angles, c * c))
+    gates = [Gate("phase_rotation", {"theta": -float(np.angle(u[k, k]))}, (k,))
+             for k in range(m)]
+    for i, angles, t in reversed(steps):
+        gates.append(Gate("beamsplitter", {"transmittance": t}, (i, i - 1)))
+        gates += [Gate("phase_rotation", {"theta": -float(a)}, (k,))
+                  for k, a in zip((i - 1, i), angles)]
+    return gates
 
 
 # ---------------------------------------------------------------------------

@@ -48,14 +48,21 @@ def _vacuum_tolerance(cov: np.ndarray) -> float:
     """How far below 1 a symplectic eigenvalue of ``cov`` may round.
 
     An eigenvalue below zero by more than rounding is unphysical; one within
-    rounding of zero, like any cond(V) > ``MAX_CONDITION``, is out of range.
+    rounding of zero, like any cond(V) > ``MAX_CONDITION``, is out of range
+    unless the uncertainty relation lambda_min lambda_max >= 1 fails by more
+    than that rounding, which is unphysical at any condition number.
     """
     eps = np.finfo(float).eps
     lam = np.linalg.eigvalsh(cov)
     low, high = lam[0], lam[-1]
-    if high <= 0.0 or low < -cov.shape[0] * eps * high:
+    rounding = cov.shape[0] * eps * high
+    if high <= 0.0 or low < -rounding:
         raise UnphysicalStateError(f"covariance is not positive definite ({low:.3e})")
     if low * MAX_CONDITION < high:
+        if (low + rounding) * high < 1.0:
+            raise UnphysicalStateError(
+                f"covariance eigenvalues {low:.3e} .. {high:.3e} violate the "
+                "uncertainty relation lambda_min lambda_max >= 1")
         raise NumericDegenerateError(
             f"covariance eigenvalues {low:.3e} .. {high:.3e}: cond(V) > {MAX_CONDITION:.0e}")
     return max(PHYSICALITY_TOL, high / low * eps)
@@ -208,6 +215,11 @@ class WilliamsonDecomposition:
 
     def __post_init__(self):
         n = _as_readonly(self.noise_factors)
+        modes = self.symplectic.mode_count
+        if n.shape != (modes,):
+            raise ValueError(
+                f"noise_factors of shape {n.shape} for a {modes}-mode symplectic "
+                f"transform: need one entry per mode, shape ({modes},)")
         object.__setattr__(self, "noise_factors", n)
         # the covariance's own tolerance, as GaussianState applies it
         if np.any(n < 1.0 - _vacuum_tolerance(self.reconstruct())):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from pspurity import fock as fock_module
 from pspurity import (
     GaussianState,
     ModeSelector,
@@ -18,10 +17,13 @@ from pspurity import (
     mean_photon,
     moments_subtracted,
     purity_gaussian,
+    beamsplitter,
     reduce_modes,
     relative_purity_closed_form,
+    single_mode_squeezer,
     subtract_photon,
     subtracted_wigner_fn,
+    symplectic_gate,
     wigner_subtracted_at,
 )
 from pspurity.fock import (
@@ -31,8 +33,8 @@ from pspurity.fock import (
     _apply_generator,
     _converge_cutoffs,
     _gate_generator,
-    _quadratic_generator,
     _run_gates,
+    _symplectic_gates,
     _vacuum_tensor,
     gaussian_state_to_fock,
     mean_photon_fock,
@@ -49,6 +51,7 @@ from pspurity.scenarios import (
     CircuitDescription,
     Gate,
     circuit_to_gaussian,
+    random_state,
     reference_single_mode_state,
     three_mode_circuit,
 )
@@ -314,7 +317,7 @@ def test_small_displaced_squeezed_thermal_full_agreement():
 
 
 def test_rotated_mixed_state_prep():
-    # exercises both polar factors of the symplectic split
+    # a squeezer between two phase rotations after the ancilla squeezer
     from pspurity import apply_symplectic, make_thermal, phase_rotation, single_mode_squeezer
 
     state = apply_symplectic(
@@ -370,26 +373,97 @@ GATE_CASES = [
     ("single_mode_squeezer", {"r": 0.5}, (10,)),
     ("two_mode_squeezer", {"r": 0.4}, (7, 9)),
     ("beamsplitter", {"transmittance": 0.3}, (8, 6)),
+    # zero parameters: the generators store explicit zeros
+    ("single_mode_squeezer", {"r": 0.0}, (6,)),
+    ("beamsplitter", {"transmittance": 1.0}, (4, 5)),
 ]
 
 
-def _generators():
-    for kind, params, cut in GATE_CASES:
-        yield kind, _gate_generator(kind, params, cut), cut
-    coeff = 0.3 * np.random.default_rng(3).normal(size=(4, 4))
-    yield "quadratic", _quadratic_generator(coeff, (6, 5)), (6, 5)
-
-
-@pytest.mark.parametrize("limit", [fock_module.DENSE_EXPM_LIMIT, 3])
-def test_blockwise_generator_matches_dense_expm(monkeypatch, limit):
-    """Block-by-block exponentials equal exp of the whole generator; with a
-    small dense limit the larger blocks go through expm_multiply."""
-    monkeypatch.setattr(fock_module, "DENSE_EXPM_LIMIT", limit)
+def test_blockwise_generator_matches_dense_expm():
+    """Sector-by-sector chain exponentials equal exp of the whole generator
+    for every gate kind."""
     rng = np.random.default_rng(11)
-    for kind, gen, cut in _generators():
+    for kind, params, cut in GATE_CASES:
+        gen = _gate_generator(kind, params, cut)
         shape = (3,) + cut  # a spectator mode ahead of the gate's modes
         psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         got = _apply_generator(psi, gen, tuple(range(1, len(cut) + 1)))
         mat = np.moveaxis(psi, 0, -1).reshape(gen.shape[0], -1)
         want = np.moveaxis((expm(gen.toarray()) @ mat).reshape(cut + (3,)), -1, 0)
         assert np.abs(got - want).max() <= 1e-12, kind
+
+
+def test_non_chain_generator_raises():
+    # squeezer plus displacement couples n to n +/- 1 and n +/- 2: one
+    # sector that is not a chain
+    gen = (_gate_generator("single_mode_squeezer", {"r": 0.3}, (8,))
+           + _gate_generator("displacement", {"re": 0.5}, (8,)))
+    with pytest.raises(ValueError, match="chain"):
+        _apply_generator(_vacuum_tensor((8,)), gen, (0,))
+
+
+def _random_passive(m, rng):
+    """Orthogonal symplectic [[Re U, -Im U], [Im U, Re U]] of a random unitary."""
+    u, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    return np.block([[u.real, -u.imag], [u.imag, u.real]])
+
+
+def _squeezed(r, rng):
+    """O1 diag(e^r, e^-r) O2 with random passive O1, O2."""
+    m = len(r)
+    z = np.diag(np.exp(np.concatenate([r, -np.asarray(r)])))
+    return _random_passive(m, rng) @ z @ _random_passive(m, rng)
+
+
+def _compose(gates, m):
+    total = np.eye(2 * m)
+    for gate in gates:
+        params = dict(gate.params)
+        if len(gate.modes) == 1:
+            params["mode"] = gate.modes[0]
+        else:
+            params["mode_a"], params["mode_b"] = gate.modes
+        total = symplectic_gate(gate.kind, params, m).matrix @ total
+    return total
+
+
+def test_symplectic_gates_round_trip():
+    """The compiled gates multiply back to S, random and degenerate."""
+    rng = np.random.default_rng(5)
+    cases = [_squeezed(rng.uniform(-1.5, 1.5, m), rng)
+             for m in range(1, 5) for _ in range(5)]
+    cases += [_random_passive(3, rng),
+              beamsplitter(0.3, 0, 1, 2).matrix
+              @ single_mode_squeezer(0.7, mode=0, num_modes=2).matrix
+              @ single_mode_squeezer(0.7, mode=1, num_modes=2).matrix,
+              _random_passive(3, rng) @ single_mode_squeezer(0.9, mode=1, num_modes=3).matrix
+              @ _random_passive(3, rng)]
+    cases += [_squeezed(np.full(m, r), rng) for r in (1e-13, 3e-9) for m in (1, 3)]
+    for s in cases:
+        m = s.shape[0] // 2
+        err = np.abs(_compose(_symplectic_gates(s), m) - s).max() / np.abs(s).max()
+        assert err <= 1e-12
+    for m in (1, 3):
+        assert _symplectic_gates(np.eye(2 * m)) == []
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_two_mode_mixed_state_prep(seed):
+    """A random two-mode mixed state: moments, reduced and global purities
+    and the subtracted ratio agree with the covariance route."""
+    state = random_state(2, seed, n_max=2, r_max=0.4, d_max=1)
+    fock = gaussian_state_to_fock(state)
+    assert fock.num_ancilla == 2
+    for j in range(2):
+        mm = quadrature_moments_fock(fock, j)
+        assert mm["mean_x"] == pytest.approx(state.displacement[j], abs=1e-8)
+        assert mm["mean_p"] == pytest.approx(state.displacement[2 + j], abs=1e-8)
+        assert mm["var_x"] == pytest.approx(state.covariance[j, j], abs=1e-8)
+        assert mm["var_p"] == pytest.approx(state.covariance[2 + j, 2 + j], abs=1e-8)
+        assert reduced_purity_fock(fock, [j]) == pytest.approx(
+            purity_gaussian(reduce_modes(state, [j])), abs=1e-8)
+    purity = reduced_purity_fock(fock, [0, 1])
+    assert purity == pytest.approx(purity_gaussian(state), abs=1e-8)
+    sub = subtract_photon_fock(fock, 0)
+    ratio = relative_purity_closed_form(extract_bogoliubov(state, ModeSelector.for_mode(0, 2)))
+    assert reduced_purity_fock(sub, [0, 1]) / purity == pytest.approx(ratio, abs=1e-8)

@@ -7,8 +7,10 @@ from scipy.linalg import sqrtm
 from pspurity import (
     GaussianState,
     ModeSelector,
+    NumericDegenerateError,
     SymplecticTransform,
     UnphysicalStateError,
+    WilliamsonDecomposition,
     apply_displacement,
     apply_symplectic,
     beamsplitter,
@@ -306,6 +308,26 @@ def test_symplectic_eigenvalues_need_positive_definite_matrix():
     for cov in (np.diag([1.0, -1.0]), np.zeros((2, 2)), np.diag([4.0, 4.0, 1.0, -2.0])):
         with pytest.raises(UnphysicalStateError):
             symplectic_eigenvalues(cov)
+
+
+@pytest.mark.parametrize("diag", [[1e-9, 1.0], [1.0, 0.0], [1e-5, 1e4]])
+def test_uncertainty_violation_beyond_range_is_unphysical(diag):
+    """cond(V) > MAX_CONDITION with lambda_min lambda_max < 1 is unphysical,
+    not out of range."""
+    with pytest.raises(UnphysicalStateError, match="uncertainty"):
+        GaussianState(np.diag(diag), np.zeros(2))
+
+
+def test_beyond_range_respecting_uncertainty_is_degenerate():
+    # lambda_min lambda_max = 1: the test is necessary, not sufficient
+    with pytest.raises(NumericDegenerateError):
+        GaussianState(np.diag([1e-5, 1e5, 1.0, 1.0]), np.zeros(4))
+
+
+@pytest.mark.parametrize("noise", [[1.0], [[1.0, 1.0]]])
+def test_williamson_decomposition_checks_noise_length(noise):
+    with pytest.raises(ValueError, match=r"shape \(2,\)"):
+        WilliamsonDecomposition(SymplecticTransform(np.eye(4)), np.array(noise))
 
 
 def test_generated_states_physical():

@@ -102,3 +102,37 @@ def test_unreferenced_public_name_detected():
     }
     users = {"test_b.py": "from pkg.b import helper\n\nhelper()\n"}
     assert unreferenced_public_names(sources, users) == ["a.py:exported"]
+
+
+def package_imports(source: str) -> set[str]:
+    """Package modules (or names of the package root) a module imports,
+    relatively or as ``pspurity``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            path = (node.module or "").split(".")
+            if not node.level:
+                if path[0] != "pspurity":
+                    continue
+                path = path[1:]
+            found.update([path[0]] if path and path[0] else
+                         [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("pspurity."))
+    return found
+
+
+def test_fock_oracle_is_independent():
+    """The number-basis oracle may use the Gaussian-state layer and the
+    errors, never the closed-form, bound or grid code it checks."""
+    source = (Path(pspurity.__file__).parent / "fock.py").read_text()
+    assert package_imports(source) <= {"errors", "gaussian"}
+
+
+def test_package_import_detected():
+    source = ("from .gaussian import williamson\nfrom . import subtraction\n"
+              "from .bounds.inner import f\nimport numpy\nimport pspurity.quadrature\n"
+              "from pspurity import cli\nfrom numpy import linalg\n")
+    assert package_imports(source) == {"gaussian", "subtraction", "bounds", "quadrature",
+                                       "cli"}
