@@ -379,17 +379,20 @@ GATE_CASES = [
 ]
 
 
-def test_blockwise_generator_matches_dense_expm():
+@pytest.mark.parametrize("spectator", [1024, 3])
+def test_blockwise_generator_matches_dense_expm(spectator):
     """Sector-by-sector chain exponentials equal exp of the whole generator
-    for every gate kind."""
+    for every gate kind; a wide spectator mode applies each sector to more
+    columns than the sector has states, a narrow one to fewer."""
     rng = np.random.default_rng(11)
     for kind, params, cut in GATE_CASES:
         gen = _gate_generator(kind, params, cut)
-        shape = (3,) + cut  # a spectator mode ahead of the gate's modes
+        shape = (spectator,) + cut  # a spectator mode ahead of the gate's modes
         psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         got = _apply_generator(psi, gen, tuple(range(1, len(cut) + 1)))
         mat = np.moveaxis(psi, 0, -1).reshape(gen.shape[0], -1)
-        want = np.moveaxis((expm(gen.toarray()) @ mat).reshape(cut + (3,)), -1, 0)
+        want = np.moveaxis(
+            (expm(gen.toarray()) @ mat).reshape(cut + (spectator,)), -1, 0)
         assert np.abs(got - want).max() <= 1e-12, kind
 
 
