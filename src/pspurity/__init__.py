@@ -4,7 +4,13 @@ Covariance-matrix representation of Gaussian states, exact phase-space
 treatment of single-photon subtraction, closed-form relative purities,
 purification conditions with the <1.2 gain bound, and two independent
 numerical oracles (truncated number basis and grid quadrature).
+
+``import pspurity`` loads NumPy only.  The oracle and CLI modules (``fock``,
+``quadrature``, ``crosscheck``, ``scenarios``, ``cli``) load on first use,
+as ``pspurity.fock`` or ``from pspurity import fock``; the oracles need SciPy.
 """
+
+import importlib
 
 from .bounds import (
     BoundReport,
@@ -63,3 +69,11 @@ from .subtraction import (
 )
 
 __version__ = "0.1.0"
+
+_SUBMODULES = ("cli", "crosscheck", "fock", "quadrature", "scenarios")
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InconsistentRowError, SubtractionFromVacuumError
+from .gaussian import require_single
 from .subtraction import (
     BogoliubovRow,
     relative_purity_closed_form,
@@ -114,6 +115,7 @@ def purification_conditions(row: BogoliubovRow) -> BoundReport:
     threshold is undefined and the verdict falls back to the exact boundary
     check (gain numerator >= 0, i.e. ratio = 1).
     """
+    require_single(row, "purification_conditions")
     agg = row_aggregates(row)
     a2 = abs(row.alpha_g) ** 2
     if agg.y + a2 <= 1e-12:
@@ -161,6 +163,7 @@ def zero_displacement_ratio_bound(row: BogoliubovRow) -> float:
     Raises if the row is displaced, and treats a value outside the proven
     interval as an internal inconsistency.
     """
+    require_single(row, "zero_displacement_ratio_bound")
     if abs(row.alpha_g) >= 1e-12:
         raise ValueError("row is displaced; the undisplaced bound does not apply")
     ratio = relative_purity_closed_form(row)

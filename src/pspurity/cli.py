@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__
 from .bounds import purification_conditions
-from .crosscheck import check_three_mode_fock, verify_all
 from .errors import PspurityError, SubtractionFromVacuumError
 from .gaussian import ModeSelector, gaussian_wigner_fn
 from .scenarios import (
@@ -180,6 +179,8 @@ def _reproduce_fig2(config: RunConfig) -> int:
 
 
 def _reproduce_fig3(config: RunConfig) -> int:
+    from .crosscheck import check_three_mode_fock  # loads the Fock oracle and SciPy
+
     topology, table = topology_search(alpha=config.alpha, s_db=config.s_db)
     payload = {
         "meta": {
@@ -222,6 +223,8 @@ FIGURES = {
 
 
 def _cmd_verify(config: RunConfig) -> int:
+    from .crosscheck import verify_all  # loads both oracles and SciPy
+
     results = verify_all()
     for res in results:
         print(res.line())
@@ -230,57 +233,79 @@ def _cmd_verify(config: RunConfig) -> int:
     return 0 if ok else 1
 
 
+def _fuzz_group(m: int, g: int, displaced: bool, seeds: list) -> list:
+    """(state, row) of each seed of one fuzz group, or the library error it
+    raised.  The group is drawn and extracted as one stack; if that raises,
+    it is replayed one state at a time, so every error names its own seed."""
+    selector = ModeSelector.for_mode(g, m)
+    d_max = 8.0 if displaced else 0.0
+    try:
+        states = random_state(m, seeds, d_max=d_max)
+        rows = extract_bogoliubov(states, selector)
+        return [(states[i], rows[i]) for i in range(len(seeds))]
+    except PspurityError:
+        pass
+    out = []
+    for seed in seeds:
+        try:
+            state = random_state(m, seed, d_max=d_max)
+            out.append((state, extract_bogoliubov(state, selector)))
+        except PspurityError as exc:
+            out.append(exc)
+    return out
+
+
+def _fuzz_problems(ratio: float, report, displaced: bool) -> list:
+    """The shipped guarantees one state's ratio and report violate."""
+    problems = []
+    if not 0.5 - 1e-10 <= ratio < 1.2:
+        problems.append(f"ratio {ratio} outside [0.5, 1.2)")
+    if not displaced and ratio > 1.0 + 1e-10:
+        problems.append(f"undisplaced ratio {ratio} > 1")
+    if ratio > report.f_alpha + 1e-9:
+        problems.append(f"ratio {ratio} above envelope {report.f_alpha}")
+    if report.f_alpha > report.f_max + 1e-9:
+        problems.append(f"envelope {report.f_alpha} above max {report.f_max}")
+    if report.purifiable != (ratio >= 1.0 - 1e-9):
+        problems.append(f"verdict {report.purifiable} but ratio {ratio}")
+    return problems
+
+
 def _cmd_fuzz(config: RunConfig) -> int:
+    """Draw (m, seed, displaced, g) per state from the ``--seed`` generator,
+    build and extract each (m, g, displaced) group as one stack, then check
+    the closed form and the conditions state by state."""
     rng = np.random.default_rng(config.seed)
-    failures = []
+    groups = {}
     for i in range(config.count):
         m = int(rng.integers(1, 5))
         seed = int(rng.integers(0, 2**63 - 1))
         displaced = bool(rng.random() < 0.8)
         g = int(rng.integers(0, m))
-        try:
-            state = random_state(m, seed, d_max=8.0 if displaced else 0.0)
-            row = extract_bogoliubov(state, ModeSelector.for_mode(g, m))
-            ratio = relative_purity_closed_form(row)
-            report = purification_conditions(row)
-        except SubtractionFromVacuumError:
-            continue
-        except PspurityError as exc:
-            failures.append(
-                {
-                    "seed": seed,
-                    "modes": m,
-                    "subtract_mode": g,
-                    "exception": type(exc).__name__,
-                    "message": str(exc),
-                }
-            )
-            continue
-        problems = []
-        if not 0.5 - 1e-10 <= ratio < 1.2:
-            problems.append(f"ratio {ratio} outside [0.5, 1.2)")
-        if not displaced and ratio > 1.0 + 1e-10:
-            problems.append(f"undisplaced ratio {ratio} > 1")
-        if ratio > report.f_alpha + 1e-9:
-            problems.append(f"ratio {ratio} above envelope {report.f_alpha}")
-        if report.f_alpha > report.f_max + 1e-9:
-            problems.append(f"envelope {report.f_alpha} above max {report.f_max}")
-        if report.purifiable != (ratio >= 1.0 - 1e-9):
-            problems.append(
-                f"verdict {report.purifiable} but ratio {ratio}"
-            )
-        if problems:
-            failures.append(
-                {
-                    "seed": seed,
-                    "modes": m,
-                    "subtract_mode": g,
-                    "covariance": state.covariance.tolist(),
-                    "displacement": state.displacement.tolist(),
-                    "problems": problems,
-                }
-            )
+        groups.setdefault((m, g, displaced), []).append((i, seed))
+    failures = {}  # state index -> record, reported in state order
+    for (m, g, displaced), members in groups.items():
+        built = _fuzz_group(m, g, displaced, [seed for _, seed in members])
+        for (i, seed), outcome in zip(members, built):
+            record = {"seed": seed, "modes": m, "subtract_mode": g}
+            try:
+                if isinstance(outcome, PspurityError):
+                    raise outcome
+                state, row = outcome
+                ratio = relative_purity_closed_form(row)
+                report = purification_conditions(row)
+            except SubtractionFromVacuumError:
+                continue
+            except PspurityError as exc:
+                failures[i] = dict(record, exception=type(exc).__name__, message=str(exc))
+                continue
+            problems = _fuzz_problems(ratio, report, displaced)
+            if problems:
+                failures[i] = dict(record, covariance=state.covariance.tolist(),
+                                   displacement=state.displacement.tolist(),
+                                   problems=problems)
     if failures:
+        failures = [failures[i] for i in sorted(failures)]
         text = json.dumps(failures[:10], indent=2)
         if config.output:
             with open(config.output, "w") as fh:

@@ -42,6 +42,7 @@ from .gaussian import (
     GaussianState,
     circuit_to_gaussian,
     db_to_squeezing_parameter,
+    require_single,
     williamson,
 )
 
@@ -300,6 +301,7 @@ def gaussian_state_to_fock(state: GaussianState) -> FockState:
     start from the Gaussian tail estimates and grow as ``_converge_cutoffs``
     decides.
     """
+    require_single(state, "gaussian_state_to_fock")
     circuit, noise = _gaussian_circuit(state)
     anc = []
     for n in noise:

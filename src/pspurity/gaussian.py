@@ -11,17 +11,27 @@ Conventions used throughout the package:
   ``s = 10**(db / 10)`` and the squeezing parameter ``r = ln(s) / 2``.
 
 Validation and ``williamson`` share one symplectic-spectrum route,
-``_normal_form``.  Its range is cond(V) <= ``MAX_CONDITION``; beyond it
-float64 no longer resolves the spectrum: ``NumericDegenerateError``.
+``_normal_form``: ``GaussianState`` keeps the normal form its check computes
+and ``williamson`` starts from it.  Its range is cond(V) <= ``MAX_CONDITION``;
+beyond it float64 no longer resolves the spectrum: ``NumericDegenerateError``.
+
+Stacks: ``GaussianState``, ``SymplecticTransform`` and
+``WilliamsonDecomposition`` also hold N objects at once, with a leading state
+axis (covariance N x 2m x 2m), and ``williamson`` decomposes such a stack in
+one pass.  A single object is the N = 1 case of the same code.  Every check
+runs on each row, and a stack raises the error its first failing row raises
+alone.  ``stack[i]`` is row i, ``stack[i:j]`` a smaller stack; functions that
+take one state refuse a stack through ``require_single``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import NumericDegenerateError, UnphysicalStateError
 
@@ -38,52 +48,136 @@ SYMMETRY_TOL = 1e-12
 #: tolerance on the symplectic-form invariant of transforms
 SYMPLECTIC_TOL = 1e-10
 
+_EPS = np.finfo(float).eps
 
+
+@lru_cache(maxsize=None)
 def symplectic_form(num_modes: int) -> np.ndarray:
-    """Return the 2m x 2m symplectic form Omega = [[0, I], [-I, 0]]."""
-    return np.eye(2 * num_modes, k=num_modes) - np.eye(2 * num_modes, k=-num_modes)
+    """Return the 2m x 2m symplectic form Omega = [[0, I], [-I, 0]] (read-only)."""
+    omega = np.eye(2 * num_modes, k=num_modes) - np.eye(2 * num_modes, k=-num_modes)
+    omega.flags.writeable = False
+    return omega
 
 
-def _vacuum_tolerance(cov: np.ndarray) -> float:
-    """How far below 1 a symplectic eigenvalue of ``cov`` may round.
+def _stacked(a: np.ndarray, ndim: int) -> np.ndarray:
+    """``a`` with a leading state axis: a single ``ndim``-D item becomes a stack of one."""
+    return a if a.ndim > ndim else a[None]
+
+
+def _at_row(k: int, exc: Exception) -> Exception:
+    """``exc``, raised by row k of a stack: it carries k as ``stack_row``
+    for ``_raise_earlier_row``.
+
+    Checks reduce each row with NumPy and compare the per-row values as
+    Python floats, row by row, which costs less than further array calls on
+    small stacks.
+    """
+    exc.stack_row = k
+    return exc
+
+
+def _raise_earlier_row(exc: Exception, recheck):
+    """Make a stack raise the error its first failing row raises alone.
+
+    A check raises for the first row it flags, but an earlier row that
+    passed it may fail a later check.  When ``exc`` came from row k > 0,
+    ``recheck(k)`` runs every check on rows [:k], so such a row raises
+    first; otherwise the caller re-raises ``exc``.
+    """
+    row = getattr(exc, "stack_row", 0)
+    if row:
+        recheck(row)
+
+
+def require_single(obj, caller: str):
+    """The check of every function that takes one state (or one row), not a stack."""
+    if obj.stacked:
+        raise ValueError(f"{caller} takes a single {type(obj).__name__}, not a stack; "
+                         "pass one row, stack[i]")
+
+
+def _rows(obj, index):
+    """Row(s) ``index`` of a stack, as views.  Every check runs per row, so
+    rows of a checked stack need no new check; a 0-d entry becomes a Python
+    scalar, as the constructor stores it."""
+    if not obj.stacked:
+        raise TypeError(f"a single {type(obj).__name__} has no rows")
+    out = object.__new__(type(obj))
+    for name in obj.__dataclass_fields__:
+        value = getattr(obj, name)[index]
+        object.__setattr__(out, name, value.item() if isinstance(value, np.generic) else value)
+    return out
+
+
+def _vacuum_tolerance(cov: np.ndarray) -> list:
+    """How far below 1 a symplectic eigenvalue of each covariance of a stack
+    may round.
 
     An eigenvalue below zero by more than rounding is unphysical; one within
     rounding of zero, like any cond(V) > ``MAX_CONDITION``, is out of range
     unless the uncertainty relation lambda_min lambda_max >= 1 fails by more
     than that rounding, which is unphysical at any condition number.
     """
-    eps = np.finfo(float).eps
     lam = np.linalg.eigvalsh(cov)
-    low, high = lam[0], lam[-1]
-    rounding = cov.shape[0] * eps * high
-    if high <= 0.0 or low < -rounding:
-        raise UnphysicalStateError(f"covariance is not positive definite ({low:.3e})")
-    if low * MAX_CONDITION < high:
-        if (low + rounding) * high < 1.0:
-            raise UnphysicalStateError(
-                f"covariance eigenvalues {low:.3e} .. {high:.3e} violate the "
-                "uncertainty relation lambda_min lambda_max >= 1")
-        raise NumericDegenerateError(
-            f"covariance eigenvalues {low:.3e} .. {high:.3e}: cond(V) > {MAX_CONDITION:.0e}")
-    return max(PHYSICALITY_TOL, high / low * eps)
+    tol = []  # every check of a row before the next row: the first failing row raises
+    for k, (low, high) in enumerate(zip(lam[:, 0].tolist(), lam[:, -1].tolist())):
+        rounding = cov.shape[-1] * _EPS * high
+        if high <= 0.0 or low < -rounding:
+            raise _at_row(k, UnphysicalStateError(
+                f"covariance is not positive definite ({low:.3e})"))
+        if low * MAX_CONDITION < high:
+            if (low + rounding) * high < 1.0:
+                raise _at_row(k, UnphysicalStateError(
+                    f"covariance eigenvalues {low:.3e} .. {high:.3e} violate the "
+                    "uncertainty relation lambda_min lambda_max >= 1"))
+            raise _at_row(k, NumericDegenerateError(
+                f"covariance eigenvalues {low:.3e} .. {high:.3e}: "
+                f"cond(V) > {MAX_CONDITION:.0e}"))
+        tol.append(max(PHYSICALITY_TOL, high / low * _EPS))
+    return tol
 
 
 def _normal_form(cov: np.ndarray):
-    """(L, nu, E) of a covariance inside the supported range: V = L L^T, the
-    spectrum nu sorted descending and the unit eigenvectors of the Hermitian
-    ``i L^T Omega L``, whose eigenvalues are +/- nu (column i for +nu_i)."""
-    m = cov.shape[0] // 2
+    """(L, nu, E) of a covariance (or a stack) inside the supported range:
+    V = L L^T, the spectrum nu sorted descending and the unit eigenvectors of
+    the Hermitian ``i L^T Omega L``, whose eigenvalues are +/- nu (column i
+    for +nu_i)."""
+    m = cov.shape[-1] // 2
     chol = np.linalg.cholesky(cov)
-    evals, evecs = np.linalg.eigh(1j * (chol.T @ symplectic_form(m) @ chol))
-    return chol, evals[m:][::-1], evecs[:, m:][:, ::-1]
+    evals, evecs = np.linalg.eigh(1j * (chol.swapaxes(-1, -2) @ symplectic_form(m) @ chol))
+    return chol, evals[..., m:][..., ::-1], evecs[..., m:][..., ::-1]
 
 
 def symplectic_eigenvalues(covariance: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a positive-definite matrix, one value per mode,
-    sorted descending (errors as for ``GaussianState``)."""
+    sorted descending (errors as for ``GaussianState``; a stack of matrices
+    gives one spectrum per row)."""
     cov = np.asarray(covariance, dtype=float)
-    _vacuum_tolerance(cov)
+    _vacuum_tolerance(_stacked(cov, 2))
     return _normal_form(cov)[1]
+
+
+def _checked_covariance(cov: np.ndarray, disp: np.ndarray):
+    """The per-row checks of ``GaussianState`` on a stack, in order; returns
+    the symmetrized covariances and their normal form."""
+    # a row's largest magnitude is finite exactly when all its entries are
+    scale = np.abs(cov).max(axis=(1, 2)).tolist()
+    shift = np.abs(disp).max(axis=1).tolist()
+    for k, (c, d) in enumerate(zip(scale, shift)):
+        if not (math.isfinite(c) and math.isfinite(d)):
+            raise _at_row(k, UnphysicalStateError("covariance and displacement must be finite"))
+    asym = np.abs(cov - cov.swapaxes(-1, -2)).max(axis=(1, 2)).tolist()
+    for k, (a, c) in enumerate(zip(asym, scale)):
+        if a > SYMMETRY_TOL * max(c, 1.0):
+            raise _at_row(k, UnphysicalStateError("covariance matrix is not symmetric"))
+    cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+    tol = _vacuum_tolerance(cov)
+    normal = _normal_form(cov)
+    for k, (nu, t) in enumerate(zip(normal[1][:, -1].tolist(), tol)):
+        if nu < 1.0 - t:
+            raise _at_row(k, UnphysicalStateError(
+                f"minimal symplectic eigenvalue {nu} is below 1"))
+    return cov, normal
 
 
 def _as_readonly(arr: np.ndarray) -> np.ndarray:
@@ -98,60 +192,85 @@ class GaussianState:
 
     Attributes:
         covariance: real symmetric 2m x 2m matrix, vacuum-normalized
-            (vacuum covariance is the identity).
+            (vacuum covariance is the identity); N x 2m x 2m for a stack of
+            N states.
         displacement: real 2m-vector of quadrature means,
-            ``(2 Re<a_i>, 2 Im<a_i>)`` per mode.
+            ``(2 Re<a_i>, 2 Im<a_i>)`` per mode; N x 2m for a stack.
     """
 
     covariance: np.ndarray
     displacement: np.ndarray
+    # the normal form (L, nu, E) of the physicality check, which williamson reuses
+    _chol: np.ndarray = field(init=False, repr=False, compare=False)
+    _nu: np.ndarray = field(init=False, repr=False, compare=False)
+    _vecs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cov = np.asarray(self.covariance, dtype=float)
         disp = np.asarray(self.displacement, dtype=float)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
-            raise UnphysicalStateError(f"covariance must be 2m x 2m, got {cov.shape}")
-        if disp.shape != (cov.shape[0],):
+        if (cov.ndim not in (2, 3) or cov.shape[-1] != cov.shape[-2]
+                or cov.shape[-1] % 2 or cov.size == 0):
+            raise UnphysicalStateError(
+                f"covariance must be 2m x 2m (N x 2m x 2m for a stack), got {cov.shape}")
+        if disp.shape != cov.shape[:-1]:
             raise UnphysicalStateError(
                 f"displacement shape {disp.shape} does not match covariance {cov.shape}"
             )
-        if not (np.isfinite(cov).all() and np.isfinite(disp).all()):
-            raise UnphysicalStateError("covariance and displacement must be finite")
-        scale = max(np.abs(cov).max(), 1.0)
-        if np.abs(cov - cov.T).max() > SYMMETRY_TOL * scale:
-            raise UnphysicalStateError("covariance matrix is not symmetric")
-        cov = 0.5 * (cov + cov.T)
-        tol = _vacuum_tolerance(cov)
-        nu_min = _normal_form(cov)[1][-1]
-        if nu_min < 1.0 - tol:
-            raise UnphysicalStateError(f"minimal symplectic eigenvalue {nu_min} is below 1")
-        object.__setattr__(self, "covariance", _as_readonly(cov))
+        try:
+            sym, normal = _checked_covariance(_stacked(cov, 2), _stacked(disp, 1))
+        except ValueError as exc:
+            _raise_earlier_row(exc, lambda k: GaussianState(cov[:k], disp[:k]))
+            raise
+        sym = sym.reshape(cov.shape)  # a new array: no copy needed
+        sym.flags.writeable = False
+        object.__setattr__(self, "covariance", sym)
         object.__setattr__(self, "displacement", _as_readonly(disp))
+        chol, nu, vecs = normal if cov.ndim == 3 else (a[0] for a in normal)
+        object.__setattr__(self, "_chol", chol)
+        object.__setattr__(self, "_nu", nu)
+        object.__setattr__(self, "_vecs", vecs)
+
+    __getitem__ = _rows
+
+    @property
+    def stacked(self) -> bool:
+        return self.covariance.ndim == 3
 
     @property
     def mode_count(self) -> int:
-        return self.covariance.shape[0] // 2
+        return self.covariance.shape[-1] // 2
 
 
 @dataclass(frozen=True)
 class SymplecticTransform:
-    """A linear phase-space transform S with S Omega S^T = Omega."""
+    """A linear phase-space transform S with S Omega S^T = Omega (N x 2m x 2m
+    for a stack)."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
+        if (mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2]
+                or mat.shape[-1] % 2 or mat.size == 0):
             raise ValueError(f"symplectic matrix must be 2m x 2m, got {mat.shape}")
-        omega = symplectic_form(mat.shape[0] // 2)
-        defect = np.abs(mat @ omega @ mat.T - omega).max()
-        if defect > SYMPLECTIC_TOL * max(1.0, np.abs(mat).max() ** 2):
-            raise ValueError(f"matrix is not symplectic (defect {defect:.3e})")
+        omega = symplectic_form(mat.shape[-1] // 2)
+        stack = _stacked(mat, 2)
+        defect = np.abs(stack @ omega @ stack.swapaxes(-1, -2) - omega).max(axis=(1, 2)).tolist()
+        scale = np.abs(stack).max(axis=(1, 2)).tolist()
+        for k, (d, c) in enumerate(zip(defect, scale)):
+            if d > SYMPLECTIC_TOL * max(1.0, c ** 2):
+                raise _at_row(k, ValueError(f"matrix is not symplectic (defect {d:.3e})"))
         object.__setattr__(self, "matrix", _as_readonly(mat))
+
+    __getitem__ = _rows
+
+    @property
+    def stacked(self) -> bool:
+        return self.matrix.ndim == 3
 
     @property
     def mode_count(self) -> int:
-        return self.matrix.shape[0] // 2
+        return self.matrix.shape[-1] // 2
 
 
 @dataclass(frozen=True)
@@ -208,29 +327,47 @@ class ModeSelector:
 
 @dataclass(frozen=True)
 class WilliamsonDecomposition:
-    """Normal-mode factorization V = S diag(n, n) S^T with S symplectic."""
+    """Normal-mode factorization V = S diag(n, n) S^T with S symplectic
+    (a stacked S with N x m noise factors for a stack)."""
 
     symplectic: SymplecticTransform
     noise_factors: np.ndarray = field(repr=True)
 
     def __post_init__(self):
         n = _as_readonly(self.noise_factors)
+        matrix = self.symplectic.matrix
         modes = self.symplectic.mode_count
-        if n.shape != (modes,):
+        expected = matrix.shape[:-2] + (modes,)
+        if n.shape != expected:
             raise ValueError(
                 f"noise_factors of shape {n.shape} for a {modes}-mode symplectic "
-                f"transform: need one entry per mode, shape ({modes},)")
+                f"transform: need one entry per mode, shape {expected}")
         object.__setattr__(self, "noise_factors", n)
-        # the covariance's own tolerance, as GaussianState applies it
-        if np.any(n < 1.0 - _vacuum_tolerance(self.reconstruct())):
-            raise UnphysicalStateError(f"noise factors below vacuum: {n}")
-        if np.any(np.diff(n) > 1e-12):
-            raise ValueError("noise factors must be sorted descending")
+        rows = _stacked(n, 1)
+        try:
+            # the covariance's own tolerance, as GaussianState applies it
+            tol = _vacuum_tolerance(_stacked(self.reconstruct(), 2))
+            for k, (low, t) in enumerate(zip(rows.min(axis=1).tolist(), tol)):
+                if low < 1.0 - t:
+                    raise _at_row(k, UnphysicalStateError(
+                        f"noise factors below vacuum: {rows[k]}"))
+            for k, unsorted in enumerate((np.diff(rows, axis=1) > 1e-12).any(axis=1).tolist()):
+                if unsorted:
+                    raise _at_row(k, ValueError("noise factors must be sorted descending"))
+        except ValueError as exc:
+            _raise_earlier_row(exc, lambda k: WilliamsonDecomposition(self.symplectic[:k], n[:k]))
+            raise
+
+    __getitem__ = _rows
+
+    @property
+    def stacked(self) -> bool:
+        return self.noise_factors.ndim == 2
 
     def reconstruct(self) -> np.ndarray:
         s = self.symplectic.matrix
-        d = np.concatenate([self.noise_factors, self.noise_factors])
-        return (s * d) @ s.T
+        d = np.concatenate([self.noise_factors, self.noise_factors], axis=-1)
+        return (s * d[..., None, :]) @ s.swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +594,8 @@ def circuit_to_gaussian(circuit: CircuitDescription) -> GaussianState:
 
 def apply_symplectic(state: GaussianState, transform: SymplecticTransform) -> GaussianState:
     """V -> S V S^T and displacement -> S displacement. Purity is preserved."""
+    require_single(state, "apply_symplectic")
+    require_single(transform, "apply_symplectic")
     s = transform.matrix
     if s.shape[0] != 2 * state.mode_count:
         raise ValueError(
@@ -468,6 +607,7 @@ def apply_symplectic(state: GaussianState, transform: SymplecticTransform) -> Ga
 
 def apply_displacement(state: GaussianState, delta) -> GaussianState:
     """Shift the displacement vector by ``delta``; covariance unchanged."""
+    require_single(state, "apply_displacement")
     delta = np.asarray(delta, dtype=float)
     if delta.shape != state.displacement.shape:
         raise ValueError("displacement vector has wrong length")
@@ -476,6 +616,7 @@ def apply_displacement(state: GaussianState, delta) -> GaussianState:
 
 def reduce_modes(state: GaussianState, modes) -> GaussianState:
     """Marginal state on a subset of modes (partial trace over the rest)."""
+    require_single(state, "reduce_modes")
     modes = list(modes)
     if not modes:
         raise ValueError("mode subset must be non-empty")
@@ -492,6 +633,7 @@ def reduce_modes(state: GaussianState, modes) -> GaussianState:
 
 def mean_photon(state: GaussianState, selector: ModeSelector) -> float:
     """Mean photon number of the selected mode: (tr V_g - 2 + |a_g|^2) / 4."""
+    require_single(state, "mean_photon")
     g = selector.matrix
     vg = g.T @ state.covariance @ g
     ag = g.T @ state.displacement
@@ -500,6 +642,7 @@ def mean_photon(state: GaussianState, selector: ModeSelector) -> float:
 
 def purity_gaussian(state: GaussianState) -> float:
     """Purity of a Gaussian state, 1 / sqrt(det V)."""
+    require_single(state, "purity_gaussian")
     sign, logdet = np.linalg.slogdet(state.covariance)
     if sign <= 0:
         raise UnphysicalStateError("covariance determinant is not positive")
@@ -512,6 +655,9 @@ def gaussian_wigner_fn(state: GaussianState):
     Returns a callable mapping an array of shape (..., 2m) to values of
     exp(-(b - a)^T V^-1 (b - a) / 2) / ((2 pi)^m sqrt(det V)).
     """
+    from scipy.linalg import solve_triangular  # the only scipy use: import it here
+
+    require_single(state, "gaussian_wigner_fn")
     cov = state.covariance
     mean = state.displacement
     m = state.mode_count
@@ -539,6 +685,7 @@ def gaussian_wigner_fn(state: GaussianState):
 
 def wigner_gaussian_at(state: GaussianState, point) -> float | np.ndarray:
     """Gaussian Wigner function at one phase-space point (or a batch)."""
+    require_single(state, "wigner_gaussian_at")
     return gaussian_wigner_fn(state)(point)
 
 
@@ -555,25 +702,37 @@ def williamson(state_or_cov) -> WilliamsonDecomposition:
     normal-mode plane rotated so that mode i's own 2x2 block of S (rows and
     columns i, m + i) is symmetric with non-negative trace; for one mode
     S = (V / n)^(1/2).  Accepts a GaussianState or a bare covariance matrix,
-    which is validated as the covariance of an undisplaced GaussianState.
+    which is validated as the covariance of an undisplaced GaussianState; a
+    stack of either gives a stacked decomposition, row by row.
     """
     if not isinstance(state_or_cov, GaussianState):
         cov = np.asarray(state_or_cov, dtype=float)
-        state_or_cov = GaussianState(cov, np.zeros(cov.shape[:1]))
-    cov = state_or_cov.covariance
-    chol, nu, vecs = _normal_form(cov)
-    m = nu.size
-    scale = np.concatenate([nu, nu])
-    s = chol @ (np.sqrt(2.0) * np.hstack([vecs.real, -vecs.imag])) / np.sqrt(scale)
-    i = np.arange(m)  # turn plane i by the angle of (trace, asymmetry) of its block
-    cos, sin = s[i, i] + s[m + i, m + i], s[i, m + i] - s[m + i, i]
-    norm = np.hypot(cos, sin)
-    cos[norm == 0.0], norm[norm == 0.0] = 1.0, 1.0  # a vanishing block: any angle
-    cos, sin = cos / norm, sin / norm
-    x, p = s[:, :m], s[:, m:]
-    s = np.hstack([x * cos + p * sin, p * cos - x * sin])
-    recon = (s * scale) @ s.T
-    err = np.abs(recon - cov).max() / max(1.0, np.abs(cov).max())
-    if err > 1e-9:
-        raise NumericDegenerateError(f"normal-mode reconstruction failed ({err:.3e})")
-    return WilliamsonDecomposition(SymplecticTransform(s), nu)
+        state_or_cov = GaussianState(cov, np.zeros(cov.shape[:-1]))
+    state = state_or_cov
+    cov = _stacked(state.covariance, 2)
+    try:
+        chol, nu, vecs = _stacked(state._chol, 2), _stacked(state._nu, 1), _stacked(state._vecs, 2)
+        m = nu.shape[-1]
+        scale = np.concatenate([nu, nu], axis=-1)
+        basis = np.sqrt(2.0) * np.concatenate([vecs.real, -vecs.imag], axis=-1)
+        s = chol @ basis / np.sqrt(scale)[:, None, :]
+        i = np.arange(m)  # turn plane i by the angle of (trace, asymmetry) of its block
+        cos, sin = s[:, i, i] + s[:, m + i, m + i], s[:, i, m + i] - s[:, m + i, i]
+        norm = np.hypot(cos, sin)
+        cos[norm == 0.0], norm[norm == 0.0] = 1.0, 1.0  # a vanishing block: any angle
+        cos, sin = (cos / norm)[:, None, :], (sin / norm)[:, None, :]
+        x, p = s[..., :m], s[..., m:]
+        s = np.concatenate([x * cos + p * sin, p * cos - x * sin], axis=-1)
+        recon = (s * scale[:, None, :]) @ s.swapaxes(-1, -2)
+        misfit = np.abs(recon - cov).max(axis=(1, 2)).tolist()
+        for k, (e, c) in enumerate(zip(misfit, np.abs(cov).max(axis=(1, 2)).tolist())):
+            err = e / max(1.0, c)
+            if err > 1e-9:
+                raise _at_row(k, NumericDegenerateError(
+                    f"normal-mode reconstruction failed ({err:.3e})"))
+        if not state.stacked:
+            s, nu = s[0], nu[0]
+        return WilliamsonDecomposition(SymplecticTransform(s), nu)
+    except ValueError as exc:
+        _raise_earlier_row(exc, lambda k: williamson(state[:k]))
+        raise

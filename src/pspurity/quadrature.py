@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GridExtentError
-from .gaussian import GaussianState
+from .gaussian import GaussianState, require_single
 from .subtraction import SubtractedState, moments_subtracted
 
 #: relative tolerance on the total-probability check of every evaluated grid
@@ -59,6 +59,7 @@ class GridSpec:
 
     @classmethod
     def for_state(cls, state: GaussianState, **kwargs) -> "GridSpec":
+        require_single(state, "GridSpec.for_state")
         return cls(
             center=np.array(state.displacement),
             axis_sigmas=np.sqrt(np.diag(state.covariance)),

@@ -18,6 +18,10 @@ place, ``extract_bogoliubov``: phase-space vectors carry ``(2 Re<a>,
 2 Im<a>)`` while the complex amplitude ``alpha_g`` of a mode is ``<a_g>``
 itself.  Keeping the conversion at a single boundary avoids silent
 factor-of-two errors.
+
+``extract_bogoliubov`` takes a stack of states (see ``gaussian``) and returns
+a stack of rows; the purity formulas and ``subtract_photon`` take one state
+or one row, ``rows[i]``.
 """
 
 from __future__ import annotations
@@ -31,10 +35,15 @@ from .errors import InconsistentRowError, SubtractionFromVacuumError
 from .gaussian import (
     GaussianState,
     ModeSelector,
+    _at_row,
+    _raise_earlier_row,
+    _rows,
+    _stacked,
     gaussian_wigner_fn,
     mean_photon,
     purity_gaussian,
     reduce_modes,
+    require_single,
     williamson,
 )
 
@@ -68,6 +77,7 @@ class SubtractedState:
     normalization: float
 
     def __post_init__(self):
+        require_single(self.base, "SubtractedState")
         if self.normalization <= VACUUM_THRESHOLD:
             raise SubtractionFromVacuumError(
                 "cannot subtract a photon from an empty mode"
@@ -92,7 +102,8 @@ class BogoliubovRow:
     """Coefficients expressing the subtracted mode in the normal-mode frame.
 
     ``a_g`` transforms to ``alpha_g + sum_i k_i a_i^dag + l_i a_i`` where the
-    ``a_i`` are the thermal normal modes with noise factors ``noise``.
+    ``a_i`` are the thermal normal modes with noise factors ``noise``.  A
+    stack of N rows holds N x m arrays and N amplitudes ``alpha_g``.
     """
 
     alpha_g: complex
@@ -101,30 +112,42 @@ class BogoliubovRow:
     noise: np.ndarray
 
     def __post_init__(self):
+        alpha = np.asarray(self.alpha_g, dtype=complex)
         k = np.asarray(self.k, dtype=complex)
         l = np.asarray(self.l, dtype=complex)
         noise = np.asarray(self.noise, dtype=float)
-        if not (k.shape == l.shape == noise.shape) or k.ndim != 1:
-            raise ValueError("k, l, noise must be equal-length vectors")
-        if not (np.isfinite(self.alpha_g) and np.isfinite(k).all()
+        if (not (k.shape == l.shape == noise.shape) or k.ndim not in (1, 2)
+                or alpha.shape != k.shape[:-1]):
+            raise ValueError("k, l, noise must be equal-length vectors "
+                             "(a stack: N x m arrays and N amplitudes alpha_g)")
+        if not (np.isfinite(alpha).all() and np.isfinite(k).all()
                 and np.isfinite(l).all() and np.isfinite(noise).all()):
             raise ValueError("alpha_g, k, l and noise must be finite")
+        object.__setattr__(self, "alpha_g", alpha if alpha.ndim else complex(alpha))
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "noise", noise)
 
-    def constraint_defect(self) -> float:
-        """Deviation of sum(|l|^2 - |k|^2) from 1."""
-        return float(abs(np.sum(np.abs(self.l) ** 2 - np.abs(self.k) ** 2) - 1.0))
+    __getitem__ = _rows
 
-    def cross_sum_real(self) -> float:
-        """Re sum(k_i l_i^*).
+    @property
+    def stacked(self) -> bool:
+        return self.k.ndim == 2
+
+    def constraint_defect(self):
+        """Deviation of sum(|l|^2 - |k|^2) from 1 (one per row of a stack)."""
+        defect = np.abs((np.abs(self.l) ** 2 - np.abs(self.k) ** 2).sum(axis=-1) - 1.0)
+        return defect if self.stacked else float(defect)
+
+    def cross_sum_real(self):
+        """Re sum(k_i l_i^*) (one per row of a stack).
 
         A textbook Bogoliubov row would have this vanish; rows extracted
         from squeezed states generally do not (see tests), so it is exposed
         for inspection rather than enforced.
         """
-        return float(np.real(np.sum(self.k * np.conj(self.l))))
+        total = (self.k * np.conj(self.l)).sum(axis=-1).real
+        return total if self.stacked else float(total)
 
 
 @dataclass(frozen=True)
@@ -152,16 +175,18 @@ class RowAggregates:
 
 
 def row_aggregates(row: BogoliubovRow) -> RowAggregates:
+    require_single(row, "row_aggregates")
     n = row.noise
     k2 = np.abs(row.k) ** 2
     l2 = np.abs(row.l) ** 2
     big_n = k2 * (n + 1.0) / 2.0 + l2 * (n - 1.0) / 2.0
     small_n = k2 * (n + 1.0) / 2.0 - l2 * (n - 1.0) / 2.0
     weight = (n**2 - 1.0) / (2.0 * n)
-    cross = complex(np.sum(row.k * row.l * weight))
-    z = 2.0 * float(np.sum(np.abs(row.k) * np.abs(row.l) * weight))
+    # ndarray.sum: the same reduction as np.sum without its Python wrapper
+    cross = complex((row.k * row.l * weight).sum())
+    z = 2.0 * float((np.abs(row.k) * np.abs(row.l) * weight).sum())
     return RowAggregates(
-        x=float(np.sum(small_n / n)), y=float(np.sum(big_n)), z=z, cross=cross
+        x=float((small_n / n).sum()), y=float(big_n.sum()), z=z, cross=cross
     )
 
 
@@ -179,6 +204,7 @@ def subtract_photon(state: GaussianState, selector: ModeSelector) -> SubtractedS
     fixed by cross-checking subtracted-state means against a number-basis
     oracle; see the test suite.
     """
+    require_single(state, "subtract_photon")
     if 2 * state.mode_count != selector.basis_x.size:
         raise ValueError("selector dimension does not match the state")
     norm = 4.0 * mean_photon(state, selector)
@@ -240,24 +266,30 @@ def extract_bogoliubov(state: GaussianState, selector: ModeSelector) -> Bogoliub
 
     and ``alpha_g = (a0.g_x + i a0.g_p) / 2`` converts the phase-space
     displacement to a complex amplitude.  This is the single place where the
-    two displacement scales are converted.
+    two displacement scales are converted.  A stack of states gives a stack
+    of rows, one selector for all.
     """
-    decomp = williamson(state)
-    m = state.mode_count
-    s = decomp.symplectic.matrix
-    u = s.T @ selector.basis_x
-    v = s.T @ selector.basis_p
-    k = (u[:m] - v[m:]) / 2.0 + 1j * (v[:m] + u[m:]) / 2.0
-    l = (u[:m] + v[m:]) / 2.0 + 1j * (v[:m] - u[m:]) / 2.0
-    alpha_g = (
-        state.displacement @ selector.basis_x
-        + 1j * (state.displacement @ selector.basis_p)
-    ) / 2.0
-    row = BogoliubovRow(alpha_g=complex(alpha_g), k=k, l=l, noise=decomp.noise_factors)
-    if row.constraint_defect() > 1e-9:
-        raise InconsistentRowError(
-            f"normalization defect {row.constraint_defect():.3e} after extraction"
-        )
+    try:
+        decomp = williamson(state)
+        m = state.mode_count
+        s = _stacked(decomp.symplectic.matrix, 2).swapaxes(-1, -2)
+        u = s @ selector.basis_x
+        v = s @ selector.basis_p
+        k = (u[:, :m] - v[:, m:]) / 2.0 + 1j * (v[:, :m] + u[:, m:]) / 2.0
+        l = (u[:, :m] + v[:, m:]) / 2.0 + 1j * (v[:, :m] - u[:, m:]) / 2.0
+        # one dot product per row: a single gemv over the stack sums in another order
+        disp = _stacked(state.displacement, 1)[:, None, :]
+        alpha_g = (disp @ selector.basis_x + 1j * (disp @ selector.basis_p))[:, 0] / 2.0
+        if not state.stacked:
+            alpha_g, k, l = alpha_g[0], k[0], l[0]
+        row = BogoliubovRow(alpha_g=alpha_g, k=k, l=l, noise=decomp.noise_factors)
+        for i, defect in enumerate(np.atleast_1d(row.constraint_defect()).tolist()):
+            if defect > 1e-9:
+                raise _at_row(i, InconsistentRowError(
+                    f"normalization defect {defect:.3e} after extraction"))
+    except ValueError as exc:
+        _raise_earlier_row(exc, lambda k: extract_bogoliubov(state[:k], selector))
+        raise
     return row
 
 
@@ -272,6 +304,7 @@ def relative_purity_closed_form(row: BogoliubovRow) -> float:
 
     and always lies in [1/2, 1.2).
     """
+    require_single(row, "relative_purity_closed_form")
     if row.constraint_defect() > 1e-6:
         raise InconsistentRowError(
             f"row violates normalization by {row.constraint_defect():.3e}"

@@ -100,35 +100,97 @@ def test_fuzz_small_run_passes(capsys):
     assert "no violations" in capsys.readouterr().out
 
 
-def test_fuzz_records_library_error_and_continues(monkeypatch, capsys):
-    """A library error on one state is one violation naming its seed; the
-    remaining states are still checked."""
+def fuzz_plan(seed, count):
+    """(modes, state seed, displaced, subtract mode) of each state, drawn
+    from the ``--seed`` generator in the order ``pspurity fuzz`` draws them."""
+    rng = np.random.default_rng(seed)
+    plan = []
+    for _ in range(count):
+        m = int(rng.integers(1, 5))
+        state_seed = int(rng.integers(0, 2**63 - 1))
+        displaced = bool(rng.random() < 0.8)
+        plan.append((m, state_seed, displaced, int(rng.integers(0, m))))
+    return plan
+
+
+def fail_extraction_of(monkeypatch, *targets):
+    """Make ``cli.extract_bogoliubov`` raise on every stack (or single state)
+    holding one of the plan entries ``targets``; returns the list that
+    collects every seed ``cli.random_state`` is asked for."""
     from pspurity import cli
     from pspurity.errors import NumericDegenerateError
 
     seeds = []
     real_state, real_extract = cli.random_state, cli.extract_bogoliubov
+    bad = [real_state(m, seed, d_max=8.0 if displaced else 0.0)
+           for m, seed, displaced, _ in targets]
 
     def recording_state(m, seed, **kwargs):
-        seeds.append(seed)
+        seeds.extend(np.atleast_1d(seed).tolist())
         return real_state(m, seed, **kwargs)
 
-    def failing_third(state, selector):
-        if len(seeds) == 3:
+    def holds(state, one):
+        if state.mode_count != one.mode_count:
+            return False
+        cov = state.covariance.reshape((-1,) + one.covariance.shape)
+        disp = state.displacement.reshape((-1,) + one.displacement.shape)
+        return any(np.array_equal(c, one.covariance) and np.array_equal(d, one.displacement)
+                   for c, d in zip(cov, disp))
+
+    def failing_extract(state, selector):
+        if any(holds(state, one) for one in bad):
             raise NumericDegenerateError("injected")
         return real_extract(state, selector)
 
     monkeypatch.setattr(cli, "random_state", recording_state)
-    monkeypatch.setattr(cli, "extract_bogoliubov", failing_third)
+    monkeypatch.setattr(cli, "extract_bogoliubov", failing_extract)
+    return seeds
+
+
+def test_fuzz_records_library_error_and_continues(monkeypatch, capsys):
+    """A library error on one state is one violation naming its seed; the
+    remaining states are still checked."""
+    plan = fuzz_plan(7, 40)
+    seeds = fail_extraction_of(monkeypatch, plan[2])
     assert main(["fuzz", "--count", "40", "--seed", "7"]) == 1
-    assert len(seeds) == 40
+    assert sorted(set(seeds)) == sorted(p[1] for p in plan)
     out = capsys.readouterr().out.strip().splitlines()
     assert out[-1] == "fuzz: 1 violations in 40 states"
     (record,) = json.loads("\n".join(out[:-1]))
-    assert record["seed"] == seeds[2]
+    assert record["seed"] == plan[2][1]
     assert record["exception"] == "NumericDegenerateError"
     assert record["message"] == "injected"
     assert {"modes", "subtract_mode"} <= set(record)
+
+
+def test_fuzz_failing_group_is_replayed_state_by_state(monkeypatch, capsys):
+    """A fuzz group with one failing state records exactly that state's seed
+    and still checks the closed form of every other state, its group's too;
+    records come in state order, not group order."""
+    from pspurity import cli
+
+    plan = fuzz_plan(7, 40)
+    group = [i for i, p in enumerate(plan) if (p[0], p[2], p[3]) == (plan[0][0], plan[0][2],
+                                                                   plan[0][3])]
+    # the first group is checked first; its second state comes after
+    # state 1, which lies in another group
+    later, earlier = group[1], 1
+    assert earlier not in group and earlier < later
+    fail_extraction_of(monkeypatch, plan[later], plan[earlier])
+    checked = []
+    real_closed = cli.relative_purity_closed_form
+
+    def counting(row):
+        checked.append(row)
+        return real_closed(row)
+
+    monkeypatch.setattr(cli, "relative_purity_closed_form", counting)
+    assert main(["fuzz", "--count", "40", "--seed", "7"]) == 1
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out[-1] == "fuzz: 2 violations in 40 states"
+    records = json.loads("\n".join(out[:-1]))
+    assert [r["seed"] for r in records] == [plan[earlier][1], plan[later][1]]
+    assert len(checked) == 38
 
 
 def test_unknown_command_exits_2():

@@ -1,9 +1,12 @@
 """Source hygiene: no module imports a name it never uses, every private
 module-level function is referenced somewhere else in the package, and every
 public one (function or class) somewhere in the package, the tests or the
-benchmark harness."""
+benchmark harness; ``import pspurity`` and ``pspurity fuzz`` load no SciPy."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -136,3 +139,33 @@ def test_package_import_detected():
               "from pspurity import cli\nfrom numpy import linalg\n")
     assert package_imports(source) == {"gaussian", "subtraction", "bounds", "quadrature",
                                        "cli"}
+
+
+def modules_after(code: str) -> set[str]:
+    """Modules a fresh interpreter holds after running ``code``."""
+    probe = code + "\nimport sys\nprint(' '.join(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(pspurity.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return set(done.stdout.strip().splitlines()[-1].split())
+
+
+def scipy_modules(loaded: set[str]) -> set[str]:
+    return {name for name in loaded if name == "scipy" or name.startswith("scipy.")}
+
+
+def test_import_loads_no_scipy():
+    loaded = modules_after("import pspurity")
+    assert "numpy" in loaded
+    assert scipy_modules(loaded) == set()
+
+
+def test_fuzz_loads_neither_scipy_nor_the_oracles():
+    loaded = modules_after("from pspurity import cli\ncli.main(['fuzz', '--count', '5'])")
+    assert scipy_modules(loaded) == set()
+    assert {"pspurity.fock", "pspurity.crosscheck", "pspurity.quadrature"}.isdisjoint(loaded)
+
+
+def test_submodules_load_on_attribute_access():
+    loaded = modules_after("import pspurity\npspurity.fock.annihilator(2)")
+    assert "pspurity.fock" in loaded
