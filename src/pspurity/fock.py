@@ -3,21 +3,24 @@
 Brute-force verification backend with one gate engine: a circuit of the
 five standard gates is run in a truncated product Fock basis, each gate as
 the exact exponential of its generator on its conserved-number sectors,
-which are tridiagonal chains.  A Gaussian state is compiled to such a
-circuit: ancilla two-mode squeezers purify its thermal normal modes (the
-ancillas are traced out by all measurement helpers), Bloch-Messiah and
-beamsplitter meshes give its symplectic part, displacements close it.
-Photon subtraction is the literal annihilation matrix, and purities come
-from partial traces.  Nothing here shares code with the covariance-matrix
-purity and moment machinery, which is the point; the covariance route only
-sizes the initial cutoffs and supplies the normal modes of a Gaussian input.
+which are tridiagonal chains.  Only the sectors that hold amplitude are
+exponentiated; an empty sector maps to exact zeros, so skipping it is exact.
+A Gaussian state is compiled to such a circuit: ancilla two-mode squeezers
+purify its thermal normal modes (the ancillas are traced out by all
+measurement helpers), Bloch-Messiah and beamsplitter meshes give its
+symplectic part, displacements close it.  Photon subtraction is the literal
+annihilation matrix, and purities come from partial traces.  Nothing here
+shares code with the covariance-matrix purity and moment machinery, which
+is the point; the covariance route only sizes the initial cutoffs and
+supplies the normal modes of a Gaussian input.
 
 Truncation bookkeeping: unitaries of truncated anti-Hermitian generators
 preserve the norm exactly, so lost-norm is not a usable error signal.  The
 reported ``deficiency`` is instead the largest top-level occupation seen on
 any mode after any gate.  Both preparation routes size their own cutoffs:
 they start from a photon-number estimate and double every mode whose
-deficiency exceeds ``LEAKAGE_TOL``, within the memory budget.
+deficiency exceeds ``LEAKAGE_TOL``, within the memory budget, and record
+on the state how many runs that took (``attempts``).
 
 Quadrature moments come from the ladder operators: <a>, <a^2> and <a^dag a>
 are sums over neighbouring rows of the mode-first amplitude matrix, so no
@@ -72,13 +75,16 @@ class FockState:
 
     ``amplitudes`` has one tensor axis per mode (physical modes first, then
     ``num_ancilla`` purification ancillas).  ``deficiency`` is the worst
-    top-level occupation recorded while preparing the state.
+    top-level occupation recorded while preparing the state, and
+    ``attempts`` the number of circuit runs the preparation took before its
+    cutoffs met ``LEAKAGE_TOL``.
     """
 
     amplitudes: np.ndarray
     truncation: TruncationSpec
     deficiency: float = 0.0
     num_ancilla: int = 0
+    attempts: int = 1
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex)
@@ -127,6 +133,12 @@ def _apply_generator(psi: np.ndarray, gen: sp.spmatrix, modes: tuple) -> np.ndar
     diagonal unitary D, the running product of h / |h|, makes T = D^dag H D
     real symmetric tridiagonal; with T = Q diag(w) Q^T from LAPACK dstevd,
     exp(gen) = D Q exp(iw) Q^T D^dag.
+
+    Only sectors holding amplitude are exponentiated.  exp(gen) is linear
+    and block diagonal, so a sector whose rows of the amplitude matrix are
+    all exactly zero maps to exact zeros: skipping it is exact, not an
+    approximation, and the test is ``!= 0`` with no threshold.  A gate on
+    the vacuum, such as an ancilla two-mode squeezer, solves one sector.
     """
     modes = tuple(modes)
     dim = gen.shape[0]
@@ -145,10 +157,11 @@ def _apply_generator(psi: np.ndarray, gen: sp.spmatrix, modes: tuple) -> np.ndar
     if np.any(np.abs(entries.row - entries.col) > 1):
         raise ValueError("generator sectors are not chains in label order")
     diag, sub = ham.diagonal().real, ham.diagonal(-1)
-    out = np.empty(mat.shape, dtype=complex)
+    occupied = np.bincount(labels, weights=np.any(mat != 0, axis=1), minlength=count) > 0
+    out = np.zeros(mat.shape, dtype=complex)
     single = sizes[labels] == 1
     out[single] = np.exp(gen.diagonal()[single])[:, None] * mat[single]
-    for c in np.flatnonzero(sizes > 1):
+    for c in np.flatnonzero((sizes > 1) & occupied):
         lo, hi = starts[c], starts[c + 1]
         h = sub[lo:hi - 1]
         mag = np.abs(h)
@@ -235,20 +248,23 @@ def run_circuit_fock(circuit) -> FockState:
 def _converge_cutoffs(attempt, cutoffs: tuple, num_ancilla: int) -> FockState:
     """Re-run ``attempt`` doubling leaking modes until ``LEAKAGE_TOL`` is met.
 
-    Every attempt is checked against the memory budget first.
+    Every attempt is checked against the memory budget first.  The state
+    records the cutoffs and deficiency of its last run and, as ``attempts``,
+    how many runs it took.
     """
-    for _ in range(6):
+    for attempts in range(1, 7):
         _check_budget(cutoffs)
         psi, leak = attempt(cutoffs)
         deficiency = float(leak.max())
         if deficiency <= LEAKAGE_TOL:
             return FockState(psi, TruncationSpec(cutoffs), deficiency,
-                             num_ancilla=num_ancilla)
+                             num_ancilla=num_ancilla, attempts=attempts)
+        tried = cutoffs
         cutoffs = tuple(
             2 * c if leak[j] > LEAKAGE_TOL else c for j, c in enumerate(cutoffs)
         )
     raise TruncationInsufficientError(
-        f"leakage {deficiency:.3e} persists at cutoffs {cutoffs}"
+        f"leakage {deficiency:.3e} persists at cutoffs {tried}"
     )
 
 
@@ -412,7 +428,7 @@ def subtract_photon_fock(state: FockState, mode: int) -> FockState:
             f"mode {mode} holds no photons to subtract"
         )
     return FockState(psi / norm, state.truncation, state.deficiency,
-                     state.num_ancilla)
+                     state.num_ancilla, state.attempts)
 
 
 def _split_modes(state: FockState, modes) -> np.ndarray:

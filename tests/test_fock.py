@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.linalg.lapack import dstevd
+from scipy.sparse.csgraph import connected_components
 
 from pspurity import (
     GaussianState,
@@ -26,6 +28,7 @@ from pspurity import (
     symplectic_gate,
     wigner_subtracted_at,
 )
+from pspurity import fock
 from pspurity.fock import (
     LEAKAGE_TOL,
     MEMORY_ENV_VAR,
@@ -223,10 +226,30 @@ def test_converge_cutoffs_raises_when_leakage_persists():
         tried.append(cut)
         return _vacuum_tensor(cut), np.array([1.0, 0.0])
 
-    with pytest.raises(TruncationInsufficientError, match="persists"):
+    with pytest.raises(TruncationInsufficientError, match="persists") as info:
         _converge_cutoffs(always_leaking, (4, 3), num_ancilla=0)
     # only the leaking mode is doubled, once per round
     assert tried == [(4 * 2**k, 3) for k in range(6)]
+    # the message names the last cutoffs that ran, not the next doubling
+    assert "(128, 3)" in str(info.value)
+
+
+def test_converge_cutoffs_counts_attempts():
+    circ = circuit(1, Gate("displacement", {"re": 2.0, "im": 0.0}, (0,)))
+    assert run_circuit_fock(circ).attempts == 1
+    calls = []
+
+    def leaks_once(cut):
+        calls.append(cut)
+        psi = np.zeros(cut, complex)
+        psi[1, 0] = 1.0
+        return psi, np.array([1.0 if len(calls) == 1 else 0.0, 0.0])
+
+    state = _converge_cutoffs(leaks_once, (4, 3), num_ancilla=0)
+    assert state.attempts == 2
+    assert state.truncation.cutoffs == (8, 3)
+    # subtraction keeps the preparation's truncation record
+    assert subtract_photon_fock(state, 0).attempts == 2
 
 
 def test_run_circuit_fock_checks_memory_budget(monkeypatch):
@@ -394,6 +417,53 @@ def test_blockwise_generator_matches_dense_expm(spectator):
         want = np.moveaxis(
             (expm(gen.toarray()) @ mat).reshape(cut + (spectator,)), -1, 0)
         assert np.abs(got - want).max() <= 1e-12, kind
+
+
+def _sector_labels(gen):
+    gen = gen.tocsr()
+    gen.eliminate_zeros()
+    return connected_components(abs(gen), directed=False)[1]
+
+
+@pytest.mark.parametrize("input_kind", ["vacuum", "alternate_sectors"])
+def test_occupied_sectors_match_dense_expm(input_kind):
+    """Skipping the sectors that hold no amplitude is exact: the result
+    equals exp of the whole generator, and empty sectors stay exactly 0.
+    Some occupied sectors are faint (amplitudes near 1e-280), so a sector
+    dropped by any threshold would show up as rows of zeros."""
+    rng = np.random.default_rng(17)
+    for kind, params, cut in GATE_CASES:
+        gen = _gate_generator(kind, params, cut)
+        labels = _sector_labels(gen)
+        shape = (3,) + cut  # a spectator mode ahead of the gate's modes
+        if input_kind == "vacuum":
+            psi = _vacuum_tensor(shape)
+            empty = labels != labels[0]
+        else:
+            psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            empty = labels % 2 == 1
+            psi.reshape(3, -1)[:, empty] = 0.0
+            psi.reshape(3, -1)[:, labels % 4 == 2] *= 1e-280
+        got = _apply_generator(psi, gen, tuple(range(1, len(cut) + 1)))
+        mat = np.moveaxis(psi, 0, -1).reshape(gen.shape[0], -1)
+        want = np.moveaxis((expm(gen.toarray()) @ mat).reshape(cut + (3,)), -1, 0)
+        assert np.abs(got - want).max() <= 1e-12, kind
+        assert np.all(got.reshape(3, -1)[:, empty] == 0), kind
+        if input_kind != "vacuum":
+            assert np.all(got.reshape(3, -1)[:, ~empty] != 0), kind
+
+
+def test_squeezer_on_vacuum_solves_one_sector(monkeypatch):
+    calls = []
+
+    def counting_dstevd(*args, **kwargs):
+        calls.append(args)
+        return dstevd(*args, **kwargs)
+
+    monkeypatch.setattr(fock, "dstevd", counting_dstevd)
+    gen = _gate_generator("two_mode_squeezer", {"r": 0.4}, (40, 30))
+    _apply_generator(_vacuum_tensor((40, 30)), gen, (0, 1))
+    assert len(calls) == 1
 
 
 def test_non_chain_generator_raises():
