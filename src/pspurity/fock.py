@@ -2,9 +2,13 @@
 
 Brute-force verification backend with one gate engine: a circuit of the
 five standard gates is run in a truncated product Fock basis, each gate as
-the exact exponential of its generator on its conserved-number sectors,
-which are tridiagonal chains.  Only the sectors that hold amplitude are
-exponentiated; an empty sector maps to exact zeros, so skipping it is exact.
+the exact exponential of its generator on the sectors of its conserved
+number, which are tridiagonal chains stated in closed form: a displacement
+is one chain n -> n + 1, a single-mode squeezer conserves n mod 2 along
+n -> n + 2, a two-mode squeezer n_a - n_b along (n_a + 1, n_b + 1), a
+beamsplitter n_a + n_b along (n_a + 1, n_b - 1), and a phase rotation is
+diagonal.  Only the sectors that hold amplitude are exponentiated; an empty
+sector maps to exact zeros, so skipping it is exact.
 A Gaussian state is compiled to such a circuit: ancilla two-mode squeezers
 purify its thermal normal modes (the ancillas are traced out by all
 measurement helpers), Bloch-Messiah and beamsplitter meshes give its
@@ -34,17 +38,15 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dstevd
-from scipy.sparse.csgraph import connected_components
 
 from .errors import SubtractionFromVacuumError, TruncationInsufficientError
 from .gaussian import (
     CircuitDescription,
     Gate,
     GaussianState,
+    _resolve_squeezing,
     circuit_to_gaussian,
-    db_to_squeezing_parameter,
     require_single,
     williamson,
 )
@@ -120,19 +122,45 @@ def _top_level_population(psi: np.ndarray, axis: int) -> float:
     return float(np.sum(np.abs(psi[tuple(sl)]) ** 2))
 
 
-def _apply_generator(psi: np.ndarray, gen: sp.spmatrix, modes: tuple) -> np.ndarray:
-    """Apply exp(gen) on the given modes of the amplitude tensor.
+def _gate_chains(kind: str, params: dict, cutoffs: tuple) -> tuple:
+    """Conserved-number chains of one gate's H = -i gen on its own modes.
 
-    The basis states split into the connected components of the generator's
-    nonzero pattern, and gen is block diagonal over them: the sectors of a
-    conserved number (n_a - n_b for a two-mode squeezer, n_a + n_b for a
-    beamsplitter, parity for a single-mode squeezer; a displacement is one
-    sector).  In label order every sector is a chain: H = -i gen is
-    tridiagonal there, and any other generator raises ``ValueError``.  A
-    one-state sector is a phase.  On a longer one with sub-diagonal h, the
-    diagonal unitary D, the running product of h / |h|, makes T = D^dag H D
-    real symmetric tridiagonal; with T = Q diag(w) Q^T from LAPACK dstevd,
-    exp(gen) = D Q exp(iw) Q^T D^dag.
+    For each basis state (row-major over the gate's modes): its sector label,
+    the conserved number (every state its own sector for a phase rotation);
+    H's diagonal element; and H's element <next|H|state> to the next state
+    up its chain.  Row-major order runs up every chain, so a stable sort by
+    label lays each sector out as its chain in order; the element of a
+    chain's last state points out of the truncation and is never read.
+    """
+    n = np.indices(cutoffs, dtype=float).reshape(len(cutoffs), -1)
+    na, nb, zero = n[0], n[-1], np.zeros(n.shape[1])
+    if kind == "displacement":
+        amp = complex(params.get("re", 0.0), params.get("im", 0.0))
+        return zero, zero, -1j * amp * np.sqrt(na + 1)
+    if kind == "phase_rotation":
+        return np.arange(zero.size), -params["theta"] * na, zero
+    if kind == "single_mode_squeezer":
+        r = _resolve_squeezing(params.get("r"), params.get("db"))
+        return na % 2, zero, -0.5j * r * np.sqrt((na + 1) * (na + 2))
+    if kind == "two_mode_squeezer":
+        r = _resolve_squeezing(params.get("r"), params.get("db"))
+        return na - nb, zero, -1j * r * np.sqrt((na + 1) * (nb + 1))
+    if kind == "beamsplitter":
+        theta = np.arccos(np.sqrt(params["transmittance"]))
+        return na + nb, zero, -1j * theta * np.sqrt((na + 1) * nb)
+    raise ValueError(f"unknown gate kind {kind!r}")
+
+
+def _apply_gate(psi: np.ndarray, kind: str, params: dict, modes: tuple) -> np.ndarray:
+    """Apply exp(gen) of one gate on the given modes of the amplitude tensor.
+
+    ``_gate_chains`` states gen's conserved-number sectors in closed form;
+    one stable sort by sector orders the states so that every sector is a
+    contiguous chain on which H = -i gen is tridiagonal.  A one-state
+    sector is a phase.  On a longer one with sub-diagonal h, the
+    diagonal unitary D, the running product of h / |h| (1 where h = 0),
+    makes T = D^dag H D real symmetric tridiagonal; with T = Q diag(w) Q^T
+    from LAPACK dstevd, exp(gen) = D Q exp(iw) Q^T D^dag.
 
     Only sectors holding amplitude are exponentiated.  exp(gen) is linear
     and block diagonal, so a sector whose rows of the amplitude matrix are
@@ -140,81 +168,33 @@ def _apply_generator(psi: np.ndarray, gen: sp.spmatrix, modes: tuple) -> np.ndar
     approximation, and the test is ``!= 0`` with no threshold.  A gate on
     the vacuum, such as an ancilla two-mode squeezer, solves one sector.
     """
-    modes = tuple(modes)
-    dim = gen.shape[0]
     moved = np.moveaxis(psi, modes, range(len(modes)))
     lead = moved.shape[: len(modes)]
-    mat = moved.reshape(dim, -1)
-    gen = sp.csr_matrix(gen)
-    gen.eliminate_zeros()
-    count, labels = connected_components(abs(gen), directed=False)
-    sizes = np.bincount(labels, minlength=count)
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    order = np.argsort(labels, kind="stable")
-    # in block order, block c is the diagonal square starts[c]:starts[c + 1]
-    ham = -1j * gen[order][:, order]
-    entries = ham.tocoo()
-    if np.any(np.abs(entries.row - entries.col) > 1):
-        raise ValueError("generator sectors are not chains in label order")
-    diag, sub = ham.diagonal().real, ham.diagonal(-1)
-    occupied = np.bincount(labels, weights=np.any(mat != 0, axis=1), minlength=count) > 0
+    mat = moved.reshape(int(np.prod(lead)), -1)
+    sector, diag, up = _gate_chains(kind, params, lead)
+    order = np.argsort(sector, kind="stable")
+    sector, diag, up = sector[order], diag[order], up[order]
+    # in sorted order, chain c is the slice bounds[c]:bounds[c + 1]
+    bounds = np.flatnonzero(np.concatenate(([True], sector[1:] != sector[:-1], [True])))
+    lo, hi = bounds[:-1], bounds[1:]
+    occupied = np.logical_or.reduceat(np.any(mat != 0, axis=1)[order], lo)
     out = np.zeros(mat.shape, dtype=complex)
-    single = sizes[labels] == 1
-    out[single] = np.exp(gen.diagonal()[single])[:, None] * mat[single]
-    for c in np.flatnonzero((sizes > 1) & occupied):
-        lo, hi = starts[c], starts[c + 1]
-        h = sub[lo:hi - 1]
+    single = lo[hi - lo == 1]
+    out[order[single]] = np.exp(1j * diag[single])[:, None] * mat[order[single]]
+    chains = (hi - lo > 1) & occupied
+    for start, stop in zip(lo[chains], hi[chains]):
+        h = up[start:stop - 1]
         mag = np.abs(h)
-        phase = np.concatenate(([1.0], np.cumprod(h / mag)))
-        w, q, info = dstevd(diag[lo:hi], mag)
+        unit = np.divide(h, mag, out=np.ones_like(h), where=mag > 0)
+        phase = np.concatenate(([1.0], np.cumprod(unit)))
+        w, q, info = dstevd(diag[start:stop], mag)
         if info:
             raise np.linalg.LinAlgError(f"dstevd failed with info {info}")
-        idx = order[lo:hi]
+        idx = order[start:stop]
         rotated = q.T @ (phase.conj()[:, None] * mat[idx])
         out[idx] = phase[:, None] * ((q * np.exp(1j * w)) @ rotated)
     out = out.reshape(lead + moved.shape[len(modes):])
     return np.moveaxis(out, range(len(modes)), modes)
-
-
-def _gate_generator(kind: str, params: dict, cutoffs: tuple) -> sp.spmatrix:
-    """Sparse anti-Hermitian generator of one gate on its own mode space."""
-    if kind == "displacement":
-        amp = complex(params.get("re", 0.0), params.get("im", 0.0))
-        a = sp.csr_matrix(annihilator(cutoffs[0]))
-        return amp * a.conj().T - np.conj(amp) * a
-    if kind == "phase_rotation":
-        n = sp.diags(np.arange(cutoffs[0], dtype=float))
-        return -1j * params["theta"] * n
-    if kind == "single_mode_squeezer":
-        r = _squeeze_param(params)
-        a = sp.csr_matrix(annihilator(cutoffs[0]))
-        return (r / 2.0) * (a.conj().T @ a.conj().T - a @ a)
-    if kind == "two_mode_squeezer":
-        r = _squeeze_param(params)
-        a = sp.kron(sp.csr_matrix(annihilator(cutoffs[0])), sp.eye(cutoffs[1]))
-        b = sp.kron(sp.eye(cutoffs[0]), sp.csr_matrix(annihilator(cutoffs[1])))
-        return r * (a.conj().T @ b.conj().T - a @ b)
-    if kind == "beamsplitter":
-        theta = np.arccos(np.sqrt(params["transmittance"]))
-        a = sp.kron(sp.csr_matrix(annihilator(cutoffs[0])), sp.eye(cutoffs[1]))
-        b = sp.kron(sp.eye(cutoffs[0]), sp.csr_matrix(annihilator(cutoffs[1])))
-        return theta * (a.conj().T @ b - a @ b.conj().T)
-    raise ValueError(f"unknown gate kind {kind!r}")
-
-
-def _squeeze_param(params: dict) -> float:
-    r = params.get("r")
-    return float(r) if r is not None else db_to_squeezing_parameter(params["db"])
-
-
-def _apply_gate(psi: np.ndarray, kind: str, params: dict, modes: tuple,
-                cutoffs: tuple, leak: np.ndarray) -> np.ndarray:
-    """Apply one gate on ``modes`` and record their top-level occupation."""
-    gen = _gate_generator(kind, params, tuple(cutoffs[m] for m in modes))
-    psi = _apply_generator(psi, gen, modes)
-    for m in modes:
-        leak[m] = max(leak[m], _top_level_population(psi, m))
-    return psi
 
 
 def _vacuum_tensor(cutoffs: tuple) -> np.ndarray:
@@ -272,8 +252,9 @@ def _run_gates(circuit, cutoffs: tuple) -> tuple[np.ndarray, np.ndarray]:
     psi = _vacuum_tensor(tuple(cutoffs))
     leak = np.zeros(len(cutoffs))
     for gate in circuit.gates:
-        psi = _apply_gate(psi, gate.kind, dict(gate.params),
-                          tuple(gate.modes), tuple(cutoffs), leak)
+        psi = _apply_gate(psi, gate.kind, gate.params, gate.modes)
+        for m in gate.modes:
+            leak[m] = max(leak[m], _top_level_population(psi, m))
     return psi, leak
 
 

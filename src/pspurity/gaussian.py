@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -524,6 +525,11 @@ def symplectic_gate(kind: str, params: dict, num_modes: int) -> SymplecticTransf
 # circuits
 # ---------------------------------------------------------------------------
 
+#: number of modes each gate kind acts on
+_GATE_MODES = {"displacement": 1, "phase_rotation": 1, "single_mode_squeezer": 1,
+               "two_mode_squeezer": 2, "beamsplitter": 2}
+
+
 @dataclass(frozen=True)
 class Gate:
     """One circuit element: kind, parameter dict, target modes."""
@@ -549,11 +555,20 @@ class CircuitDescription:
     gates: tuple
 
     def __post_init__(self):
+        # circuits enter here from JSON: both routes may assume valid gates
         object.__setattr__(self, "gates", tuple(self.gates))
         for gate in self.gates:
+            arity = _GATE_MODES.get(gate.kind)
+            if arity is None:
+                raise ValueError(f"unknown gate kind {gate.kind!r}")
+            if len(gate.modes) != arity or len(set(gate.modes)) != arity:
+                raise ValueError(f"{gate.kind} needs {arity} distinct mode(s), got {gate.modes}")
             for m in gate.modes:
                 if not 0 <= m < self.mode_count:
                     raise ValueError(f"gate targets mode {m} of {self.mode_count}")
+            for key, value in gate.params.items():
+                if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                    raise ValueError(f"{gate.kind} parameter {key} = {value!r} is not finite")
 
     def to_json(self) -> str:
         return json.dumps(

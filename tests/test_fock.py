@@ -20,6 +20,7 @@ from pspurity import (
     moments_subtracted,
     purity_gaussian,
     beamsplitter,
+    db_to_squeezing_parameter,
     reduce_modes,
     relative_purity_closed_form,
     single_mode_squeezer,
@@ -33,12 +34,12 @@ from pspurity.fock import (
     LEAKAGE_TOL,
     MEMORY_ENV_VAR,
     TruncationSpec,
-    _apply_generator,
+    _apply_gate,
     _converge_cutoffs,
-    _gate_generator,
     _run_gates,
     _symplectic_gates,
     _vacuum_tensor,
+    annihilator,
     gaussian_state_to_fock,
     mean_photon_fock,
     quadrature_moments_fock,
@@ -389,16 +390,44 @@ def test_reference_state_fock_cross_check():
     assert mm2["var_x"] / mm["var_x"] == pytest.approx(0.85, abs=0.01)
 
 
-# (kind, params, per-mode cutoffs) for every gate kind of _gate_generator
+def reference_generator(kind, params, cut):
+    """Dense anti-Hermitian generator of one gate on its own modes, built
+    from the annihilation matrices alone, independent of the chain labels."""
+    a = annihilator(cut[0])
+    if kind == "displacement":
+        amp = complex(params.get("re", 0.0), params.get("im", 0.0))
+        return amp * a.T - np.conj(amp) * a
+    if kind == "phase_rotation":
+        return -1j * params["theta"] * (a.T @ a)
+    if kind.endswith("squeezer"):
+        r = params["r"] if "r" in params else db_to_squeezing_parameter(params["db"])
+    if kind == "single_mode_squeezer":
+        return (r / 2.0) * (a.T @ a.T - a @ a)
+    a = np.kron(a, np.eye(cut[1]))
+    b = np.kron(np.eye(cut[0]), annihilator(cut[1]))
+    if kind == "two_mode_squeezer":
+        return r * (a.T @ b.T - a @ b)
+    theta = np.arccos(np.sqrt(params["transmittance"]))
+    return theta * (a.T @ b - a @ b.T)
+
+
+# (kind, params, per-mode cutoffs) for every gate kind
 GATE_CASES = [
     ("displacement", {"re": 0.7, "im": -0.4}, (9,)),
     ("phase_rotation", {"theta": 0.9}, (9,)),
     ("single_mode_squeezer", {"r": 0.5}, (10,)),
+    ("single_mode_squeezer", {"db": 2.5}, (9,)),
     ("two_mode_squeezer", {"r": 0.4}, (7, 9)),
+    ("two_mode_squeezer", {"r": -0.3}, (9, 4)),
     ("beamsplitter", {"transmittance": 0.3}, (8, 6)),
-    # zero parameters: the generators store explicit zeros
+    # the truncation cuts the n_a + n_b chains unevenly
+    ("beamsplitter", {"transmittance": 0.6}, (3, 7)),
+    # zero parameters: every chain element is 0, the gate is the identity
     ("single_mode_squeezer", {"r": 0.0}, (6,)),
+    ("two_mode_squeezer", {"r": 0.0}, (5, 4)),
     ("beamsplitter", {"transmittance": 1.0}, (4, 5)),
+    ("displacement", {"re": 0.0, "im": 0.0}, (6,)),
+    ("phase_rotation", {"theta": 0.0}, (5,)),
 ]
 
 
@@ -409,20 +438,19 @@ def test_blockwise_generator_matches_dense_expm(spectator):
     columns than the sector has states, a narrow one to fewer."""
     rng = np.random.default_rng(11)
     for kind, params, cut in GATE_CASES:
-        gen = _gate_generator(kind, params, cut)
+        gen = reference_generator(kind, params, cut)
         shape = (spectator,) + cut  # a spectator mode ahead of the gate's modes
         psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        got = _apply_generator(psi, gen, tuple(range(1, len(cut) + 1)))
+        got = _apply_gate(psi, kind, params, tuple(range(1, len(cut) + 1)))
         mat = np.moveaxis(psi, 0, -1).reshape(gen.shape[0], -1)
-        want = np.moveaxis(
-            (expm(gen.toarray()) @ mat).reshape(cut + (spectator,)), -1, 0)
+        want = np.moveaxis((expm(gen) @ mat).reshape(cut + (spectator,)), -1, 0)
         assert np.abs(got - want).max() <= 1e-12, kind
+        if not gen.any():  # a zero-parameter gate is exactly the identity
+            assert np.array_equal(got, psi), kind
 
 
 def _sector_labels(gen):
-    gen = gen.tocsr()
-    gen.eliminate_zeros()
-    return connected_components(abs(gen), directed=False)[1]
+    return connected_components(np.abs(gen) > 0, directed=False)[1]
 
 
 @pytest.mark.parametrize("input_kind", ["vacuum", "alternate_sectors"])
@@ -433,7 +461,7 @@ def test_occupied_sectors_match_dense_expm(input_kind):
     dropped by any threshold would show up as rows of zeros."""
     rng = np.random.default_rng(17)
     for kind, params, cut in GATE_CASES:
-        gen = _gate_generator(kind, params, cut)
+        gen = reference_generator(kind, params, cut)
         labels = _sector_labels(gen)
         shape = (3,) + cut  # a spectator mode ahead of the gate's modes
         if input_kind == "vacuum":
@@ -444,9 +472,9 @@ def test_occupied_sectors_match_dense_expm(input_kind):
             empty = labels % 2 == 1
             psi.reshape(3, -1)[:, empty] = 0.0
             psi.reshape(3, -1)[:, labels % 4 == 2] *= 1e-280
-        got = _apply_generator(psi, gen, tuple(range(1, len(cut) + 1)))
+        got = _apply_gate(psi, kind, params, tuple(range(1, len(cut) + 1)))
         mat = np.moveaxis(psi, 0, -1).reshape(gen.shape[0], -1)
-        want = np.moveaxis((expm(gen.toarray()) @ mat).reshape(cut + (3,)), -1, 0)
+        want = np.moveaxis((expm(gen) @ mat).reshape(cut + (3,)), -1, 0)
         assert np.abs(got - want).max() <= 1e-12, kind
         assert np.all(got.reshape(3, -1)[:, empty] == 0), kind
         if input_kind != "vacuum":
@@ -461,18 +489,8 @@ def test_squeezer_on_vacuum_solves_one_sector(monkeypatch):
         return dstevd(*args, **kwargs)
 
     monkeypatch.setattr(fock, "dstevd", counting_dstevd)
-    gen = _gate_generator("two_mode_squeezer", {"r": 0.4}, (40, 30))
-    _apply_generator(_vacuum_tensor((40, 30)), gen, (0, 1))
+    _apply_gate(_vacuum_tensor((40, 30)), "two_mode_squeezer", {"r": 0.4}, (0, 1))
     assert len(calls) == 1
-
-
-def test_non_chain_generator_raises():
-    # squeezer plus displacement couples n to n +/- 1 and n +/- 2: one
-    # sector that is not a chain
-    gen = (_gate_generator("single_mode_squeezer", {"r": 0.3}, (8,))
-           + _gate_generator("displacement", {"re": 0.5}, (8,)))
-    with pytest.raises(ValueError, match="chain"):
-        _apply_generator(_vacuum_tensor((8,)), gen, (0,))
 
 
 def _random_passive(m, rng):

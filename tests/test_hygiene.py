@@ -160,6 +160,12 @@ def test_import_loads_no_scipy():
     assert scipy_modules(loaded) == set()
 
 
+def test_fock_loads_no_sparse_scipy():
+    loaded = modules_after("import pspurity.fock")
+    assert "pspurity.fock" in loaded
+    assert {name for name in scipy_modules(loaded) if name.startswith("scipy.sparse")} == set()
+
+
 def test_fuzz_loads_neither_scipy_nor_the_oracles():
     loaded = modules_after("from pspurity import cli\ncli.main(['fuzz', '--count', '5'])")
     assert scipy_modules(loaded) == set()

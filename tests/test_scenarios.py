@@ -1,5 +1,7 @@
 """Worked examples, topology search, random states, sweeps."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -197,3 +199,17 @@ def test_sweep_unknown_figure():
 def test_gate_targets_validated():
     with pytest.raises(ValueError):
         CircuitDescription(2, (Gate("displacement", {"re": 1.0}, (5,)),))
+
+
+@pytest.mark.parametrize("gate, message", [
+    ({"kind": "displacement", "params": {"re": 1.0}, "modes": [0, 1]}, "displacement needs 1"),
+    ({"kind": "two_mode_squeezer", "params": {"r": 0.3}, "modes": [0]}, "two_mode_squeezer needs 2"),
+    ({"kind": "beamsplitter", "params": {"transmittance": 0.5}, "modes": [1, 1]}, "distinct"),
+    ({"kind": "phase_rotation", "params": {"theta": float("inf")}, "modes": [0]}, "theta"),
+    ({"kind": "single_mode_squeezer", "params": {"r": "0.3"}, "modes": [0]}, "not finite"),
+    ({"kind": "kerr", "params": {}, "modes": [0]}, "unknown gate kind 'kerr'"),
+])
+def test_circuit_json_refuses_malformed_gates(gate, message):
+    text = json.dumps({"mode_count": 2, "gates": [gate]})
+    with pytest.raises(ValueError, match=message):
+        CircuitDescription.from_json(text)
