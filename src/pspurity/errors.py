@@ -26,4 +26,5 @@ class TruncationInsufficientError(PspurityError, RuntimeError):
 
 
 class GridExtentError(PspurityError, RuntimeError):
-    """Quadrature grid misses probability mass; extend or re-center it."""
+    """W does not integrate to one in the quadrature frame; use the base
+    state's mean and covariance."""

@@ -256,9 +256,16 @@ class SymplecticTransform:
             raise ValueError(f"symplectic matrix must be 2m x 2m, got {mat.shape}")
         omega = symplectic_form(mat.shape[-1] // 2)
         stack = _stacked(mat, 2)
-        defect = np.abs(stack @ omega @ stack.swapaxes(-1, -2) - omega).max(axis=(1, 2)).tolist()
+        # a row's largest magnitude is finite exactly when all its entries
+        # are; a NaN defect would compare False against the bound below, so
+        # non-finite rows are refused, and zeroed for the product
         scale = np.abs(stack).max(axis=(1, 2)).tolist()
+        if not all(map(math.isfinite, scale)):
+            stack = np.where(np.isfinite(scale)[:, None, None], stack, 0.0)
+        defect = np.abs(stack @ omega @ stack.swapaxes(-1, -2) - omega).max(axis=(1, 2)).tolist()
         for k, (d, c) in enumerate(zip(defect, scale)):
+            if not math.isfinite(c):
+                raise _at_row(k, ValueError("symplectic matrix has non-finite entries"))
             if d > SYMPLECTIC_TOL * max(1.0, c ** 2):
                 raise _at_row(k, ValueError(f"matrix is not symplectic (defect {d:.3e})"))
         object.__setattr__(self, "matrix", _as_readonly(mat))
@@ -525,9 +532,16 @@ def symplectic_gate(kind: str, params: dict, num_modes: int) -> SymplecticTransf
 # circuits
 # ---------------------------------------------------------------------------
 
-#: number of modes each gate kind acts on
-_GATE_MODES = {"displacement": 1, "phase_rotation": 1, "single_mode_squeezer": 1,
-               "two_mode_squeezer": 2, "beamsplitter": 2}
+#: each gate kind's number of modes and the parameter-name sets it accepts:
+#: a displacement takes re, im or both (the other is 0), a squeezer exactly
+#: one of r and db
+_GATES = {
+    "displacement": (1, ({"re", "im"}, {"re"}, {"im"})),
+    "phase_rotation": (1, ({"theta"},)),
+    "single_mode_squeezer": (1, ({"r"}, {"db"})),
+    "two_mode_squeezer": (2, ({"r"}, {"db"})),
+    "beamsplitter": (2, ({"transmittance"},)),
+}
 
 
 @dataclass(frozen=True)
@@ -558,14 +572,19 @@ class CircuitDescription:
         # circuits enter here from JSON: both routes may assume valid gates
         object.__setattr__(self, "gates", tuple(self.gates))
         for gate in self.gates:
-            arity = _GATE_MODES.get(gate.kind)
-            if arity is None:
+            if gate.kind not in _GATES:
                 raise ValueError(f"unknown gate kind {gate.kind!r}")
+            arity, param_sets = _GATES[gate.kind]
             if len(gate.modes) != arity or len(set(gate.modes)) != arity:
                 raise ValueError(f"{gate.kind} needs {arity} distinct mode(s), got {gate.modes}")
             for m in gate.modes:
                 if not 0 <= m < self.mode_count:
                     raise ValueError(f"gate targets mode {m} of {self.mode_count}")
+            if set(gate.params) not in param_sets:
+                accepted = " or ".join(str(sorted(keys)) for keys in param_sets)
+                raise ValueError(
+                    f"{gate.kind} takes parameters {accepted}, got {sorted(gate.params)}"
+                )
             for key, value in gate.params.items():
                 if not (isinstance(value, numbers.Real) and math.isfinite(value)):
                     raise ValueError(f"{gate.kind} parameter {key} = {value!r} is not finite")

@@ -1,202 +1,154 @@
-"""Grid-quadrature oracle for Wigner-integral purities and moments.
+"""Gauss–Hermite oracle for Wigner-integral purities and moments.
 
-Brute-force numerical evaluation of the defining phase-space integrals for
-one- and two-mode states.  Deliberately independent of the closed-form
-machinery: it only ever sees a pointwise-evaluatable Wigner function.
-Composite Simpson rule on a tensor grid, evaluated in chunks of whole
-last-axis rows with one Wigner call per chunk; the error estimate comes from
-comparing against the stride-2 subgrid of the same samples (Richardson).
+Numerical evaluation of the defining phase-space integrals for states of one
+to four modes.  Deliberately independent of the closed-form machinery: it
+only ever sees a pointwise-evaluatable Wigner function and the Gaussian frame
+N(mean, V) of the base Gaussian state, ``GridSpec.for_state(sub.base)``.
 
-Two entry points, one grid pass each: ``purity_by_grid`` for the purity and
-``variance_by_grid`` for the means and variances of one mode's x and p.
-Both reject a grid whose total probability is off unity.
+The rule is exact, not converged.  A photon-subtracted Wigner function is
+the base Gaussian times a quadratic, W = G_V P_2, so W^2 = G_{V/2} P_4 up to
+a constant: every integrand below is a Gaussian times a polynomial of degree
+at most 4.  A tensor Gauss–Hermite rule with 3 nodes per axis (exact to
+degree 5 per axis), whitened by the Cholesky factor of the frame covariance,
+integrates such a product exactly:
+
+* purity: the nodes of N(mean, V/2), where W^2 / pdf is P_4;
+* normalization and moments: the nodes of N(mean, V), where W / pdf is P_2
+  and x^2 W / pdf is x^2 P_2.
+
+``purity_by_grid`` also reruns its rule with 5 nodes per axis and returns the
+difference as an exactness witness: it stays at rounding unless the
+integrand is not a Gaussian times a quartic in the given frame (a wrong frame
+or a Wigner function of another form).  Both entry points reject a frame in
+which W does not integrate to one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, ClassVar
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermegauss
 
 from .errors import GridExtentError
 from .gaussian import GaussianState, require_single
-from .subtraction import SubtractedState, moments_subtracted
 
-#: relative tolerance on the total-probability check of every evaluated grid
+#: relative tolerance on the total-probability check of every frame
 NORMALIZATION_TOL = 1e-5
-
-#: most grid points handed to one Wigner call: the grid is evaluated in
-#: chunks of whole last-axis rows under this budget (a one-mode 401 x 401
-#: grid takes three calls).  Larger chunks leave the cache and cost more
-#: per point.
-GRID_CHUNK_POINTS = 2**16
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Tensor-product grid for phase-space integration.
+    """Gaussian frame N(center, covariance) that places the quadrature nodes.
 
-    One axis per quadrature.  Each axis spans
-    ``center +- half_width_sigmas * sigma`` with ``points_per_axis`` nodes;
-    per-axis standard deviations keep strongly anisotropic states resolved.
-    ``points_per_axis - 1`` must be divisible by 4 so the stride-2 subgrid
-    is itself a valid Simpson grid.
+    One entry per quadrature, ordered like the state's phase-space vectors.
     """
 
-    half_width_sigmas: float = 8.0
-    points_per_axis: int = 401
-    center: Optional[np.ndarray] = None
-    axis_sigmas: Optional[np.ndarray] = None
+    center: np.ndarray
+    covariance: np.ndarray
+
+    #: nodes per axis of the rule every returned value comes from
+    points_per_axis: ClassVar[int] = 3
 
     def __post_init__(self):
-        if self.half_width_sigmas < 5.0:
-            raise ValueError("grid must extend at least 5 standard deviations")
-        n = self.points_per_axis
-        if n < 5 or (n - 1) % 4:
-            raise ValueError("points_per_axis must be odd with (n - 1) % 4 == 0")
+        center = np.array(self.center, dtype=float)
+        cov = np.array(self.covariance, dtype=float)
+        if center.ndim != 1 or cov.shape != (center.size, center.size):
+            raise ValueError(
+                f"frame needs a k-vector and a k x k covariance, got "
+                f"{center.shape} and {cov.shape}"
+            )
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "covariance", cov)
 
     @classmethod
-    def for_state(cls, state: GaussianState, **kwargs) -> "GridSpec":
+    def for_state(cls, state: GaussianState) -> "GridSpec":
         require_single(state, "GridSpec.for_state")
-        return cls(
-            center=np.array(state.displacement),
-            axis_sigmas=np.sqrt(np.diag(state.covariance)),
-            **kwargs,
-        )
+        return cls(state.displacement, state.covariance)
 
-    @classmethod
-    def for_subtracted(cls, sub: SubtractedState, **kwargs) -> "GridSpec":
-        report = moments_subtracted(sub)
-        sigmas = np.sqrt(
-            np.maximum(np.diag(report.covariance), np.diag(sub.base.covariance))
-        )
-        return cls(center=np.array(report.mean), axis_sigmas=sigmas, **kwargs)
+    def rule(self, num_modes: int, scale: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights of the n-point tensor rule of N(center, scale V).
 
-    def axes(self, num_modes: int) -> list[np.ndarray]:
-        if self.center is None or self.axis_sigmas is None:
-            raise ValueError("grid needs explicit center and axis_sigmas")
-        center = np.asarray(self.center, dtype=float)
-        sigmas = np.asarray(self.axis_sigmas, dtype=float)
-        if center.size != 2 * num_modes or sigmas.size != 2 * num_modes:
-            raise ValueError("grid vectors must have one entry per quadrature")
-        half = self.half_width_sigmas * np.maximum(sigmas, 1e-6)
-        return [
-            np.linspace(center[i] - half[i], center[i] + half[i], self.points_per_axis)
-            for i in range(2 * num_modes)
-        ]
-
-
-def _simpson_weights(n: int, step: float) -> np.ndarray:
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (step / 3.0)
-
-
-def _fine_coarse_weights(axis: np.ndarray) -> np.ndarray:
-    """Simpson weights of one axis as columns (fine, coarse).
-
-    The coarse column is the Simpson rule of the stride-2 subgrid, placed on
-    the even nodes and zero on the odd ones, so both sums contract the same
-    contiguous samples in one pass.
-    """
-    step = axis[1] - axis[0]
-    coarse = np.zeros(axis.size)
-    coarse[::2] = _simpson_weights((axis.size + 1) // 2, 2.0 * step)
-    return np.stack([_simpson_weights(axis.size, step), coarse], axis=-1)
-
-
-def _grid_sums(
-    wigner: Callable, axes: list[np.ndarray], moment_axes: tuple[int, ...] = ()
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simpson sums of W, W^2 and requested coordinate moments of W.
-
-    The grid is a stack of rows along its last axis, one row per index of
-    the leading axes (row-major).  It is evaluated in chunks of whole rows,
-    at most ``GRID_CHUNK_POINTS`` points per Wigner call, so two-mode (4-D)
-    grids never materialize in memory.  Returns (fine, coarse) integral
-    vectors ordered [norm, square, (first, second moment) per requested
-    axis]; the coarse value uses the stride-2 subgrid of the same samples.
-    """
-    dim = len(axes)
-    weights = [_fine_coarse_weights(a) for a in axes]
-    lead_shape = tuple(a.size for a in axes[:-1])
-    total_rows = math.prod(lead_shape)
-    chunk_rows = max(1, GRID_CHUNK_POINTS // axes[-1].size)
-    sums = np.zeros((2 + 2 * len(moment_axes), 2))
-    for start in range(0, total_rows, chunk_rows):
-        index = np.unravel_index(
-            np.arange(start, min(start + chunk_rows, total_rows)), lead_shape
-        )
-        coords = [a[i][:, None] for a, i in zip(axes, index)] + [axes[-1]]
-        pts = np.empty((index[0].size, axes[-1].size, dim))
-        for k, x in enumerate(coords):
-            pts[..., k] = x
-        vals = np.asarray(wigner(pts.reshape(-1, dim))).reshape(pts.shape[:-1])
-        integrands = [vals, vals * vals]
-        for ax in moment_axes:
-            integrands += [vals * coords[ax], vals * coords[ax] * coords[ax]]
-        row_weights = np.prod([w[i] for w, i in zip(weights, index)], axis=0)
-        for t, arr in enumerate(integrands):
-            sums[t] += np.sum((arr @ weights[-1]) * row_weights, axis=0)
-    return sums[:, 0], sums[:, 1]
+        ``weights @ f(nodes)`` is the integral of f, exact when f / pdf is a
+        polynomial of degree at most 2n - 1 in each whitened coordinate.
+        """
+        dim = 2 * num_modes
+        if self.center.size != dim:
+            raise ValueError(
+                f"frame has {self.center.size} entries, {num_modes} mode(s) need {dim}"
+            )
+        try:
+            chol = np.linalg.cholesky(scale * self.covariance)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("frame covariance is not positive definite") from exc
+        z, w = hermegauss(n)
+        # the weight exp(-z^2 / 2) of the rule is divided back out of f
+        w = w * np.exp(0.5 * z * z)
+        index = np.indices((n,) * dim).reshape(dim, -1).T
+        nodes = self.center + z[index] @ chol.T
+        weights = np.prod(w[index], axis=1) * np.prod(np.diag(chol))
+        return nodes, weights
 
 
 def _check_modes(num_modes: int):
-    if num_modes not in (1, 2):
+    # the n = 5 witness evaluates 5^(2m) nodes: 390,625 at m = 4
+    if not 1 <= num_modes <= 4:
         raise ValueError(
-            "grid quadrature supports 1 or 2 modes; use the number-basis "
-            "oracle beyond that"
+            "Gauss-Hermite quadrature supports 1 to 4 modes; use the "
+            "number-basis oracle beyond that"
         )
 
 
-def _check_normalization(total: float):
+def _weighted_wigner(wigner: Callable, num_modes: int, grid: GridSpec):
+    """Nodes of the 3-point rule of N(center, V) and weight * W at them,
+    after checking that W integrates to one in that frame."""
+    nodes, weights = grid.rule(num_modes, 1.0, grid.points_per_axis)
+    weighted = weights * np.asarray(wigner(nodes))
+    total = weighted.sum()
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise GridExtentError(
-            f"grid captures total probability {total:.8f}; extend or re-center"
+            f"frame captures total probability {total:.8f}; use the base "
+            "state's mean and covariance"
         )
+    return nodes, weighted
 
 
 def purity_by_grid(
     wigner: Callable, num_modes: int, grid: GridSpec
 ) -> tuple[float, float]:
-    """(4 pi)^m integral of W^2, with a Richardson error estimate.
+    """(4 pi)^m integral of W^2, with the n = 3 / n = 5 exactness witness.
 
-    Raises GridExtentError when the grid misses probability
-    (integral of W off unity beyond 1e-5), which signals an unusable result
-    rather than silently returning it.
+    Raises GridExtentError when W does not integrate to one in the frame
+    (beyond 1e-5), which signals an unusable result rather than silently
+    returning it.
     """
     _check_modes(num_modes)
-    fine, coarse = _grid_sums(wigner, grid.axes(num_modes))
-    _check_normalization(fine[0])
+    _weighted_wigner(wigner, num_modes, grid)
+    sums = []
+    for n in (grid.points_per_axis, 5):
+        nodes, weights = grid.rule(num_modes, 0.5, n)
+        sums.append(weights @ np.asarray(wigner(nodes)) ** 2)
     scale = (4.0 * np.pi) ** num_modes
-    value = scale * fine[1]
-    error = abs(value - scale * coarse[1]) / 15.0
-    return float(value), float(error)
+    return float(scale * sums[0]), float(scale * abs(sums[0] - sums[1]))
 
 
 def variance_by_grid(
     wigner: Callable, mode: int, num_modes: int, grid: GridSpec
 ) -> dict:
-    """Means and variances of x and p for one mode, in one grid pass.
+    """Means and variances of x and p for one mode.
 
     Returns the keys of ``fock.quadrature_moments_fock``: ``mean_x``,
-    ``mean_p``, ``var_x`` and ``var_p``.  The first moments are subtracted,
-    so the grid center does not need to match the state mean exactly.
+    ``mean_p``, ``var_x`` and ``var_p``.
     """
     _check_modes(num_modes)
     if not 0 <= mode < num_modes:
         raise ValueError(f"mode {mode} out of range")
-    fine, _ = _grid_sums(
-        wigner, grid.axes(num_modes), moment_axes=(mode, num_modes + mode)
-    )
-    _check_normalization(fine[0])
-    mean_x, second_x, mean_p, second_p = fine[2:]
-    return {
-        "mean_x": float(mean_x),
-        "mean_p": float(mean_p),
-        "var_x": float(second_x - mean_x * mean_x),
-        "var_p": float(second_p - mean_p * mean_p),
-    }
+    nodes, weighted = _weighted_wigner(wigner, num_modes, grid)
+    moments = {}
+    for name, axis in (("x", mode), ("p", num_modes + mode)):
+        coord = nodes[:, axis]
+        mean = weighted @ coord
+        moments[f"mean_{name}"] = float(mean)
+        moments[f"var_{name}"] = float(weighted @ (coord * coord) - mean * mean)
+    return moments

@@ -209,13 +209,21 @@ def random_state(
 
     S = O1 Z O2 with Haar-ish orthogonal-symplectic factors and squeezing
     magnitudes log-uniform in [0.01, r_max] (covers near-identity and
-    strongly squeezed regimes).  Displacement amplitudes per mode are
-    uniform in [0, d_max].  Identical seeds give byte-identical states.
+    strongly squeezed regimes; r = 0 when r_max is 0).  Displacement
+    amplitudes per mode are uniform in [0, d_max].  Identical seeds give
+    byte-identical states.  The ranges must be finite with n_max >= 1,
+    r_max >= 0 and d_max >= 0.
 
     ``seed`` may be a sequence: the result is then a stack with one state per
     seed, each bit for bit the state of its own seed.  Every state draws from
     its own ``default_rng(seed)``; the matrix algebra runs once on the stack.
     """
+    if not (np.isfinite([n_max, r_max, d_max]).all()
+            and n_max >= 1.0 and r_max >= 0.0 and d_max >= 0.0):
+        raise ValueError(
+            f"random_state needs finite n_max >= 1, r_max >= 0 and d_max >= 0, "
+            f"got {n_max}, {r_max}, {d_max}"
+        )
     m = num_modes
     stacked = np.ndim(seed) > 0
     seeds = list(seed) if stacked else [seed]

@@ -86,7 +86,7 @@ def test_criterion_2_variance_suppression():
         mom = moments_subtracted(sub)
         assert abs(mom.covariance[0, 0] / state.covariance[0, 0] - 0.85) <= 0.01
         assert abs(mom.covariance[1, 1] / state.covariance[1, 1] - 1.0) <= 1e-9
-        grid = GridSpec.for_subtracted(sub)
+        grid = GridSpec.for_state(sub.base)
         by_grid = variance_by_grid(subtracted_wigner_fn(sub), 0, 1, grid)
         assert abs(by_grid["var_x"] / state.covariance[0, 0] - 0.85) <= 0.01
         assert abs(by_grid["var_p"] / state.covariance[1, 1] - 1.0) <= 1e-4
@@ -97,8 +97,9 @@ def test_criterion_2_variance_suppression():
 def test_criterion_3_triple_oracle():
     def check():
         # twenty seeded single-mode states: closed form vs moment engine
-        # (1e-9) and vs grid quadrature (1e-4)
-        worst_engine = worst_grid = 0.0
+        # (1e-9) and vs grid quadrature (1e-4), whose n = 3 vs n = 5
+        # witness must show the rule exact for each integrand
+        worst_engine = worst_grid = worst_witness = 0.0
         for i in range(20):
             state = random_state(1, 1000 + i, n_max=15.0, r_max=1.2, d_max=6.0)
             sel = ModeSelector.for_mode(0, 1)
@@ -108,15 +109,17 @@ def test_criterion_3_triple_oracle():
                 worst_engine,
                 abs(ratio * purity_gaussian(state) - purity_subtracted(sub)),
             )
-            mu, _ = purity_by_grid(
+            mu, err = purity_by_grid(
                 gaussian_wigner_fn(state), 1, GridSpec.for_state(state)
             )
-            mu_sub, _ = purity_by_grid(
-                subtracted_wigner_fn(sub), 1, GridSpec.for_subtracted(sub)
+            mu_sub, err_sub = purity_by_grid(
+                subtracted_wigner_fn(sub), 1, GridSpec.for_state(sub.base)
             )
             worst_grid = max(worst_grid, abs(ratio - mu_sub / mu))
+            worst_witness = max(worst_witness, err, err_sub)
         assert worst_engine < 1e-9
         assert worst_grid < 1e-4
+        assert worst_witness <= 1e-12
         # three-mode circuit: analytic table vs number-basis table
         topology, analytic = topology_search()
         fock = run_circuit_fock(three_mode_circuit(topology))

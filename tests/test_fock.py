@@ -296,7 +296,7 @@ def test_grid_and_fock_moments_agree():
         (quadrature_moments_fock(fock, 0),
          variance_by_grid(gaussian_wigner_fn(state), 0, 1, GridSpec.for_state(state))),
         (quadrature_moments_fock(subtract_photon_fock(fock, 0), 0),
-         variance_by_grid(subtracted_wigner_fn(sub), 0, 1, GridSpec.for_subtracted(sub))),
+         variance_by_grid(subtracted_wigner_fn(sub), 0, 1, GridSpec.for_state(sub.base))),
     ]
     for by_fock, by_grid in pairs:
         assert by_grid.keys() == by_fock.keys()

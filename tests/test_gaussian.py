@@ -111,6 +111,14 @@ def test_beamsplitter_range_checks():
         single_mode_squeezer(r=0.1, mode=3, num_modes=2)
 
 
+@pytest.mark.parametrize("db", [float("nan"), float("inf")])
+def test_non_finite_squeezer_rejected(db):
+    """A NaN or infinite matrix is refused before its symplectic defect is
+    formed (the defect of a NaN matrix compares False against any bound)."""
+    with pytest.raises(ValueError, match="non-finite"):
+        single_mode_squeezer(db=db, mode=0, num_modes=1)
+
+
 def test_gates_are_symplectic():
     omega = symplectic_form(2)
     for gate in [

@@ -133,6 +133,13 @@ def test_fock_oracle_is_independent():
     assert package_imports(source) <= {"errors", "gaussian"}
 
 
+def test_grid_oracle_is_independent():
+    """The quadrature oracle takes its frame from the Gaussian-state layer,
+    never from the closed-form or moment code it checks."""
+    source = (Path(pspurity.__file__).parent / "quadrature.py").read_text()
+    assert package_imports(source) <= {"errors", "gaussian"}
+
+
 def test_package_import_detected():
     source = ("from .gaussian import williamson\nfrom . import subtraction\n"
               "from .bounds.inner import f\nimport numpy\nimport pspurity.quadrature\n"

@@ -18,23 +18,21 @@ from pspurity import (
     subtracted_wigner_fn,
     two_mode_squeezer,
 )
-from pspurity import quadrature
-from pspurity.quadrature import (
-    GridSpec,
-    _grid_sums,
-    purity_by_grid,
-    variance_by_grid,
-)
-from pspurity.scenarios import reference_single_mode_state
+from pspurity.quadrature import GridSpec, purity_by_grid, variance_by_grid
+from pspurity.scenarios import random_state, reference_single_mode_state
+from pspurity.subtraction import moments_subtracted
 
 
 def test_gridspec_validation():
+    """A frame needs one entry per quadrature of the state it integrates."""
     with pytest.raises(ValueError):
-        GridSpec(half_width_sigmas=3.0)
+        GridSpec(np.zeros(3), np.eye(2))
+    two_mode = GridSpec.for_state(make_thermal([1.5, 1.2]))
+    wig = gaussian_wigner_fn(make_vacuum(1))
     with pytest.raises(ValueError):
-        GridSpec(points_per_axis=400)
+        purity_by_grid(wig, 1, two_mode)
     with pytest.raises(ValueError):
-        GridSpec(points_per_axis=403)  # odd but (n-1) % 4 != 0
+        variance_by_grid(wig, 0, 1, two_mode)
 
 
 def test_vacuum_purity():
@@ -75,7 +73,7 @@ def test_two_mode_variance_second_mode():
         apply_symplectic(make_thermal([1.5, 1.2]), gate), [0.4, -1.0, 0.7, 2.0]
     )
     mom = variance_by_grid(
-        gaussian_wigner_fn(state), 1, 2, GridSpec.for_state(state, points_per_axis=41)
+        gaussian_wigner_fn(state), 1, 2, GridSpec.for_state(state)
     )
     assert mom["mean_x"] == pytest.approx(state.displacement[1], abs=1e-6)
     assert mom["mean_p"] == pytest.approx(state.displacement[3], abs=1e-6)
@@ -89,20 +87,20 @@ def test_reference_subtracted_purity():
     state = reference_single_mode_state()
     sub = subtract_photon(state, ModeSelector.for_mode(0, 1))
     value, err = purity_by_grid(
-        subtracted_wigner_fn(sub), 1, GridSpec.for_subtracted(sub)
+        subtracted_wigner_fn(sub), 1, GridSpec.for_state(sub.base)
     )
     assert value == pytest.approx(0.11967, abs=1e-4)
     assert abs(value - 0.1196699691) <= max(err, 1e-7)
 
 
 def test_subtracted_normalization():
-    """purity_by_grid raises GridExtentError unless the grid holds unit
+    """purity_by_grid raises GridExtentError unless the frame holds unit
     probability to 1e-5; an undisplaced subtracted state passes that check
     and matches its exact purity."""
     state = GaussianState(np.diag([6.0, 0.5]), np.zeros(2))
     sub = subtract_photon(state, ModeSelector.for_mode(0, 1))
     value, err = purity_by_grid(
-        subtracted_wigner_fn(sub), 1, GridSpec.for_subtracted(sub)
+        subtracted_wigner_fn(sub), 1, GridSpec.for_state(sub.base)
     )
     assert abs(value - purity_subtracted(sub)) <= max(err, 1e-9)
 
@@ -113,13 +111,13 @@ def test_two_mode_purity():
     value, err = purity_by_grid(
         gaussian_wigner_fn(state),
         2,
-        GridSpec.for_state(state, points_per_axis=81),
+        GridSpec.for_state(state),
     )
     assert value == pytest.approx(purity_gaussian(state), abs=1e-4)
 
 
 def test_two_mode_subtracted_normalization():
-    """The 4-D grid of a displaced, entangled subtracted state holds unit
+    """The 4-D rule of a displaced, entangled subtracted state holds unit
     probability to 1e-5 (checked inside purity_by_grid) and its purity
     matches the exact one."""
     gate = two_mode_squeezer(r=0.5, mode_a=0, mode_b=1, num_modes=2)
@@ -128,60 +126,54 @@ def test_two_mode_subtracted_normalization():
     )
     sub = subtract_photon(state, ModeSelector.for_mode(0, 2))
     value, _ = purity_by_grid(
-        subtracted_wigner_fn(sub), 2, GridSpec.for_subtracted(sub, points_per_axis=81)
+        subtracted_wigner_fn(sub), 2, GridSpec.for_state(sub.base)
     )
     assert value == pytest.approx(purity_subtracted(sub), abs=1e-9)
 
 
-def test_refinement_within_error_estimate():
-    th = make_thermal([4.0])
-    wig = gaussian_wigner_fn(th)
-    coarse, err = purity_by_grid(
-        wig, 1, GridSpec.for_state(th, points_per_axis=101)
-    )
-    fine, _ = purity_by_grid(wig, 1, GridSpec.for_state(th, points_per_axis=201))
-    assert abs(fine - coarse) <= max(err, 1e-12)
+def test_witness_flags_a_wrong_frame():
+    """The n = 3 / n = 5 difference stays at rounding in the base state's
+    frame, where W^2 is a Gaussian times a quartic, and rises well above it
+    in a frame shifted by 0.1 sigma, where it is not."""
+    state = reference_single_mode_state()
+    sub = subtract_photon(state, ModeSelector.for_mode(0, 1))
+    wig = subtracted_wigner_fn(sub)
+    _, err = purity_by_grid(wig, 1, GridSpec.for_state(sub.base))
+    assert err <= 1e-12
+    shifted = state.displacement + 0.1 * np.sqrt(np.diag(state.covariance))
+    _, err = purity_by_grid(wig, 1, GridSpec(shifted, state.covariance))
+    assert err > 1e-6
 
 
-def test_three_modes_unsupported():
+def test_five_modes_unsupported():
     with pytest.raises(ValueError):
-        purity_by_grid(lambda p: np.zeros(len(p)), 3, GridSpec())
+        purity_by_grid(lambda p: np.zeros(len(p)), 5, GridSpec.for_state(make_vacuum(5)))
+
+
+@pytest.mark.parametrize("num_modes", [2, 3, 4])
+def test_multimode_subtracted_exact(num_modes):
+    """A mixed, displaced multimode state subtracted on mode 0: the rule
+    reproduces the moment engine's purity and mode-0 moments."""
+    state = random_state(num_modes, 1000 + num_modes, n_max=15.0, r_max=1.2, d_max=6.0)
+    sub = subtract_photon(state, ModeSelector.for_mode(0, num_modes))
+    wig = subtracted_wigner_fn(sub)
+    grid = GridSpec.for_state(sub.base)
+    value, _ = purity_by_grid(wig, num_modes, grid)
+    assert value == pytest.approx(purity_subtracted(sub), rel=1e-9)
+    report = moments_subtracted(sub)
+    mom = variance_by_grid(wig, 0, num_modes, grid)
+    want = {
+        "mean_x": report.mean[0],
+        "mean_p": report.mean[num_modes],
+        "var_x": report.covariance[0, 0],
+        "var_p": report.covariance[num_modes, num_modes],
+    }
+    for key, exact in want.items():
+        assert mom[key] == pytest.approx(exact, rel=1e-9), key
 
 
 def test_bad_extent_reported():
     th = make_thermal([10.0])
-    lying = GridSpec(
-        center=np.zeros(2), axis_sigmas=np.array([0.1, 0.1]), points_per_axis=101
-    )
+    lying = GridSpec(np.zeros(2), np.diag([0.1, 0.1]) ** 2)
     with pytest.raises(GridExtentError):
         purity_by_grid(gaussian_wigner_fn(th), 1, lying)
-
-
-def test_chunked_grid_sums_match_single_chunk(monkeypatch):
-    """Chunks of whole rows, many starting at odd row indices and not on a
-    plane boundary, give the same fine and stride-2 coarse sums as one chunk
-    over the whole grid."""
-    gate = two_mode_squeezer(r=0.5, mode_a=0, mode_b=1, num_modes=2)
-    state = apply_displacement(
-        apply_symplectic(make_thermal([2.0, 1.2]), gate), [1.0, 0.5, -0.5, 0.0]
-    )
-    sub = subtract_photon(state, ModeSelector.for_mode(0, 2))
-    wig = subtracted_wigner_fn(sub)
-    n = 21
-    axes = GridSpec.for_subtracted(sub, points_per_axis=n).axes(2)
-    calls = []
-
-    def counted(points):
-        calls.append(len(points))
-        return wig(points)
-
-    monkeypatch.setattr(quadrature, "GRID_CHUNK_POINTS", n**4)
-    single = _grid_sums(counted, axes, moment_axes=(0, 1))
-    assert calls == [n**4]
-    calls.clear()
-    # 999 rows of n points per chunk: chunks start at rows 0, 999, 1998, ...
-    monkeypatch.setattr(quadrature, "GRID_CHUNK_POINTS", 999 * n + n - 1)
-    chunked = _grid_sums(counted, axes, moment_axes=(0, 1))
-    assert calls == [999 * n] * 9 + [(n**3 - 9 * 999) * n]
-    for want, got in zip(single, chunked):
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)

@@ -124,6 +124,18 @@ def test_random_state_deterministic():
     assert not np.array_equal(a.covariance, c.covariance)
 
 
+@pytest.mark.parametrize("ranges", [
+    {"n_max": float("nan")},
+    {"d_max": float("inf")},
+    {"r_max": -1.0},
+    {"n_max": 0.5},
+    {"d_max": -0.1},
+])
+def test_random_state_rejects_bad_ranges(ranges):
+    with pytest.raises(ValueError, match="random_state needs"):
+        random_state(1, 3, **ranges)
+
+
 def test_random_state_physical():
     for seed in range(100):
         state = random_state(1 + seed % 4, 160_000 + seed)
@@ -213,3 +225,17 @@ def test_circuit_json_refuses_malformed_gates(gate, message):
     text = json.dumps({"mode_count": 2, "gates": [gate]})
     with pytest.raises(ValueError, match=message):
         CircuitDescription.from_json(text)
+
+
+@pytest.mark.parametrize("kind, params, modes", [
+    ("displacement", {"real": 1.0}, (0,)),
+    ("phase_rotation", {}, (0,)),
+    ("single_mode_squeezer", {"r": 0.3, "db": 3.0}, (0,)),
+    ("two_mode_squeezer", {"s": 0.3}, (0, 1)),
+    ("beamsplitter", {"transmittance": 0.5, "phase": 0.1}, (0, 1)),
+])
+def test_circuit_refuses_wrong_parameter_names(kind, params, modes):
+    """Each kind takes its own parameter names, checked at construction:
+    re/im, theta, exactly one of r/db, transmittance."""
+    with pytest.raises(ValueError, match=f"{kind} takes parameters"):
+        CircuitDescription(2, (Gate(kind, params, modes),))
