@@ -5,11 +5,13 @@ Photon subtraction can raise the purity of a Gaussian state, but never to
 sufficient purification conditions for a given mode-transform row, the
 reachable envelope ``bound_f`` obtained by aligning all angle factors, its
 maximum over the displacement, and the monotone bound in the noise-balance
-variable zeta.
+variable zeta.  Every one of them reads the four aggregates x, y, z and cross
+that a ``BogoliubovRow`` sums when it is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,11 +19,7 @@ import numpy as np
 
 from .errors import InconsistentRowError, SubtractionFromVacuumError
 from .gaussian import require_single
-from .subtraction import (
-    BogoliubovRow,
-    relative_purity_closed_form,
-    row_aggregates,
-)
+from .subtraction import VACUUM_THRESHOLD, BogoliubovRow, relative_purity_closed_form
 
 #: displacement-squared below this counts as undisplaced
 ZERO_DISPLACEMENT_SQ = 1e-24
@@ -29,12 +27,12 @@ ZERO_DISPLACEMENT_SQ = 1e-24
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Aggregates and verdicts for one subtraction row.
+    """Verdicts and bounds for one subtraction row.
+
+    The aggregates x, y, z and cross they derive from are fields of the row
+    (see ``BogoliubovRow``).
 
     Attributes:
-        x: sum of Ntilde_i / n_i (may be negative).
-        y: sum of N_i (nonnegative).
-        z: nonnegative envelope aggregate 2 sum |k_i||l_i| (n_i^2-1)/(2 n_i).
         alpha: squared displacement magnitude |alpha_g|^2.
         zeta: x / y when y > 0 and x > 0, else None (the zeta bound is then
             evaluated with |x|; see tests).
@@ -46,13 +44,8 @@ class BoundReport:
         f_alpha: envelope value at this row's displacement.
         f_max: maximum of the envelope over displacement.
         purifiable: verdict of the two purification conditions.
-        cross: phase-bearing complex aggregate sum k_i l_i (n_i^2-1)/(2 n_i)
-            (provenance for the closed-form cross term; |cross| <= z / 2).
     """
 
-    x: float
-    y: float
-    z: float
     alpha: float
     zeta: Optional[float]
     condition_direction: float
@@ -60,7 +53,11 @@ class BoundReport:
     f_alpha: float
     f_max: float
     purifiable: bool
-    cross: complex
+
+
+def _require_finite(*values: float):
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"aggregates must be finite, got {values}")
 
 
 def bound_f(x: float, y: float, z: float, alpha: float) -> float:
@@ -68,6 +65,7 @@ def bound_f(x: float, y: float, z: float, alpha: float) -> float:
 
     f = 1 + (x^2 - y^2 + z^2/2 + 2 alpha z) / (2 (y + alpha)^2).
     """
+    _require_finite(x, y, z, alpha)
     denom = y + alpha
     if denom <= 0.0:
         raise ZeroDivisionError("y + alpha must be positive")
@@ -81,6 +79,7 @@ def bound_f_max(x: float, y: float, z: float) -> tuple[float, float]:
     alpha_star = (y^2 - x^2 + y z - z^2/2) / z and
     f_max = 1 + z^2 / (2 (y^2 - x^2 + 2 y z - z^2/2)).
     """
+    _require_finite(x, y, z)
     if z <= 0.0:
         raise ValueError("no interior maximum without a cross aggregate (z <= 0)")
     disc = y * y - x * x + 2.0 * y * z - 0.5 * z * z
@@ -116,45 +115,32 @@ def purification_conditions(row: BogoliubovRow) -> BoundReport:
     check (gain numerator >= 0, i.e. ratio = 1).
     """
     require_single(row, "purification_conditions")
-    agg = row_aggregates(row)
+    x, y, z, cross = row.x, row.y, row.z, row.cross
     a2 = abs(row.alpha_g) ** 2
-    if agg.y + a2 <= 1e-12:
+    if y + a2 <= VACUUM_THRESHOLD:
         raise SubtractionFromVacuumError("row describes an empty mode")
     phi = np.angle(row.alpha_g) if a2 > ZERO_DISPLACEMENT_SQ else 0.0
-    direction = float(np.real(np.exp(2j * phi) * np.conj(agg.cross)))
+    direction = float(np.real(np.exp(2j * phi) * np.conj(cross)))
     # gain numerator: ratio >= 1  iff  x^2 + 2|cross|^2 - y^2 + 4 a2 dir >= 0
-    gain = agg.x**2 + 2.0 * abs(agg.cross) ** 2 - agg.y**2 + 4.0 * a2 * direction
-    scale = max(agg.y**2, 1.0)
+    gain = x**2 + 2.0 * abs(cross) ** 2 - y**2 + 4.0 * a2 * direction
     if a2 <= ZERO_DISPLACEMENT_SQ:
         threshold = None
         purifiable = False
     elif direction > 0.0:
-        threshold = (agg.y**2 - agg.x**2 - 2.0 * abs(agg.cross) ** 2) / (
-            4.0 * direction
-        )
+        threshold = (y**2 - x**2 - 2.0 * abs(cross) ** 2) / (4.0 * direction)
         purifiable = a2 >= threshold - 1e-12 * max(abs(threshold), 1.0)
     else:
         threshold = None
-        purifiable = gain >= -1e-12 * scale
-    f_alpha = bound_f(agg.x, agg.y, agg.z, a2)
-    if agg.z > 1e-15 * max(agg.y, 1.0):
-        _, f_max = bound_f_max(agg.x, agg.y, agg.z)
+        purifiable = gain >= -1e-12 * max(y**2, 1.0)
+    f_alpha = bound_f(x, y, z, a2)
+    if z > 1e-15 * max(y, 1.0):
+        _, f_max = bound_f_max(x, y, z)
     else:
         f_max = 1.0  # supremum of f over alpha when the cross aggregate vanishes
-    zeta = agg.x / agg.y if (agg.y > 0.0 and agg.x > 0.0) else None
-    return BoundReport(
-        x=agg.x,
-        y=agg.y,
-        z=agg.z,
-        alpha=a2,
-        zeta=zeta,
-        condition_direction=direction,
-        threshold_alpha_sq=threshold,
-        f_alpha=f_alpha,
-        f_max=f_max,
-        purifiable=bool(purifiable),
-        cross=agg.cross,
-    )
+    zeta = x / y if (y > 0.0 and x > 0.0) else None
+    return BoundReport(alpha=a2, zeta=zeta, condition_direction=direction,
+                       threshold_alpha_sq=threshold, f_alpha=f_alpha, f_max=f_max,
+                       purifiable=bool(purifiable))
 
 
 def zero_displacement_ratio_bound(row: BogoliubovRow) -> float:

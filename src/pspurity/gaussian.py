@@ -408,8 +408,18 @@ def make_thermal(noise_factors) -> GaussianState:
 # ---------------------------------------------------------------------------
 
 def db_to_variance_factor(db: float) -> float:
-    """dB -> variance factor: s = 10**(db/10), so 10 dB means s = 10."""
-    return 10.0 ** (db / 10.0)
+    """dB -> variance factor: s = 10**(db/10), so 10 dB means s = 10.
+
+    A non-finite ``db``, or one whose factor overflows float64 or underflows
+    it to 0, raises ValueError.
+    """
+    try:
+        factor = 10.0 ** (float(db) / 10.0)
+    except OverflowError:
+        factor = math.inf
+    if not 0.0 < factor < math.inf:
+        raise ValueError(f"squeezing of {db} dB gives a non-finite or zero variance factor")
+    return factor
 
 
 def db_to_squeezing_parameter(db: float) -> float:
@@ -451,9 +461,18 @@ def single_mode_squeezer(
 
 
 def _resolve_squeezing(r, db) -> float:
+    """The squeezing parameter of a gate given by r or by db; its variance
+    factor e^(2|r|) must be a finite float64."""
     if (r is None) == (db is None):
         raise ValueError("give exactly one of r or db")
-    return float(r) if r is not None else db_to_squeezing_parameter(db)
+    r = float(r) if r is not None else db_to_squeezing_parameter(db)
+    try:
+        finite = math.isfinite(math.exp(2.0 * abs(r)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"squeezing parameter r = {r} gives a non-finite variance factor")
+    return r
 
 
 def two_mode_squeezer(

@@ -208,11 +208,11 @@ def random_state(
     """Seeded random physical state V = S diag(n, n) S^T plus displacement.
 
     S = O1 Z O2 with Haar-ish orthogonal-symplectic factors and squeezing
-    magnitudes log-uniform in [0.01, r_max] (covers near-identity and
-    strongly squeezed regimes; r = 0 when r_max is 0).  Displacement
-    amplitudes per mode are uniform in [0, d_max].  Identical seeds give
-    byte-identical states.  The ranges must be finite with n_max >= 1,
-    r_max >= 0 and d_max >= 0.
+    magnitudes log-uniform in [min(0.01, r_max), r_max] (covers
+    near-identity and strongly squeezed regimes; r = 0 when r_max is 0).
+    Displacement amplitudes per mode are uniform in [0, d_max].  Identical
+    seeds give byte-identical states.  The ranges must be finite with
+    n_max >= 1, r_max >= 0 and d_max >= 0.
 
     ``seed`` may be a sequence: the result is then a stack with one state per
     seed, each bit for bit the state of its own seed.  Every state draws from
@@ -229,7 +229,8 @@ def random_state(
     seeds = list(seed) if stacked else [seed]
     if not seeds:
         raise ValueError("need at least one seed")
-    log_r = np.log(0.01), np.log(max(r_max, 0.01))
+    r_top = r_max or 0.01  # r_max = 0 draws 0.01 (zeroed below): the same stream
+    log_r = np.log(min(0.01, r_top)), np.log(r_top)
     draws = []
     for one in seeds:
         rng = np.random.default_rng(one)

@@ -20,13 +20,15 @@ itself.  Keeping the conversion at a single boundary avoids silent
 factor-of-two errors.
 
 ``extract_bogoliubov`` takes a stack of states (see ``gaussian``) and returns
-a stack of rows; the purity formulas and ``subtract_photon`` take one state
-or one row, ``rows[i]``.
+a stack of rows.  A row sums itself, once and over the whole stack, into the
+four aggregates x, y, z and cross that the closed form and the purification
+conditions (``bounds``) read; the purity formulas and ``subtract_photon``
+take one state or one row, ``rows[i]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -49,6 +51,9 @@ from .gaussian import (
 
 #: photon subtraction is undefined below this mean-photon-scaled threshold
 VACUUM_THRESHOLD = 1e-12
+
+#: how far a row's normalization may stray from 1, and a noise factor below 1
+ROW_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -102,31 +107,52 @@ class BogoliubovRow:
     """Coefficients expressing the subtracted mode in the normal-mode frame.
 
     ``a_g`` transforms to ``alpha_g + sum_i k_i a_i^dag + l_i a_i`` where the
-    ``a_i`` are the thermal normal modes with noise factors ``noise``.  A
-    stack of N rows holds N x m arrays and N amplitudes ``alpha_g``.
+    ``a_i`` are the thermal normal modes with noise factors ``noise`` (each
+    at least 1).  A stack of N rows holds N x m arrays and N amplitudes
+    ``alpha_g``.  The constructor sums each row into the aggregates that
+    every purity formula reads, with N_i = |k_i|^2 (n_i+1)/2 +
+    |l_i|^2 (n_i-1)/2, Ntilde_i the same with a minus sign and the weight
+    w_i = (n_i^2 - 1) / (2 n_i):
+
+        x = sum Ntilde_i / n_i (may be negative),  y = sum N_i >= 0,
+        z = 2 sum |k_i| |l_i| w_i >= 0,  cross = sum k_i l_i w_i (complex,
+        phase-bearing, |cross| <= z / 2);
+
+    N-vectors on a stack, whose ``rows[i]`` carries row i's as Python scalars.
     """
 
     alpha_g: complex
     k: np.ndarray
     l: np.ndarray
     noise: np.ndarray
+    x: float = field(init=False, repr=False, compare=False)
+    y: float = field(init=False, repr=False, compare=False)
+    z: float = field(init=False, repr=False, compare=False)
+    cross: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha_g, dtype=complex)
         k = np.asarray(self.k, dtype=complex)
         l = np.asarray(self.l, dtype=complex)
-        noise = np.asarray(self.noise, dtype=float)
-        if (not (k.shape == l.shape == noise.shape) or k.ndim not in (1, 2)
+        n = np.asarray(self.noise, dtype=float)
+        if (not (k.shape == l.shape == n.shape) or k.ndim not in (1, 2)
                 or alpha.shape != k.shape[:-1]):
             raise ValueError("k, l, noise must be equal-length vectors "
                              "(a stack: N x m arrays and N amplitudes alpha_g)")
-        if not (np.isfinite(alpha).all() and np.isfinite(k).all()
-                and np.isfinite(l).all() and np.isfinite(noise).all()):
+        if not all(np.isfinite(a).all() for a in (alpha, k, l, n)):
             raise ValueError("alpha_g, k, l and noise must be finite")
-        object.__setattr__(self, "alpha_g", alpha if alpha.ndim else complex(alpha))
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "noise", noise)
+        below = n[~(n >= 1.0 - ROW_TOL)]
+        if below.size:  # the aggregates divide by n
+            raise ValueError(f"noise factors must be at least 1, got {below[0]}")
+        ak, al = np.abs(k), np.abs(l)
+        plus, minus = ak**2 * (n + 1.0) / 2.0, al**2 * (n - 1.0) / 2.0
+        weight = (n**2 - 1.0) / (2.0 * n)
+        # ndarray.sum: the same reduction as np.sum without its Python wrapper
+        sums = ((plus - minus) / n, plus + minus, 2.0 * ak * al * weight, k * l * weight)
+        x, y, z, cross = (a.sum(axis=-1) for a in sums)
+        fields = dict(x=x, y=y, z=z, cross=cross, k=k, l=l, noise=n, alpha_g=alpha)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value.item() if value.ndim == 0 else value)
 
     __getitem__ = _rows
 
@@ -157,37 +183,6 @@ class MomentReport:
     mean: np.ndarray
     covariance: np.ndarray
     purity: float
-
-
-@dataclass(frozen=True)
-class RowAggregates:
-    """Scalar combinations of a Bogoliubov row used by purity formulas.
-
-    x = sum(Ntilde_i / n_i); y = sum(N_i);
-    cross = sum(k_i l_i (n_i^2 - 1) / (2 n_i)) (complex, phase-bearing);
-    z = 2 * sum(|k_i| |l_i| (n_i^2 - 1) / (2 n_i)) (nonnegative envelope).
-    """
-
-    x: float
-    y: float
-    z: float
-    cross: complex
-
-
-def row_aggregates(row: BogoliubovRow) -> RowAggregates:
-    require_single(row, "row_aggregates")
-    n = row.noise
-    k2 = np.abs(row.k) ** 2
-    l2 = np.abs(row.l) ** 2
-    big_n = k2 * (n + 1.0) / 2.0 + l2 * (n - 1.0) / 2.0
-    small_n = k2 * (n + 1.0) / 2.0 - l2 * (n - 1.0) / 2.0
-    weight = (n**2 - 1.0) / (2.0 * n)
-    # ndarray.sum: the same reduction as np.sum without its Python wrapper
-    cross = complex((row.k * row.l * weight).sum())
-    z = 2.0 * float((np.abs(row.k) * np.abs(row.l) * weight).sum())
-    return RowAggregates(
-        x=float((small_n / n).sum()), y=float(big_n.sum()), z=z, cross=cross
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +289,9 @@ def extract_bogoliubov(state: GaussianState, selector: ModeSelector) -> Bogoliub
 
 
 def relative_purity_closed_form(row: BogoliubovRow) -> float:
-    """Ratio of purities after/before subtraction, from the row coefficients.
+    """Ratio of purities after/before subtraction, from the row's aggregates.
 
-    With N_i = |k_i|^2 (n_i+1)/2 + |l_i|^2 (n_i-1)/2 and
-    Ntilde_i = |k_i|^2 (n_i+1)/2 - |l_i|^2 (n_i-1)/2 the ratio is
+    With x, y and cross as in ``BogoliubovRow`` and a = alpha_g the ratio is
 
         1/2 + [x^2/2 + |a|^4/2 + |cross|^2 + 2 Re(conj(a)^2 cross)
                + |a|^2 y] / (y + |a|^2)^2
@@ -305,21 +299,20 @@ def relative_purity_closed_form(row: BogoliubovRow) -> float:
     and always lies in [1/2, 1.2).
     """
     require_single(row, "relative_purity_closed_form")
-    if row.constraint_defect() > 1e-6:
+    if row.constraint_defect() > ROW_TOL:
         raise InconsistentRowError(
             f"row violates normalization by {row.constraint_defect():.3e}"
         )
-    agg = row_aggregates(row)
     a2 = abs(row.alpha_g) ** 2
-    denom = agg.y + a2
+    denom = row.y + a2
     if denom <= VACUUM_THRESHOLD:
         raise SubtractionFromVacuumError("row describes an empty mode")
     num = (
-        0.5 * agg.x**2
+        0.5 * row.x**2
         + 0.5 * a2**2
-        + abs(agg.cross) ** 2
-        + 2.0 * np.real(np.conj(row.alpha_g) ** 2 * agg.cross)
-        + a2 * agg.y
+        + abs(row.cross) ** 2
+        + 2.0 * np.real(np.conj(row.alpha_g) ** 2 * row.cross)
+        + a2 * row.y
     )
     return float(0.5 + num / denom**2)
 

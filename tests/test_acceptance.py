@@ -32,7 +32,6 @@ from pspurity.scenarios import (
     three_mode_circuit,
     topology_search,
 )
-from pspurity.subtraction import row_aggregates
 
 
 def report(number: int, name: str, check):
@@ -198,13 +197,10 @@ def test_criterion_7_envelope_dominance(fuzz_corpus):
             assert verdict.f_alpha <= verdict.f_max + 1e-9
         # dense displacement sweep under the envelope maximum
         for state, row, ratio, verdict, displaced in fuzz_corpus[:50]:
-            agg = row_aggregates(row)
-            if agg.z <= 1e-12:
+            if row.z <= 1e-12:
                 continue
             for alpha in np.linspace(0.0, 400.0, 2001):
-                assert (
-                    bound_f(agg.x, agg.y, agg.z, alpha) <= verdict.f_max + 1e-9
-                )
+                assert bound_f(row.x, row.y, row.z, alpha) <= verdict.f_max + 1e-9
 
     report(7, "envelope dominates ratio and its own maximum", check)
 

@@ -14,7 +14,6 @@ from pspurity import (
     zeta_bound,
 )
 from pspurity.scenarios import random_state, single_mode_family
-from pspurity.subtraction import row_aggregates
 
 
 def ratio_for(n_g, s_db, alpha_mag, phi):
@@ -45,6 +44,18 @@ def test_bound_f_large_alpha_limit_from_above():
 def test_bound_f_zero_denominator():
     with pytest.raises(ZeroDivisionError):
         bound_f(0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("position", range(4))
+def test_envelope_rejects_non_finite_aggregates(bad, position):
+    args = [-0.2475, 24.75, 24.5025, 36.0]
+    args[position] = bad
+    with pytest.raises(ValueError, match="finite"):
+        bound_f(*args)
+    if position < 3:
+        with pytest.raises(ValueError, match="finite"):
+            bound_f_max(*args[:3])
 
 
 def test_bound_f_max_against_numeric_scan():
@@ -188,12 +199,11 @@ def test_f_max_dominates_dense_alpha_sweep():
     for seed in range(50):
         state = random_state(2, 501 + seed)
         row = extract_bogoliubov(state, ModeSelector.for_mode(0, 2))
-        agg = row_aggregates(row)
-        if agg.z <= 1e-12:
+        if row.z <= 1e-12:
             continue
-        _, f_max = bound_f_max(agg.x, agg.y, agg.z)
+        _, f_max = bound_f_max(row.x, row.y, row.z)
         for alpha in np.linspace(0.0, 300.0, 3001):
-            assert bound_f(agg.x, agg.y, agg.z, alpha) <= f_max + 1e-9
+            assert bound_f(row.x, row.y, row.z, alpha) <= f_max + 1e-9
 
 
 def test_zeta_bound_with_absolute_x():
@@ -203,20 +213,19 @@ def test_zeta_bound_with_absolute_x():
         m = 1 + seed % 4
         state = random_state(m, 370_000 + seed)
         row = extract_bogoliubov(state, ModeSelector.for_mode(seed % m, m))
-        agg = row_aggregates(row)
-        assert agg.z <= agg.y - abs(agg.x) + 1e-9
-        if agg.z <= 1e-12 or agg.y <= 0:
+        assert row.z <= row.y - abs(row.x) + 1e-9
+        if row.z <= 1e-12 or row.y <= 0:
             continue
-        _, f_max = bound_f_max(agg.x, agg.y, agg.z)
-        zeta = max(abs(agg.x) / agg.y, 1e-300)
+        _, f_max = bound_f_max(row.x, row.y, row.z)
+        zeta = max(abs(row.x) / row.y, 1e-300)
         assert f_max < zeta_bound(min(zeta, 1.0)) + 1e-12
 
 
-def test_report_stores_phase_bearing_cross_term():
+def test_row_carries_phase_bearing_cross_term():
     state = random_state(2, 2024)
     row = extract_bogoliubov(state, ModeSelector.for_mode(0, 2))
+    assert abs(row.cross) <= 0.5 * row.z + 1e-12
     report = purification_conditions(row)
-    assert abs(report.cross) <= 0.5 * report.z + 1e-12
     assert report.zeta is None or 0.0 < report.zeta <= 1.0
 
 

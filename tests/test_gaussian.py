@@ -14,6 +14,7 @@ from pspurity import (
     apply_displacement,
     apply_symplectic,
     beamsplitter,
+    db_to_squeezing_parameter,
     db_to_variance_factor,
     make_thermal,
     make_vacuum,
@@ -28,6 +29,8 @@ from pspurity import (
     wigner_gaussian_at,
     williamson,
 )
+from pspurity.fock import run_circuit_fock
+from pspurity.gaussian import CircuitDescription, Gate, circuit_to_gaussian
 from pspurity.scenarios import random_state
 
 
@@ -84,6 +87,37 @@ def test_squeezer_10db_on_vacuum():
 def test_db_conversion():
     assert db_to_variance_factor(10.0) == pytest.approx(10.0)
     assert db_to_variance_factor(0.0) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("db", [np.inf, -np.inf, np.nan, 1e4, -1e4, 3083.0, -3240.0])
+def test_db_outside_float64_is_refused(db):
+    # 3083 dB overflows the variance factor, -3240 dB underflows it to 0
+    for call in (lambda: db_to_variance_factor(db),
+                 lambda: db_to_squeezing_parameter(db),
+                 lambda: single_mode_squeezer(db=db),
+                 lambda: two_mode_squeezer(db=db, mode_a=0, mode_b=1, num_modes=2)):
+        with pytest.raises(ValueError, match="non-finite"):
+            call()
+    if np.isfinite(db):  # circuits refuse non-finite parameters on their own
+        circuit = CircuitDescription(1, (Gate("single_mode_squeezer", {"db": db}, (0,)),))
+        for call in (circuit_to_gaussian, run_circuit_fock):
+            with pytest.raises(ValueError, match="non-finite"):
+                call(circuit)
+
+
+@pytest.mark.parametrize("r", [np.inf, np.nan, 800.0, -800.0, 355.0])
+def test_squeezing_parameter_outside_float64_is_refused(r):
+    # r = 355 is the first whose variance factor e^(2r) overflows
+    with pytest.raises(ValueError, match="non-finite"):
+        single_mode_squeezer(r)
+    with pytest.raises(ValueError, match="non-finite"):
+        two_mode_squeezer(r, mode_a=0, mode_b=1, num_modes=2)
+    if np.isfinite(r):
+        circuit = CircuitDescription(2, (Gate("two_mode_squeezer", {"r": r}, (0, 1)),))
+        for call in (circuit_to_gaussian, run_circuit_fock):
+            with pytest.raises(ValueError, match="non-finite"):
+                call(circuit)
+    assert single_mode_squeezer(354.0).matrix[0, 0] == np.exp(354.0)
 
 
 def test_phase_rotation_zero_is_identity():

@@ -14,6 +14,7 @@ from pspurity import (
     relative_purity_closed_form,
     subtract_photon,
     symplectic_eigenvalues,
+    williamson,
 )
 from pspurity.bounds import bound_f_max
 from pspurity.scenarios import (
@@ -29,7 +30,6 @@ from pspurity.scenarios import (
     three_mode_circuit,
     topology_search,
 )
-from pspurity.subtraction import row_aggregates
 
 
 def test_single_mode_family_reference():
@@ -136,6 +136,16 @@ def test_random_state_rejects_bad_ranges(ranges):
         random_state(1, 3, **ranges)
 
 
+@pytest.mark.parametrize("r_max", [0.005, 0.001])
+def test_random_state_squeezing_stays_below_small_r_max(r_max):
+    # the singular values of S in V = S diag(n, n) S^T are e^(+-r)
+    for m in (1, 2, 3):
+        states = random_state(m, list(range(20)), r_max=r_max)
+        s = williamson(states).symplectic.matrix
+        r = np.log(np.linalg.svd(s, compute_uv=False))
+        assert np.all(np.abs(r) <= r_max + 1e-12)
+
+
 def test_random_state_physical():
     for seed in range(100):
         state = random_state(1 + seed % 4, 160_000 + seed)
@@ -189,8 +199,7 @@ def test_sweep_fig1b_attains_envelope_maximum():
     row = extract_bogoliubov(
         single_mode_family(10.0, 10.0, 6.0, 0.0), ModeSelector.for_mode(0, 1)
     )
-    agg = row_aggregates(row)
-    alpha_star, f_max = bound_f_max(agg.x, agg.y, agg.z)
+    alpha_star, f_max = bound_f_max(row.x, row.y, row.z)
     assert ratios[best] <= f_max + 1e-12
     assert f_max - ratios[best] < 5e-4
     assert alphas[best] ** 2 == pytest.approx(alpha_star, abs=1.0)

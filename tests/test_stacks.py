@@ -42,7 +42,6 @@ from pspurity.errors import NumericDegenerateError, UnphysicalStateError
 from pspurity.fock import gaussian_state_to_fock
 from pspurity.quadrature import GridSpec
 from pspurity.scenarios import mode_ratio_table, random_state, single_mode_family
-from pspurity.subtraction import row_aggregates
 
 SEEDS = [1_000 + 37 * i for i in range(40)]
 
@@ -72,8 +71,9 @@ def test_stack_rows_equal_single_calls_bitwise(m, d_max):
         for sel, stacked_rows in zip(selectors, rows):
             row, single_row = stacked_rows[i], extract_bogoliubov(alone, sel)
             assert type(row.alpha_g) is complex and row.alpha_g == single_row.alpha_g
-            for name in ("k", "l", "noise"):
+            for name in ("k", "l", "noise", "x", "y", "z", "cross"):
                 assert same_bits(getattr(row, name), getattr(single_row, name))
+            assert type(row.x) is float and type(row.cross) is complex
             assert relative_purity_closed_form(row) == relative_purity_closed_form(single_row)
 
 
@@ -185,7 +185,6 @@ def single_state_calls(state, rows, sel, transform):
         "gaussian_state_to_fock": lambda: gaussian_state_to_fock(state),
         "mode_ratio_table": lambda: mode_ratio_table(state),
         "relative_purity_closed_form": lambda: relative_purity_closed_form(rows),
-        "row_aggregates": lambda: row_aggregates(rows),
         "purification_conditions": lambda: purification_conditions(rows),
         "zero_displacement_ratio_bound": lambda: zero_displacement_ratio_bound(rows),
     }

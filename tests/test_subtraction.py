@@ -108,6 +108,13 @@ def test_bogoliubov_row_rejects_non_finite(name, bad):
         BogoliubovRow(**fields)
 
 
+@pytest.mark.parametrize("noise", [0.0, 0.5, 1.0 - 2e-6])
+def test_bogoliubov_row_rejects_sub_vacuum_noise(noise):
+    with pytest.raises(ValueError, match="at least 1"):
+        BogoliubovRow(1.0, [0j], [1.0], [noise])
+    BogoliubovRow(1.0, [0j], [1.0], [1.0 - 5e-7])  # rounding below 1 is accepted
+
+
 def test_extraction_ten_db_values():
     state = GaussianState(np.diag([100.0, 1.0]), np.zeros(2))
     row = extract_bogoliubov(state, selector1())
