@@ -49,7 +49,6 @@ from .gaussian import (
     single_mode_squeezer,
     symplectic_eigenvalues,
     symplectic_form,
-    symplectic_gate,
     two_mode_squeezer,
     wigner_gaussian_at,
     williamson,

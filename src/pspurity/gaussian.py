@@ -22,6 +22,10 @@ one pass.  A single object is the N = 1 case of the same code.  Every check
 runs on each row, and a stack raises the error its first failing row raises
 alone.  ``stack[i]`` is row i, ``stack[i:j]`` a smaller stack; functions that
 take one state refuse a stack through ``require_single``.
+
+Gates: ``_gate_block`` checks a gate and builds its block.  The four gate
+constructors, ``CircuitDescription`` (at construction) and
+``circuit_to_gaussian`` (one state per circuit) all call it.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ SYMMETRY_TOL = 1e-12
 #: tolerance on the symplectic-form invariant of transforms
 SYMPLECTIC_TOL = 1e-10
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)  # a Python float: a product past float64 is inf, no warning
 
 
 @lru_cache(maxsize=None)
@@ -266,7 +270,7 @@ class SymplecticTransform:
         for k, (d, c) in enumerate(zip(defect, scale)):
             if not math.isfinite(c):
                 raise _at_row(k, ValueError("symplectic matrix has non-finite entries"))
-            if d > SYMPLECTIC_TOL * max(1.0, c ** 2):
+            if d > SYMPLECTIC_TOL * max(1.0, c * c):  # c * c overflows to inf, c ** 2 raises
                 raise _at_row(k, ValueError(f"matrix is not symplectic (defect {d:.3e})"))
         object.__setattr__(self, "matrix", _as_readonly(mat))
 
@@ -427,24 +431,102 @@ def db_to_squeezing_parameter(db: float) -> float:
     return 0.5 * np.log(db_to_variance_factor(db))
 
 
-def _check_mode(mode: int, num_modes: int):
-    if not 0 <= mode < num_modes:
-        raise ValueError(f"mode {mode} out of range for {num_modes} modes")
+def _check_mode(mode, num_modes: int):
+    if (isinstance(mode, bool) or not isinstance(mode, numbers.Integral)
+            or not 0 <= mode < num_modes):
+        raise ValueError(f"mode {mode!r} out of range for {num_modes} modes")
 
 
-def _single_mode_block(block: np.ndarray, mode: int, num_modes: int) -> np.ndarray:
+def _resolve_squeezing(r, db) -> float:
+    """The squeezing parameter of a gate given by r or by db (the other is
+    None); its variance factor e^(2|r|) must be a finite float64."""
+    r = float(r) if r is not None else db_to_squeezing_parameter(db)
+    try:
+        finite = math.isfinite(math.exp(2.0 * abs(r)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"squeezing parameter r = {r} gives a non-finite variance factor")
+    return r
+
+
+#: each gate kind's number of modes, the parameter-name sets it accepts and
+#: how to say so; a displacement's missing re or im is 0
+_GATES = {
+    "displacement": (1, ({"re", "im"}, {"re"}, {"im"}), "re, im or both"),
+    "phase_rotation": (1, ({"theta"},), "theta"),
+    "single_mode_squeezer": (1, ({"r"}, {"db"}), "r or db (give exactly one of r or db)"),
+    "two_mode_squeezer": (2, ({"r"}, {"db"}), "r or db (give exactly one of r or db)"),
+    "beamsplitter": (2, ({"transmittance"},), "transmittance"),
+}
+
+
+def _gate_block(kind: str, params: dict, modes, num_modes: int):
+    """Check one gate and return its symplectic block, or None for a displacement.
+
+    Checked: a known kind, its number of distinct modes, all in range, its
+    parameter names; real, finite, non-bool values; a transmittance in [0, 1]
+    and a squeezing with a finite variance factor.  The block acts on
+    ``(x_modes, p_modes)`` in the order of ``modes``, built from Python
+    floats, so a float32 or float16 parameter gives its float64 value's block.
+    """
+    if kind not in _GATES:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    arity, param_sets, accepted = _GATES[kind]
+    for mode in modes:
+        _check_mode(mode, num_modes)
+    if len(modes) != arity or len(set(modes)) != arity:
+        raise ValueError(f"{kind} needs {arity} distinct mode(s), got {tuple(modes)}")
+    if set(params) not in param_sets:
+        raise ValueError(f"{kind} takes parameters {accepted}, got {sorted(params)}")
+    for key, value in params.items():
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)):
+            raise ValueError(f"{kind} parameter {key} = {value!r} is not finite or not real "
+                             "(bools, strings and non-finite values are refused)")
+    p = {key: float(value) for key, value in params.items()}
+    if kind == "displacement":
+        return None
+    if kind == "phase_rotation":
+        c, s = np.cos(p["theta"]), np.sin(p["theta"])
+        return np.array([[c, s], [-s, c]])
+    if kind == "beamsplitter":
+        t = p["transmittance"]
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"transmittance must lie in [0, 1], got {t}")
+        ct, st = np.sqrt(t), np.sqrt(1.0 - t)
+        return np.array([[ct, st, 0.0, 0.0], [-st, ct, 0.0, 0.0],
+                         [0.0, 0.0, ct, st], [0.0, 0.0, -st, ct]])
+    r = _resolve_squeezing(p.get("r"), p.get("db"))
+    if kind == "single_mode_squeezer":
+        return np.diag([np.exp(r), np.exp(-r)])
+    ch, sh = np.cosh(r), np.sinh(r)
+    return np.array([[ch, sh, 0.0, 0.0], [sh, ch, 0.0, 0.0],
+                     [0.0, 0.0, ch, -sh], [0.0, 0.0, -sh, ch]])
+
+
+def _embed(block: np.ndarray, modes, num_modes: int) -> np.ndarray:
+    """The 2m x 2m identity with ``block`` on the x and p rows and columns of ``modes``."""
     s = np.eye(2 * num_modes)
-    j, m = mode, num_modes
-    s[j, j], s[j, m + j] = block[0, 0], block[0, 1]
-    s[m + j, j], s[m + j, m + j] = block[1, 0], block[1, 1]
+    idx = [*modes, *(num_modes + j for j in modes)]
+    s[np.ix_(idx, idx)] = block
     return s
+
+
+def _gate_transform(kind: str, params: dict, modes, num_modes: int) -> SymplecticTransform:
+    """The checked gate on all m modes: what every gate constructor returns."""
+    return SymplecticTransform(_embed(_gate_block(kind, params, modes, num_modes), modes,
+                                      num_modes))
+
+
+def _squeezing(r, db) -> dict:
+    """A squeezer's parameter dict from the constructor's r and db, given or None."""
+    return {key: value for key, value in (("r", r), ("db", db)) if value is not None}
 
 
 def phase_rotation(theta: float, mode: int, num_modes: int) -> SymplecticTransform:
     """Rotation: x -> cos(theta) x + sin(theta) p, p -> cos(theta) p - sin(theta) x."""
-    _check_mode(mode, num_modes)
-    block = np.array([[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]])
-    return SymplecticTransform(_single_mode_block(block, mode, num_modes))
+    return _gate_transform("phase_rotation", {"theta": theta}, (mode,), num_modes)
 
 
 def single_mode_squeezer(
@@ -454,25 +536,7 @@ def single_mode_squeezer(
 
     Exactly one of ``r`` (squeezing parameter) or ``db`` may be given.
     """
-    r = _resolve_squeezing(r, db)
-    _check_mode(mode, num_modes)
-    block = np.diag([np.exp(r), np.exp(-r)])
-    return SymplecticTransform(_single_mode_block(block, mode, num_modes))
-
-
-def _resolve_squeezing(r, db) -> float:
-    """The squeezing parameter of a gate given by r or by db; its variance
-    factor e^(2|r|) must be a finite float64."""
-    if (r is None) == (db is None):
-        raise ValueError("give exactly one of r or db")
-    r = float(r) if r is not None else db_to_squeezing_parameter(db)
-    try:
-        finite = math.isfinite(math.exp(2.0 * abs(r)))
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise ValueError(f"squeezing parameter r = {r} gives a non-finite variance factor")
-    return r
+    return _gate_transform("single_mode_squeezer", _squeezing(r, db), (mode,), num_modes)
 
 
 def two_mode_squeezer(
@@ -489,79 +553,20 @@ def two_mode_squeezer(
     +/- sinh(2r) cross blocks; either marginal is thermal with n = cosh(2r).
     The x-x coupling sign is a fixed convention of this package.
     """
-    r = _resolve_squeezing(r, db)
-    _check_mode(mode_a, num_modes)
-    _check_mode(mode_b, num_modes)
-    if mode_a == mode_b:
-        raise ValueError("two-mode squeezer needs two distinct modes")
-    a, b, m = mode_a, mode_b, num_modes
-    s = np.eye(2 * num_modes)
-    ch, sh = np.cosh(r), np.sinh(r)
-    s[a, a] = s[b, b] = ch
-    s[a, b] = s[b, a] = sh
-    s[m + a, m + a] = s[m + b, m + b] = ch
-    s[m + a, m + b] = s[m + b, m + a] = -sh
-    return SymplecticTransform(s)
+    return _gate_transform("two_mode_squeezer", _squeezing(r, db), (mode_a, mode_b), num_modes)
 
 
 def beamsplitter(
     transmittance: float, mode_a: int, mode_b: int, num_modes: int
 ) -> SymplecticTransform:
     """Beamsplitter: x_a -> sqrt(t) x_a + sqrt(1-t) x_b (same on p)."""
-    if not 0.0 <= transmittance <= 1.0:
-        raise ValueError(f"transmittance must lie in [0, 1], got {transmittance}")
-    _check_mode(mode_a, num_modes)
-    _check_mode(mode_b, num_modes)
-    if mode_a == mode_b:
-        raise ValueError("beamsplitter needs two distinct modes")
-    a, b, m = mode_a, mode_b, num_modes
-    ct, st = np.sqrt(transmittance), np.sqrt(1.0 - transmittance)
-    s = np.eye(2 * num_modes)
-    for off in (0, m):
-        s[off + a, off + a] = s[off + b, off + b] = ct
-        s[off + a, off + b] = st
-        s[off + b, off + a] = -st
-    return SymplecticTransform(s)
-
-
-def symplectic_gate(kind: str, params: dict, num_modes: int) -> SymplecticTransform:
-    """Build a gate from its serialized description (kind + parameter dict)."""
-    if kind == "phase_rotation":
-        return phase_rotation(params["theta"], params["mode"], num_modes)
-    if kind == "single_mode_squeezer":
-        return single_mode_squeezer(
-            params.get("r"), db=params.get("db"), mode=params["mode"], num_modes=num_modes
-        )
-    if kind == "two_mode_squeezer":
-        return two_mode_squeezer(
-            params.get("r"),
-            db=params.get("db"),
-            mode_a=params["mode_a"],
-            mode_b=params["mode_b"],
-            num_modes=num_modes,
-        )
-    if kind == "beamsplitter":
-        return beamsplitter(
-            params["transmittance"], params["mode_a"], params["mode_b"], num_modes
-        )
-    raise ValueError(f"unknown gate kind {kind!r}")
+    return _gate_transform("beamsplitter", {"transmittance": transmittance}, (mode_a, mode_b),
+                           num_modes)
 
 
 # ---------------------------------------------------------------------------
 # circuits
 # ---------------------------------------------------------------------------
-
-#: each gate kind's number of modes and the parameter-name sets it accepts:
-#: a displacement takes re, im or both (the other is 0), a squeezer exactly
-#: one of r and db
-_GATES = {
-    "displacement": (1, ({"re", "im"}, {"re"}, {"im"})),
-    "phase_rotation": (1, ({"theta"},)),
-    "single_mode_squeezer": (1, ({"r"}, {"db"})),
-    "two_mode_squeezer": (2, ({"r"}, {"db"})),
-    "beamsplitter": (2, ({"transmittance"},)),
-}
-
 
 @dataclass(frozen=True)
 class Gate:
@@ -589,24 +594,15 @@ class CircuitDescription:
 
     def __post_init__(self):
         # circuits enter here from JSON: both routes may assume valid gates
-        object.__setattr__(self, "gates", tuple(self.gates))
+        m = self.mode_count
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+            raise ValueError(f"mode_count must be a positive integer, got {m!r}")
         for gate in self.gates:
-            if gate.kind not in _GATES:
-                raise ValueError(f"unknown gate kind {gate.kind!r}")
-            arity, param_sets = _GATES[gate.kind]
-            if len(gate.modes) != arity or len(set(gate.modes)) != arity:
-                raise ValueError(f"{gate.kind} needs {arity} distinct mode(s), got {gate.modes}")
-            for m in gate.modes:
-                if not 0 <= m < self.mode_count:
-                    raise ValueError(f"gate targets mode {m} of {self.mode_count}")
-            if set(gate.params) not in param_sets:
-                accepted = " or ".join(str(sorted(keys)) for keys in param_sets)
-                raise ValueError(
-                    f"{gate.kind} takes parameters {accepted}, got {sorted(gate.params)}"
-                )
-            for key, value in gate.params.items():
-                if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                    raise ValueError(f"{gate.kind} parameter {key} = {value!r} is not finite")
+            _gate_block(gate.kind, gate.params, gate.modes, m)
+        # Python numbers: both routes and the JSON text read the checked values
+        object.__setattr__(self, "gates", tuple(
+            Gate(g.kind, {key: float(v) for key, v in g.params.items()},
+                 tuple(int(j) for j in g.modes)) for g in self.gates))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -622,23 +618,24 @@ class CircuitDescription:
 
 
 def circuit_to_gaussian(circuit: CircuitDescription) -> GaussianState:
-    """Covariance-route realization of a circuit description."""
-    state = make_vacuum(circuit.mode_count)
+    """Covariance-route realization of a circuit: its gates multiply into one
+    symplectic S and displacement d, checked once as GaussianState(S S^T, d)."""
     m = circuit.mode_count
-    for gate in circuit.gates:
-        if gate.kind == "displacement":
-            delta = np.zeros(2 * m)
-            delta[gate.modes[0]] = 2.0 * gate.params.get("re", 0.0)
-            delta[m + gate.modes[0]] = 2.0 * gate.params.get("im", 0.0)
-            state = apply_displacement(state, delta)
-            continue
-        params = dict(gate.params)
-        if len(gate.modes) == 1:
-            params["mode"] = gate.modes[0]
-        else:
-            params["mode_a"], params["mode_b"] = gate.modes
-        state = apply_symplectic(state, symplectic_gate(gate.kind, params, m))
-    return state
+    s, d = np.eye(2 * m), np.zeros(2 * m)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for gate in circuit.gates:
+            block = _gate_block(gate.kind, gate.params, gate.modes, m)
+            if block is None:  # a displacement by <a> = re + i im
+                j = gate.modes[0]
+                d[j] += 2.0 * gate.params.get("re", 0.0)
+                d[m + j] += 2.0 * gate.params.get("im", 0.0)
+            else:
+                g = _embed(block, gate.modes, m)
+                s, d = g @ s, g @ d
+        cov = s @ s.T
+    if not (np.isfinite(cov).all() and np.isfinite(d).all()):
+        raise NumericDegenerateError("the circuit's moments overflow float64")
+    return GaussianState(cov, d)
 
 
 # ---------------------------------------------------------------------------

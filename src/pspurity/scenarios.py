@@ -119,11 +119,6 @@ def three_mode_circuit(
     topology = tuple(tuple(p) for p in topology)
     if len(topology) != 3:
         raise ValueError("topology must list exactly three pairs")
-    for pair in topology:
-        if len(pair) != 2 or pair[0] == pair[1]:
-            raise ValueError(f"invalid mode pair {pair}")
-        if not all(0 <= x < 3 for x in pair):
-            raise ValueError(f"pair {pair} outside modes 0..2")
     r = db_to_squeezing_parameter(s_db)
     gates = [Gate("displacement", {"re": alpha / np.sqrt(2.0), "im": 0.0}, (0,))]
     for pair in topology:

@@ -139,11 +139,19 @@ class BogoliubovRow:
                 or alpha.shape != k.shape[:-1]):
             raise ValueError("k, l, noise must be equal-length vectors "
                              "(a stack: N x m arrays and N amplitudes alpha_g)")
-        if not all(np.isfinite(a).all() for a in (alpha, k, l, n)):
-            raise ValueError("alpha_g, k, l and noise must be finite")
-        below = n[~(n >= 1.0 - ROW_TOL)]
-        if below.size:  # the aggregates divide by n
-            raise ValueError(f"noise factors must be at least 1, got {below[0]}")
+        # whole-array checks; on a failure the first failing row raises the
+        # error of its first failing check
+        if not (all(np.isfinite(a).all() for a in (alpha, k, l, n))
+                and (n >= 1.0 - ROW_TOL).all()):  # the aggregates divide by n
+            rows = _stacked(n, 1)
+            finite = np.isfinite(_stacked(alpha, 0))
+            for a in (k, l, rows):
+                finite &= np.isfinite(a).all(axis=-1)
+            i = int(np.flatnonzero(~finite | ~(rows >= 1.0 - ROW_TOL).all(axis=1))[0])
+            if not finite[i]:
+                raise _at_row(i, ValueError("alpha_g, k, l and noise must be finite"))
+            low = rows[i][~(rows[i] >= 1.0 - ROW_TOL)][0]
+            raise _at_row(i, ValueError(f"noise factors must be at least 1, got {low}"))
         ak, al = np.abs(k), np.abs(l)
         plus, minus = ak**2 * (n + 1.0) / 2.0, al**2 * (n - 1.0) / 2.0
         weight = (n**2 - 1.0) / (2.0 * n)

@@ -26,7 +26,6 @@ from pspurity import (
     single_mode_squeezer,
     subtract_photon,
     subtracted_wigner_fn,
-    symplectic_gate,
     wigner_subtracted_at,
 )
 from pspurity import fock
@@ -50,6 +49,7 @@ from pspurity.fock import (
     subtract_photon_fock,
     wigner_origin_fock,
 )
+from pspurity.gaussian import _gate_transform
 from pspurity.quadrature import GridSpec, variance_by_grid
 from pspurity.scenarios import (
     CircuitDescription,
@@ -509,12 +509,7 @@ def _squeezed(r, rng):
 def _compose(gates, m):
     total = np.eye(2 * m)
     for gate in gates:
-        params = dict(gate.params)
-        if len(gate.modes) == 1:
-            params["mode"] = gate.modes[0]
-        else:
-            params["mode_a"], params["mode_b"] = gate.modes
-        total = symplectic_gate(gate.kind, params, m).matrix @ total
+        total = _gate_transform(gate.kind, gate.params, gate.modes, m).matrix @ total
     return total
 
 

@@ -98,11 +98,9 @@ def test_db_outside_float64_is_refused(db):
                  lambda: two_mode_squeezer(db=db, mode_a=0, mode_b=1, num_modes=2)):
         with pytest.raises(ValueError, match="non-finite"):
             call()
-    if np.isfinite(db):  # circuits refuse non-finite parameters on their own
-        circuit = CircuitDescription(1, (Gate("single_mode_squeezer", {"db": db}, (0,)),))
-        for call in (circuit_to_gaussian, run_circuit_fock):
-            with pytest.raises(ValueError, match="non-finite"):
-                call(circuit)
+    # a circuit refuses the gate at construction, before either route runs
+    with pytest.raises(ValueError, match="non-finite"):
+        CircuitDescription(1, (Gate("single_mode_squeezer", {"db": db}, (0,)),))
 
 
 @pytest.mark.parametrize("r", [np.inf, np.nan, 800.0, -800.0, 355.0])
@@ -112,12 +110,21 @@ def test_squeezing_parameter_outside_float64_is_refused(r):
         single_mode_squeezer(r)
     with pytest.raises(ValueError, match="non-finite"):
         two_mode_squeezer(r, mode_a=0, mode_b=1, num_modes=2)
-    if np.isfinite(r):
-        circuit = CircuitDescription(2, (Gate("two_mode_squeezer", {"r": r}, (0, 1)),))
-        for call in (circuit_to_gaussian, run_circuit_fock):
-            with pytest.raises(ValueError, match="non-finite"):
-                call(circuit)
+    with pytest.raises(ValueError, match="non-finite"):
+        CircuitDescription(2, (Gate("two_mode_squeezer", {"r": r}, (0, 1)),))
     assert single_mode_squeezer(354.0).matrix[0, 0] == np.exp(354.0)
+
+
+def test_circuit_overflowing_float64_is_out_of_range():
+    """Gates that each pass their check can multiply past float64: such a
+    circuit is out of range on both routes, with no overflow warning."""
+    squeezed = tuple(Gate("single_mode_squeezer", {"r": 300.0}, (0,)) for _ in range(3))
+    displaced = (Gate("displacement", {"re": 1e308}, (0,)),)
+    for gates in (squeezed, displaced):
+        circuit = CircuitDescription(1, gates)
+        for call in (circuit_to_gaussian, run_circuit_fock):
+            with pytest.raises(NumericDegenerateError, match="overflow"):
+                call(circuit)
 
 
 def test_phase_rotation_zero_is_identity():
@@ -154,19 +161,37 @@ def test_non_finite_squeezer_rejected(db):
 
 
 def test_gates_are_symplectic():
+    """A gate of a float32 or float16 parameter is the float64 gate of the
+    value that parameter holds, not one rounded to its precision."""
     omega = symplectic_form(2)
-    for gate in [
-        phase_rotation(0.83, 1, 2),
-        single_mode_squeezer(r=1.1, mode=0, num_modes=2),
-        two_mode_squeezer(r=0.5, mode_a=0, mode_b=1, num_modes=2),
-        beamsplitter(0.3, 0, 1, 2),
+    for build in [
+        lambda x: phase_rotation(x(0.83), 1, 2),
+        lambda x: single_mode_squeezer(r=x(1.1), mode=0, num_modes=2),
+        lambda x: two_mode_squeezer(r=x(0.5), mode_a=0, mode_b=1, num_modes=2),
+        lambda x: beamsplitter(x(0.3), 0, 1, 2),
     ]:
-        assert np.abs(gate.matrix @ omega @ gate.matrix.T - omega).max() < 1e-12
+        for dtype in (float, np.float32, np.float16):
+            gate = build(dtype)
+            assert np.abs(gate.matrix @ omega @ gate.matrix.T - omega).max() < 1e-12
+            assert np.array_equal(gate.matrix, build(lambda v: float(dtype(v))).matrix)
+
+
+def test_gates_refuse_bool_parameters():
+    with pytest.raises(ValueError, match="theta = True"):
+        phase_rotation(True, 0, 1)
+    with pytest.raises(ValueError, match="transmittance = False"):
+        beamsplitter(False, 0, 1, 2)
 
 
 def test_symplectic_transform_rejects_nonsymplectic():
     with pytest.raises(ValueError):
         SymplecticTransform(2.0 * np.eye(2))
+
+
+def test_symplectic_transform_accepts_entries_whose_square_overflows():
+    # exactly symplectic; the defect bound scales with the largest entry squared
+    mat = np.diag([1e200, 1e-200])
+    assert np.array_equal(SymplecticTransform(mat).matrix, mat)
 
 
 def test_apply_symplectic_preserves_purity():
@@ -361,9 +386,11 @@ def test_uncertainty_violation_beyond_range_is_unphysical(diag):
 
 
 def test_beyond_range_respecting_uncertainty_is_degenerate():
-    # lambda_min lambda_max = 1: the test is necessary, not sufficient
-    with pytest.raises(NumericDegenerateError):
-        GaussianState(np.diag([1e-5, 1e5, 1.0, 1.0]), np.zeros(4))
+    # lambda_min lambda_max = 1: the test is necessary, not sufficient;
+    # diag(1e200, 1e-200) also overflows the rounding bound of the test
+    for diag in ([1e-5, 1e5, 1.0, 1.0], [1e200, 1e-200]):
+        with pytest.raises(NumericDegenerateError):
+            GaussianState(np.diag(diag), np.zeros(len(diag)))
 
 
 @pytest.mark.parametrize("noise", [[1.0], [[1.0, 1.0]]])

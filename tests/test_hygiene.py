@@ -133,6 +133,24 @@ def test_fock_oracle_is_independent():
     assert package_imports(source) <= {"errors", "gaussian"}
 
 
+def gaussian_names(source: str) -> set[str]:
+    """Names a module imports from the Gaussian-state layer."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "gaussian"
+            for alias in node.names}
+
+
+def test_fock_oracle_reads_no_gate_builder():
+    """The oracle states every gate's generator itself: of the Gaussian-state
+    layer it reads the circuit types, the covariance route that sizes its
+    cutoffs, Williamson and the squeezing conversion, never the symplectic
+    blocks of the gates it checks."""
+    source = (Path(pspurity.__file__).parent / "fock.py").read_text()
+    assert gaussian_names(source) == {
+        "CircuitDescription", "Gate", "GaussianState", "_resolve_squeezing",
+        "circuit_to_gaussian", "require_single", "williamson"}
+
+
 def test_grid_oracle_is_independent():
     """The quadrature oracle takes its frame from the Gaussian-state layer,
     never from the closed-form or moment code it checks."""

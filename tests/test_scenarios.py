@@ -6,14 +6,19 @@ import numpy as np
 import pytest
 
 from pspurity import (
+    GaussianState,
     ModeSelector,
+    apply_displacement,
+    apply_symplectic,
     extract_bogoliubov,
+    gaussian,
     make_vacuum,
     purity_gaussian,
     purity_subtracted,
     relative_purity_closed_form,
     subtract_photon,
     symplectic_eigenvalues,
+    two_mode_squeezer,
     williamson,
 )
 from pspurity.bounds import bound_f_max
@@ -69,6 +74,34 @@ def test_three_mode_circuit_structure():
 def test_three_mode_circuit_global_purity():
     state = circuit_to_gaussian(three_mode_circuit())
     assert purity_gaussian(state) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_circuit_to_gaussian_builds_one_state(monkeypatch):
+    """The gates multiply into one S and one d before a single state is
+    checked; that state is the gate-by-gate one to rounding."""
+    built = []
+    monkeypatch.setattr(gaussian, "GaussianState",
+                        lambda cov, disp: built.append(1) or GaussianState(cov, disp))
+    circuit = three_mode_circuit()
+    state = circuit_to_gaussian(circuit)
+    assert len(built) == 1
+    shift = np.zeros(6)
+    shift[0] = 2.0 * circuit.gates[0].params["re"]
+    ref = apply_displacement(make_vacuum(3), shift)
+    for gate in circuit.gates[1:]:
+        a, b = gate.modes
+        ref = apply_symplectic(ref, two_mode_squeezer(gate.params["r"], mode_a=a, mode_b=b,
+                                                      num_modes=3))
+    assert np.abs(state.covariance - ref.covariance).max() < 1e-13
+    assert np.abs(state.displacement - ref.displacement).max() < 1e-13
+
+
+def test_circuit_stores_python_numbers():
+    """NumPy scalars become the Python numbers both routes and JSON read."""
+    gate = Gate("beamsplitter", {"transmittance": np.float32(0.3)}, (np.int64(1), np.int64(0)))
+    circ = CircuitDescription(2, (gate,))
+    assert circ.gates[0].params["transmittance"] == float(np.float32(0.3))
+    assert CircuitDescription.from_json(circ.to_json()) == circ
 
 
 def test_circuit_serialization_bit_exact():
@@ -229,11 +262,24 @@ def test_gate_targets_validated():
     ({"kind": "phase_rotation", "params": {"theta": float("inf")}, "modes": [0]}, "theta"),
     ({"kind": "single_mode_squeezer", "params": {"r": "0.3"}, "modes": [0]}, "not finite"),
     ({"kind": "kerr", "params": {}, "modes": [0]}, "unknown gate kind 'kerr'"),
+    ({"kind": "phase_rotation", "params": {"theta": True}, "modes": [0]}, "theta = True"),
+    ({"kind": "beamsplitter", "params": {"transmittance": 1.5}, "modes": [0, 1]},
+     r"transmittance must lie in \[0, 1\]"),
+    ({"kind": "beamsplitter", "params": {"transmittance": -0.1}, "modes": [0, 1]},
+     r"transmittance must lie in \[0, 1\]"),
+    ({"kind": "two_mode_squeezer", "params": {"r": 400.0}, "modes": [0, 1]}, "non-finite"),
+    ({"kind": "single_mode_squeezer", "params": {"db": 1e4}, "modes": [1]}, "non-finite"),
 ])
 def test_circuit_json_refuses_malformed_gates(gate, message):
     text = json.dumps({"mode_count": 2, "gates": [gate]})
     with pytest.raises(ValueError, match=message):
         CircuitDescription.from_json(text)
+
+
+@pytest.mark.parametrize("mode_count", [0, 2.5, True, "3"])
+def test_circuit_refuses_bad_mode_count(mode_count):
+    with pytest.raises(ValueError, match="mode_count must be a positive integer"):
+        CircuitDescription(mode_count, ())
 
 
 @pytest.mark.parametrize("kind, params, modes", [

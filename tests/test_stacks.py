@@ -167,6 +167,21 @@ def test_stacked_transform_raises_the_error_of_its_bad_row():
     assert str(stacked.value) == str(alone.value)
 
 
+def test_bogoliubov_stack_raises_the_error_of_its_bad_row():
+    # row 0 fails the noise check, row 1 the finite check that comes first
+    k, l = np.zeros((2, 1), dtype=complex), np.ones((2, 1), dtype=complex)
+    noise = np.array([[0.5], [np.nan]])
+    with pytest.raises(ValueError) as alone:
+        subtraction.BogoliubovRow(0j, k[0], l[0], noise[0])
+    with pytest.raises(ValueError) as stacked:
+        subtraction.BogoliubovRow(np.zeros(2, dtype=complex), k, l, noise)
+    assert str(stacked.value) == str(alone.value)
+    # the failing row is tagged, so extract_bogoliubov can recheck the rows before it
+    with pytest.raises(ValueError, match="finite") as later:
+        subtraction.BogoliubovRow(np.zeros(2, dtype=complex), k, l, np.array([[1.5], [np.nan]]))
+    assert later.value.stack_row == 1
+
+
 def single_state_calls(state, rows, sel, transform):
     """Every public function that takes one state or one row, applied to
     ``state`` / ``rows``; keyed by name."""
