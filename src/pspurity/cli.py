@@ -121,39 +121,39 @@ def _header(config: RunConfig) -> str:
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _write_csv(path: str, config: RunConfig, columns: list, rows: list):
+def _write_csv(path: str, config: RunConfig, columns: dict):
+    """Write equal-length float columns, each number as its shortest
+    round-trip ``repr``.  ``repr`` runs once per distinct value of a column;
+    values are told apart by bit pattern, so 0.0 and -0.0 are never merged."""
+    fields = []
+    for values in columns.values():
+        col = np.ascontiguousarray(values, dtype=np.float64)
+        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        text = list(map(repr, bits.view(np.float64).tolist()))
+        fields.append([text[i] for i in inverse.tolist()])
     with open(path, "w") as fh:
         fh.write(_header(config))
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*fields, strict=True))
+
+
+def _record_columns(records: list, names: tuple) -> dict:
+    """One column per name, read from each sweep record's params or outputs."""
+    merged = [r.params | r.outputs for r in records]
+    return {name: [m[name] for m in merged] for name in names}
 
 
 def _reproduce_fig1a(config: RunConfig) -> int:
     records = sweep("fig1a", points=config.points)
-    rows = [
-        (r.params["phi"], r.params["s_db"], r.outputs["ratio"], r.outputs["f_alpha"])
-        for r in records
-    ]
-    _write_csv(config.output, config, ["phi", "s_db", "ratio", "f_alpha"], rows)
+    _write_csv(config.output, config,
+               _record_columns(records, ("phi", "s_db", "ratio", "f_alpha")))
     return 0
 
 
 def _reproduce_fig1b(config: RunConfig) -> int:
     records = sweep("fig1b", points=config.points)
-    rows = [
-        (r.params["alpha_mag"], r.params["n_g"], r.params["phi"], r.outputs["ratio"])
-        for r in records
-    ]
-    _write_csv(config.output, config, ["alpha_mag", "n_g", "phi", "ratio"], rows)
+    _write_csv(config.output, config,
+               _record_columns(records, ("alpha_mag", "n_g", "phi", "ratio")))
     return 0
 
 
@@ -168,13 +168,15 @@ def _reproduce_fig2(config: RunConfig) -> int:
     n = config.grid_points
     qs = np.linspace(center[0] - 5 * sig[0], center[0] + 5 * sig[0], n)
     ps = np.linspace(center[1] - 5 * sig[1], center[1] + 5 * sig[1], n)
-    rows = []
-    for q in qs:
-        pts = np.column_stack([np.full(n, q), ps])
-        vg = w_g(pts)
-        vs = w_s(pts)
-        rows.extend((q, p, g, s) for p, g, s in zip(ps, vg, vs))
-    _write_csv(config.output, config, ["q", "p", "w_gaussian", "w_subtracted"], rows)
+    # one call per grid row: the shipped values were computed that way, and
+    # one call over the whole grid is not guaranteed to round alike
+    rows = [np.column_stack([np.full(n, q), ps]) for q in qs]
+    _write_csv(config.output, config, {
+        "q": np.repeat(qs, n),
+        "p": np.tile(ps, n),
+        "w_gaussian": np.concatenate([w_g(pts) for pts in rows]),
+        "w_subtracted": np.concatenate([w_s(pts) for pts in rows]),
+    })
     return 0
 
 

@@ -126,41 +126,41 @@ def _gate_chains(kind: str, params: dict, cutoffs: tuple) -> tuple:
     """Conserved-number chains of one gate's H = -i gen on its own modes.
 
     For each basis state (row-major over the gate's modes): its sector label,
-    the conserved number (every state its own sector for a phase rotation);
-    H's diagonal element; and H's element <next|H|state> to the next state
-    up its chain.  Row-major order runs up every chain, so a stable sort by
-    label lays each sector out as its chain in order; the element of a
-    chain's last state points out of the truncation and is never read.
+    the conserved number, and H's element <next|H|state> to the next state
+    up its chain.  H's diagonal is zero for every gate kind here.  Row-major
+    order runs up every chain, so a stable sort by label lays each sector out
+    as its chain in order; the element of a chain's last state points out of
+    the truncation and is never read.
     """
     n = np.indices(cutoffs, dtype=float).reshape(len(cutoffs), -1)
-    na, nb, zero = n[0], n[-1], np.zeros(n.shape[1])
+    na, nb = n[0], n[-1]
     if kind == "displacement":
         amp = complex(params.get("re", 0.0), params.get("im", 0.0))
-        return zero, zero, -1j * amp * np.sqrt(na + 1)
-    if kind == "phase_rotation":
-        return np.arange(zero.size), -params["theta"] * na, zero
+        return np.zeros(na.size), -1j * amp * np.sqrt(na + 1)
     if kind == "single_mode_squeezer":
         r = _resolve_squeezing(params.get("r"), params.get("db"))
-        return na % 2, zero, -0.5j * r * np.sqrt((na + 1) * (na + 2))
+        return na % 2, -0.5j * r * np.sqrt((na + 1) * (na + 2))
     if kind == "two_mode_squeezer":
         r = _resolve_squeezing(params.get("r"), params.get("db"))
-        return na - nb, zero, -1j * r * np.sqrt((na + 1) * (nb + 1))
+        return na - nb, -1j * r * np.sqrt((na + 1) * (nb + 1))
     if kind == "beamsplitter":
         theta = np.arccos(np.sqrt(params["transmittance"]))
-        return na + nb, zero, -1j * theta * np.sqrt((na + 1) * nb)
+        return na + nb, -1j * theta * np.sqrt((na + 1) * nb)
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
 def _apply_gate(psi: np.ndarray, kind: str, params: dict, modes: tuple) -> np.ndarray:
     """Apply exp(gen) of one gate on the given modes of the amplitude tensor.
 
+    A phase rotation is diagonal in the number basis: one broadcast multiply
+    by e^{-i theta n} along its mode.  For the other kinds,
     ``_gate_chains`` states gen's conserved-number sectors in closed form;
     one stable sort by sector orders the states so that every sector is a
-    contiguous chain on which H = -i gen is tridiagonal.  A one-state
-    sector is a phase.  On a longer one with sub-diagonal h, the
-    diagonal unitary D, the running product of h / |h| (1 where h = 0),
-    makes T = D^dag H D real symmetric tridiagonal; with T = Q diag(w) Q^T
-    from LAPACK dstevd, exp(gen) = D Q exp(iw) Q^T D^dag.
+    contiguous chain on which H = -i gen is tridiagonal with a zero
+    diagonal.  A one-state sector is left as it is.  On a longer one with
+    sub-diagonal h, the diagonal unitary D, the running product of h / |h|
+    (1 where h = 0), makes T = D^dag H D real symmetric tridiagonal; with
+    T = Q diag(w) Q^T from LAPACK dstevd, exp(gen) = D Q exp(iw) Q^T D^dag.
 
     Only sectors holding amplitude are exponentiated.  exp(gen) is linear
     and block diagonal, so a sector whose rows of the amplitude matrix are
@@ -168,26 +168,32 @@ def _apply_gate(psi: np.ndarray, kind: str, params: dict, modes: tuple) -> np.nd
     approximation, and the test is ``!= 0`` with no threshold.  A gate on
     the vacuum, such as an ancilla two-mode squeezer, solves one sector.
     """
+    if kind == "phase_rotation":
+        (axis,) = modes
+        shape = [1] * psi.ndim
+        shape[axis] = -1
+        n = np.arange(psi.shape[axis], dtype=float)
+        return np.exp(1j * (-params["theta"] * n)).reshape(shape) * psi
     moved = np.moveaxis(psi, modes, range(len(modes)))
     lead = moved.shape[: len(modes)]
     mat = moved.reshape(int(np.prod(lead)), -1)
-    sector, diag, up = _gate_chains(kind, params, lead)
+    sector, up = _gate_chains(kind, params, lead)
     order = np.argsort(sector, kind="stable")
-    sector, diag, up = sector[order], diag[order], up[order]
+    sector, up = sector[order], up[order]
     # in sorted order, chain c is the slice bounds[c]:bounds[c + 1]
     bounds = np.flatnonzero(np.concatenate(([True], sector[1:] != sector[:-1], [True])))
     lo, hi = bounds[:-1], bounds[1:]
     occupied = np.logical_or.reduceat(np.any(mat != 0, axis=1)[order], lo)
     out = np.zeros(mat.shape, dtype=complex)
     single = lo[hi - lo == 1]
-    out[order[single]] = np.exp(1j * diag[single])[:, None] * mat[order[single]]
+    out[order[single]] = mat[order[single]]
     chains = (hi - lo > 1) & occupied
     for start, stop in zip(lo[chains], hi[chains]):
         h = up[start:stop - 1]
         mag = np.abs(h)
         unit = np.divide(h, mag, out=np.ones_like(h), where=mag > 0)
         phase = np.concatenate(([1.0], np.cumprod(unit)))
-        w, q, info = dstevd(diag[start:stop], mag)
+        w, q, info = dstevd(np.zeros(stop - start), mag)
         if info:
             raise np.linalg.LinAlgError(f"dstevd failed with info {info}")
         idx = order[start:stop]

@@ -465,10 +465,12 @@ def _gate_block(kind: str, params: dict, modes, num_modes: int):
     """Check one gate and return its symplectic block, or None for a displacement.
 
     Checked: a known kind, its number of distinct modes, all in range, its
-    parameter names; real, finite, non-bool values; a transmittance in [0, 1]
-    and a squeezing with a finite variance factor.  The block acts on
-    ``(x_modes, p_modes)`` in the order of ``modes``, built from Python
-    floats, so a float32 or float16 parameter gives its float64 value's block.
+    parameter names; real, finite, non-bool values; a displacement whose
+    phase-space shift is finite (else ``NumericDegenerateError``); a
+    transmittance in [0, 1] and a squeezing with a finite variance factor.
+    The block acts on ``(x_modes, p_modes)`` in the order of ``modes``, built
+    from Python floats, so a float32 or float16 parameter gives its float64
+    value's block.
     """
     if kind not in _GATES:
         raise ValueError(f"unknown gate kind {kind!r}")
@@ -486,6 +488,10 @@ def _gate_block(kind: str, params: dict, modes, num_modes: int):
                              "(bools, strings and non-finite values are refused)")
     p = {key: float(value) for key, value in params.items()}
     if kind == "displacement":
+        # the phase-space shift is (2 re, 2 im): Python floats, so no warning
+        if not all(math.isfinite(2.0 * v) for v in p.values()):
+            raise NumericDegenerateError(
+                f"displacement {p} overflows float64 in phase space (2 Re<a>, 2 Im<a>)")
         return None
     if kind == "phase_rotation":
         c, s = np.cos(p["theta"]), np.sin(p["theta"])

@@ -1,12 +1,15 @@
 """Command-line interface: outputs, determinism, config round-trips."""
 
 import csv
+import hashlib
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
 
-from pspurity.cli import RunConfig, main
+from pspurity.cli import RunConfig, _write_csv, main
 from pspurity.fock import reduced_purity_fock, run_circuit_fock, subtract_photon_fock
 from pspurity.scenarios import circuit_to_gaussian, mode_ratio_table, three_mode_circuit
 
@@ -40,6 +43,40 @@ def test_fig1a_byte_identical(tmp_path):
     main(["reproduce", "fig1a", "--output", str(a), "--points", "41"])
     main(["reproduce", "fig1a", "--output", str(b), "--points", "41"])
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of the shipped CSVs at their default configurations, copied from
+# FIGURE_DIGESTS in perfbench/workloads.py, which checks the same bytes
+SHIPPED_DIGESTS = {
+    "fig1a": "5f0eaa9a645785f9edefd212bf7df60b088856f19ef032d4f4126e3e61207158",
+    "fig1b": "9bcf4ccfcc21235221960389a2a1f871e38e8aedeae69c18a02dad8d202709e1",
+    "fig2": "193d8cd6ca2de63be13a6069d61a3407ebae542c8c7feb31ff7ebb4c8bb3fb58",
+}
+
+
+@pytest.mark.parametrize("figure", sorted(SHIPPED_DIGESTS))
+def test_shipped_csv_bytes(tmp_path, figure):
+    out = tmp_path / f"{figure}.csv"
+    assert main(["reproduce", figure, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SHIPPED_DIGESTS[figure]
+
+
+def test_csv_column_edge_values(tmp_path):
+    """Every field is ``repr`` of its float, distinct bit patterns keep their
+    own text (0.0 and -0.0), and finite fields parse back to the same bits."""
+    values = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5,
+              0.1 + 0.2, -0.0, 0.1 + 0.2, 0.0]
+    out = tmp_path / "edge.csv"
+    _write_csv(str(out), RunConfig(command="reproduce"),
+               {"v": values, "w": list(reversed(values))})
+    header, rows = read_csv(out)
+    assert header.startswith("# pspurity")
+    assert len(rows) == len(values)
+    for row, v, w in zip(rows, values, reversed(values)):
+        for field, value in ((row["v"], v), (row["w"], w)):
+            assert field == repr(float(value))
+            if math.isfinite(value):
+                assert struct.pack("<d", float(field)) == struct.pack("<d", value)
 
 
 def test_fig1b_dataset(tmp_path):

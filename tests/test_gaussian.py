@@ -117,14 +117,19 @@ def test_squeezing_parameter_outside_float64_is_refused(r):
 
 def test_circuit_overflowing_float64_is_out_of_range():
     """Gates that each pass their check can multiply past float64: such a
-    circuit is out of range on both routes, with no overflow warning."""
+    circuit is out of range on both routes, with no overflow warning.  A
+    displacement whose own shift (2 re, 2 im) overflows is refused when the
+    circuit is built."""
     squeezed = tuple(Gate("single_mode_squeezer", {"r": 300.0}, (0,)) for _ in range(3))
-    displaced = (Gate("displacement", {"re": 1e308}, (0,)),)
+    displaced = (Gate("displacement", {"re": 8e307}, (0,)),) * 2
     for gates in (squeezed, displaced):
         circuit = CircuitDescription(1, gates)
         for call in (circuit_to_gaussian, run_circuit_fock):
             with pytest.raises(NumericDegenerateError, match="overflow"):
                 call(circuit)
+    for params in ({"re": 1e308}, {"re": 0.0, "im": -1e308}):
+        with pytest.raises(NumericDegenerateError, match="overflow"):
+            CircuitDescription(1, (Gate("displacement", params, (0,)),))
 
 
 def test_phase_rotation_zero_is_identity():
