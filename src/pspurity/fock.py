@@ -106,8 +106,18 @@ class FockState:
         return self.mode_count - self.num_ancilla
 
 
-def _memory_budget_bytes() -> int:
-    return int(float(os.environ.get(MEMORY_ENV_VAR, DEFAULT_MEMORY_MB)) * 1e6)
+def _memory_budget_bytes() -> float:
+    """The budget that ``PSPURITY_FOCK_MEMORY_MB`` sets, read on each call;
+    a value that is not a finite number of megabytes above 0 raises ValueError."""
+    text = os.environ.get(MEMORY_ENV_VAR, DEFAULT_MEMORY_MB)
+    try:
+        megabytes = float(text)
+    except ValueError:
+        megabytes = math.nan  # refused below, as the other bad values are
+    if not 0.0 < megabytes < math.inf:
+        raise ValueError(f"{MEMORY_ENV_VAR} must be a finite number of megabytes above 0, "
+                         f"got {text!r}")
+    return megabytes * 1e6
 
 
 def annihilator(cutoff: int) -> np.ndarray:

@@ -19,9 +19,12 @@ Stacks: ``GaussianState``, ``SymplecticTransform`` and
 ``WilliamsonDecomposition`` also hold N objects at once, with a leading state
 axis (covariance N x 2m x 2m), and ``williamson`` decomposes such a stack in
 one pass.  A single object is the N = 1 case of the same code.  Every check
-runs on each row, and a stack raises the error its first failing row raises
-alone.  ``stack[i]`` is row i, ``stack[i:j]`` a smaller stack; functions that
-take one state refuse a stack through ``require_single``.
+runs on every row of the whole stack, in whatever order is cheapest.  A stack
+raises the error its first failing row raises alone: when a check fails,
+``_replay_rows`` rebuilds the rows alone and in order until one raises, which
+costs time only on that failure path.  ``stack[i]`` is row i, ``stack[i:j]`` a
+smaller stack; functions that take one state refuse a stack through
+``require_single``.
 
 Gates: ``_gate_block`` checks a gate and builds its block.  The four gate
 constructors, ``CircuitDescription`` (at construction) and
@@ -69,29 +72,16 @@ def _stacked(a: np.ndarray, ndim: int) -> np.ndarray:
     return a if a.ndim > ndim else a[None]
 
 
-def _at_row(k: int, exc: Exception) -> Exception:
-    """``exc``, raised by row k of a stack: it carries k as ``stack_row``
-    for ``_raise_earlier_row``.
+def _replay_rows(exc: ValueError, count: int, alone):
+    """Raise the error the first failing row of a stack raises alone.
 
-    Checks reduce each row with NumPy and compare the per-row values as
-    Python floats, row by row, which costs less than further array calls on
-    small stacks.
+    ``exc`` is what a check on the whole stack raised; an earlier row may
+    fail a check that ran later.  ``alone(i)`` rebuilds row i by itself, for
+    i = 0 .. count - 1, until one raises.  If none does, ``exc`` is raised.
     """
-    exc.stack_row = k
-    return exc
-
-
-def _raise_earlier_row(exc: Exception, recheck):
-    """Make a stack raise the error its first failing row raises alone.
-
-    A check raises for the first row it flags, but an earlier row that
-    passed it may fail a later check.  When ``exc`` came from row k > 0,
-    ``recheck(k)`` runs every check on rows [:k], so such a row raises
-    first; otherwise the caller re-raises ``exc``.
-    """
-    row = getattr(exc, "stack_row", 0)
-    if row:
-        recheck(row)
+    for i in range(count):
+        alone(i)
+    raise exc
 
 
 def require_single(obj, caller: str):
@@ -125,19 +115,18 @@ def _vacuum_tolerance(cov: np.ndarray) -> list:
     """
     lam = np.linalg.eigvalsh(cov)
     tol = []  # every check of a row before the next row: the first failing row raises
-    for k, (low, high) in enumerate(zip(lam[:, 0].tolist(), lam[:, -1].tolist())):
+    for low, high in zip(lam[:, 0].tolist(), lam[:, -1].tolist()):
         rounding = cov.shape[-1] * _EPS * high
         if high <= 0.0 or low < -rounding:
-            raise _at_row(k, UnphysicalStateError(
-                f"covariance is not positive definite ({low:.3e})"))
+            raise UnphysicalStateError(f"covariance is not positive definite ({low:.3e})")
         if low * MAX_CONDITION < high:
             if (low + rounding) * high < 1.0:
-                raise _at_row(k, UnphysicalStateError(
+                raise UnphysicalStateError(
                     f"covariance eigenvalues {low:.3e} .. {high:.3e} violate the "
-                    "uncertainty relation lambda_min lambda_max >= 1"))
-            raise _at_row(k, NumericDegenerateError(
+                    "uncertainty relation lambda_min lambda_max >= 1")
+            raise NumericDegenerateError(
                 f"covariance eigenvalues {low:.3e} .. {high:.3e}: "
-                f"cond(V) > {MAX_CONDITION:.0e}"))
+                f"cond(V) > {MAX_CONDITION:.0e}")
         tol.append(max(PHYSICALITY_TOL, high / low * _EPS))
     return tol
 
@@ -163,25 +152,28 @@ def symplectic_eigenvalues(covariance: np.ndarray) -> np.ndarray:
 
 
 def _checked_covariance(cov: np.ndarray, disp: np.ndarray):
-    """The per-row checks of ``GaussianState`` on a stack, in order; returns
-    the symmetrized covariances and their normal form."""
+    """The checks of ``GaussianState`` on a stack; returns the symmetrized
+    covariances and their normal form.
+
+    Each check reduces every row with NumPy and compares the per-row values
+    as Python floats, which costs less than further array calls on small
+    stacks.
+    """
     # a row's largest magnitude is finite exactly when all its entries are
     scale = np.abs(cov).max(axis=(1, 2)).tolist()
     shift = np.abs(disp).max(axis=1).tolist()
-    for k, (c, d) in enumerate(zip(scale, shift)):
-        if not (math.isfinite(c) and math.isfinite(d)):
-            raise _at_row(k, UnphysicalStateError("covariance and displacement must be finite"))
+    if not all(map(math.isfinite, scale + shift)):
+        raise UnphysicalStateError("covariance and displacement must be finite")
     asym = np.abs(cov - cov.swapaxes(-1, -2)).max(axis=(1, 2)).tolist()
-    for k, (a, c) in enumerate(zip(asym, scale)):
+    for a, c in zip(asym, scale):
         if a > SYMMETRY_TOL * max(c, 1.0):
-            raise _at_row(k, UnphysicalStateError("covariance matrix is not symmetric"))
+            raise UnphysicalStateError("covariance matrix is not symmetric")
     cov = 0.5 * (cov + cov.swapaxes(-1, -2))
     tol = _vacuum_tolerance(cov)
     normal = _normal_form(cov)
-    for k, (nu, t) in enumerate(zip(normal[1][:, -1].tolist(), tol)):
+    for nu, t in zip(normal[1][:, -1].tolist(), tol):
         if nu < 1.0 - t:
-            raise _at_row(k, UnphysicalStateError(
-                f"minimal symplectic eigenvalue {nu} is below 1"))
+            raise UnphysicalStateError(f"minimal symplectic eigenvalue {nu} is below 1")
     return cov, normal
 
 
@@ -224,7 +216,8 @@ class GaussianState:
         try:
             sym, normal = _checked_covariance(_stacked(cov, 2), _stacked(disp, 1))
         except ValueError as exc:
-            _raise_earlier_row(exc, lambda k: GaussianState(cov[:k], disp[:k]))
+            if cov.ndim == 3:
+                _replay_rows(exc, len(cov), lambda i: GaussianState(cov[i], disp[i]))
             raise
         sym = sym.reshape(cov.shape)  # a new array: no copy needed
         sym.flags.writeable = False
@@ -261,17 +254,19 @@ class SymplecticTransform:
         omega = symplectic_form(mat.shape[-1] // 2)
         stack = _stacked(mat, 2)
         # a row's largest magnitude is finite exactly when all its entries
-        # are; a NaN defect would compare False against the bound below, so
-        # non-finite rows are refused, and zeroed for the product
+        # are; a NaN defect would compare False against the bound below
         scale = np.abs(stack).max(axis=(1, 2)).tolist()
-        if not all(map(math.isfinite, scale)):
-            stack = np.where(np.isfinite(scale)[:, None, None], stack, 0.0)
-        defect = np.abs(stack @ omega @ stack.swapaxes(-1, -2) - omega).max(axis=(1, 2)).tolist()
-        for k, (d, c) in enumerate(zip(defect, scale)):
-            if not math.isfinite(c):
-                raise _at_row(k, ValueError("symplectic matrix has non-finite entries"))
-            if d > SYMPLECTIC_TOL * max(1.0, c * c):  # c * c overflows to inf, c ** 2 raises
-                raise _at_row(k, ValueError(f"matrix is not symplectic (defect {d:.3e})"))
+        try:
+            if not all(map(math.isfinite, scale)):
+                raise ValueError("symplectic matrix has non-finite entries")
+            defect = np.abs(stack @ omega @ stack.swapaxes(-1, -2) - omega).max(axis=(1, 2))
+            for d, c in zip(defect.tolist(), scale):
+                if d > SYMPLECTIC_TOL * max(1.0, c * c):  # c * c overflows to inf, c ** 2 raises
+                    raise ValueError(f"matrix is not symplectic (defect {d:.3e})")
+        except ValueError as exc:
+            if mat.ndim == 3:
+                _replay_rows(exc, len(mat), lambda i: SymplecticTransform(mat[i]))
+            raise
         object.__setattr__(self, "matrix", _as_readonly(mat))
 
     __getitem__ = _rows
@@ -325,9 +320,17 @@ class ModeSelector:
 
     @classmethod
     def from_direction(cls, direction: np.ndarray) -> "ModeSelector":
-        """Selector for the superposition mode along a phase-space direction."""
+        """Selector for the superposition mode along a phase-space direction:
+        a finite 2m-vector of nonzero norm."""
         gx = np.asarray(direction, dtype=float)
-        gx = gx / np.linalg.norm(gx)
+        if gx.ndim != 1 or gx.size % 2:
+            raise ValueError(f"direction must be a 2m-vector, got shape {gx.shape}")
+        if not np.isfinite(gx).all():
+            raise ValueError("direction must be finite")
+        norm = np.linalg.norm(gx)
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"direction must have a finite nonzero norm, got {norm}")
+        gx = gx / norm
         m = gx.size // 2
         return cls(gx, symplectic_form(m).T @ gx)
 
@@ -361,13 +364,13 @@ class WilliamsonDecomposition:
             tol = _vacuum_tolerance(_stacked(self.reconstruct(), 2))
             for k, (low, t) in enumerate(zip(rows.min(axis=1).tolist(), tol)):
                 if low < 1.0 - t:
-                    raise _at_row(k, UnphysicalStateError(
-                        f"noise factors below vacuum: {rows[k]}"))
-            for k, unsorted in enumerate((np.diff(rows, axis=1) > 1e-12).any(axis=1).tolist()):
-                if unsorted:
-                    raise _at_row(k, ValueError("noise factors must be sorted descending"))
+                    raise UnphysicalStateError(f"noise factors below vacuum: {rows[k]}")
+            if (np.diff(rows, axis=1) > 1e-12).any():
+                raise ValueError("noise factors must be sorted descending")
         except ValueError as exc:
-            _raise_earlier_row(exc, lambda k: WilliamsonDecomposition(self.symplectic[:k], n[:k]))
+            if n.ndim == 2:
+                _replay_rows(exc, len(n),
+                             lambda i: WilliamsonDecomposition(self.symplectic[i], n[i]))
             raise
 
     __getitem__ = _rows
@@ -781,14 +784,14 @@ def williamson(state_or_cov) -> WilliamsonDecomposition:
         s = np.concatenate([x * cos + p * sin, p * cos - x * sin], axis=-1)
         recon = (s * scale[:, None, :]) @ s.swapaxes(-1, -2)
         misfit = np.abs(recon - cov).max(axis=(1, 2)).tolist()
-        for k, (e, c) in enumerate(zip(misfit, np.abs(cov).max(axis=(1, 2)).tolist())):
+        for e, c in zip(misfit, np.abs(cov).max(axis=(1, 2)).tolist()):
             err = e / max(1.0, c)
             if err > 1e-9:
-                raise _at_row(k, NumericDegenerateError(
-                    f"normal-mode reconstruction failed ({err:.3e})"))
+                raise NumericDegenerateError(f"normal-mode reconstruction failed ({err:.3e})")
         if not state.stacked:
             s, nu = s[0], nu[0]
         return WilliamsonDecomposition(SymplecticTransform(s), nu)
     except ValueError as exc:
-        _raise_earlier_row(exc, lambda k: williamson(state[:k]))
+        if state.stacked:
+            _replay_rows(exc, len(cov), lambda i: williamson(state[i]))
         raise

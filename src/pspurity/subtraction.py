@@ -22,8 +22,8 @@ factor-of-two errors.
 ``extract_bogoliubov`` takes a stack of states (see ``gaussian``) and returns
 a stack of rows.  A row sums itself, once and over the whole stack, into the
 four aggregates x, y, z and cross that the closed form and the purification
-conditions (``bounds``) read; the purity formulas and ``subtract_photon``
-take one state or one row, ``rows[i]``.
+conditions (``bounds``) read, and into its normalization defect; the purity
+formulas and ``subtract_photon`` take one state or one row, ``rows[i]``.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from .errors import InconsistentRowError, SubtractionFromVacuumError
 from .gaussian import (
     GaussianState,
     ModeSelector,
-    _at_row,
-    _raise_earlier_row,
+    _replay_rows,
     _rows,
     _stacked,
     gaussian_wigner_fn,
@@ -116,9 +115,10 @@ class BogoliubovRow:
 
         x = sum Ntilde_i / n_i (may be negative),  y = sum N_i >= 0,
         z = 2 sum |k_i| |l_i| w_i >= 0,  cross = sum k_i l_i w_i (complex,
-        phase-bearing, |cross| <= z / 2);
+        phase-bearing, |cross| <= z / 2),
 
-    N-vectors on a stack, whose ``rows[i]`` carries row i's as Python scalars.
+    and the normalization defect |sum(|l_i|^2 - |k_i|^2) - 1|; N-vectors on
+    a stack, whose ``rows[i]`` carries row i's as Python scalars.
     """
 
     alpha_g: complex
@@ -129,6 +129,7 @@ class BogoliubovRow:
     y: float = field(init=False, repr=False, compare=False)
     z: float = field(init=False, repr=False, compare=False)
     cross: complex = field(init=False, repr=False, compare=False)
+    defect: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha_g, dtype=complex)
@@ -139,26 +140,26 @@ class BogoliubovRow:
                 or alpha.shape != k.shape[:-1]):
             raise ValueError("k, l, noise must be equal-length vectors "
                              "(a stack: N x m arrays and N amplitudes alpha_g)")
-        # whole-array checks; on a failure the first failing row raises the
-        # error of its first failing check
-        if not (all(np.isfinite(a).all() for a in (alpha, k, l, n))
-                and (n >= 1.0 - ROW_TOL).all()):  # the aggregates divide by n
-            rows = _stacked(n, 1)
-            finite = np.isfinite(_stacked(alpha, 0))
-            for a in (k, l, rows):
-                finite &= np.isfinite(a).all(axis=-1)
-            i = int(np.flatnonzero(~finite | ~(rows >= 1.0 - ROW_TOL).all(axis=1))[0])
-            if not finite[i]:
-                raise _at_row(i, ValueError("alpha_g, k, l and noise must be finite"))
-            low = rows[i][~(rows[i] >= 1.0 - ROW_TOL)][0]
-            raise _at_row(i, ValueError(f"noise factors must be at least 1, got {low}"))
+        try:
+            if not all(np.isfinite(a).all() for a in (alpha, k, l, n)):
+                raise ValueError("alpha_g, k, l and noise must be finite")
+            low = n < 1.0 - ROW_TOL  # the aggregates divide by n
+            if low.any():
+                raise ValueError(f"noise factors must be at least 1, got {n[low][0]}")
+        except ValueError as exc:
+            if k.ndim == 2:
+                _replay_rows(exc, len(k), lambda i: BogoliubovRow(alpha[i], k[i], l[i], n[i]))
+            raise
         ak, al = np.abs(k), np.abs(l)
-        plus, minus = ak**2 * (n + 1.0) / 2.0, al**2 * (n - 1.0) / 2.0
+        ak2, al2 = ak**2, al**2
+        plus, minus = ak2 * (n + 1.0) / 2.0, al2 * (n - 1.0) / 2.0
         weight = (n**2 - 1.0) / (2.0 * n)
         # ndarray.sum: the same reduction as np.sum without its Python wrapper
-        sums = ((plus - minus) / n, plus + minus, 2.0 * ak * al * weight, k * l * weight)
-        x, y, z, cross = (a.sum(axis=-1) for a in sums)
-        fields = dict(x=x, y=y, z=z, cross=cross, k=k, l=l, noise=n, alpha_g=alpha)
+        sums = ((plus - minus) / n, plus + minus, 2.0 * ak * al * weight, k * l * weight,
+                al2 - ak2)
+        x, y, z, cross, norm = (a.sum(axis=-1) for a in sums)
+        fields = dict(x=x, y=y, z=z, cross=cross, defect=np.abs(norm - 1.0),
+                      k=k, l=l, noise=n, alpha_g=alpha)
         for name, value in fields.items():
             object.__setattr__(self, name, value.item() if value.ndim == 0 else value)
 
@@ -167,11 +168,6 @@ class BogoliubovRow:
     @property
     def stacked(self) -> bool:
         return self.k.ndim == 2
-
-    def constraint_defect(self):
-        """Deviation of sum(|l|^2 - |k|^2) from 1 (one per row of a stack)."""
-        defect = np.abs((np.abs(self.l) ** 2 - np.abs(self.k) ** 2).sum(axis=-1) - 1.0)
-        return defect if self.stacked else float(defect)
 
     def cross_sum_real(self):
         """Re sum(k_i l_i^*) (one per row of a stack).
@@ -286,12 +282,13 @@ def extract_bogoliubov(state: GaussianState, selector: ModeSelector) -> Bogoliub
         if not state.stacked:
             alpha_g, k, l = alpha_g[0], k[0], l[0]
         row = BogoliubovRow(alpha_g=alpha_g, k=k, l=l, noise=decomp.noise_factors)
-        for i, defect in enumerate(np.atleast_1d(row.constraint_defect()).tolist()):
+        for defect in np.atleast_1d(row.defect).tolist():
             if defect > 1e-9:
-                raise _at_row(i, InconsistentRowError(
-                    f"normalization defect {defect:.3e} after extraction"))
+                raise InconsistentRowError(f"normalization defect {defect:.3e} after extraction")
     except ValueError as exc:
-        _raise_earlier_row(exc, lambda k: extract_bogoliubov(state[:k], selector))
+        if state.stacked:
+            _replay_rows(exc, len(state.covariance),
+                         lambda i: extract_bogoliubov(state[i], selector))
         raise
     return row
 
@@ -307,10 +304,8 @@ def relative_purity_closed_form(row: BogoliubovRow) -> float:
     and always lies in [1/2, 1.2).
     """
     require_single(row, "relative_purity_closed_form")
-    if row.constraint_defect() > ROW_TOL:
-        raise InconsistentRowError(
-            f"row violates normalization by {row.constraint_defect():.3e}"
-        )
+    if row.defect > ROW_TOL:
+        raise InconsistentRowError(f"row violates normalization by {row.defect:.3e}")
     a2 = abs(row.alpha_g) ** 2
     denom = row.y + a2
     if denom <= VACUUM_THRESHOLD:

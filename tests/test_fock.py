@@ -15,6 +15,7 @@ from pspurity import (
     TruncationInsufficientError,
     extract_bogoliubov,
     gaussian_wigner_fn,
+    make_thermal,
     make_vacuum,
     mean_photon,
     moments_subtracted,
@@ -259,6 +260,18 @@ def test_run_circuit_fock_checks_memory_budget(monkeypatch):
     monkeypatch.setenv(MEMORY_ENV_VAR, "1e-6")  # 1 byte
     with pytest.raises(TruncationInsufficientError, match=MEMORY_ENV_VAR):
         run_circuit_fock(circ)
+
+
+@pytest.mark.parametrize("value", ["inf", "1e400", "nan", "0", "-5", "abc"])
+def test_memory_budget_refuses_bad_values(monkeypatch, value):
+    monkeypatch.setenv(MEMORY_ENV_VAR, value)
+    with pytest.raises(ValueError, match=MEMORY_ENV_VAR):
+        gaussian_state_to_fock(make_thermal([2.0]))
+
+
+def test_memory_budget_accepts_a_valid_value(monkeypatch):
+    monkeypatch.setenv(MEMORY_ENV_VAR, "64")
+    assert gaussian_state_to_fock(make_thermal([2.0])).deficiency <= LEAKAGE_TOL
 
 
 def test_leakage_monotone_in_cutoff():

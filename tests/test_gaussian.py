@@ -283,6 +283,18 @@ def test_superposition_selector():
     assert mean_photon(state, sel) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("direction, message", [
+    (np.ones((2, 2)), "2m-vector"),
+    (np.ones(3), "2m-vector"),
+    (np.array([1.0, np.nan]), "finite"),
+    (np.array([np.inf, 0.0]), "finite"),
+    (np.zeros(4), "nonzero norm"),
+])
+def test_superposition_selector_refuses_bad_directions(direction, message):
+    with pytest.raises(ValueError, match=message):
+        ModeSelector.from_direction(direction)
+
+
 def test_reduce_full_set_is_identity():
     state = make_thermal([2.0, 5.0])
     same = reduce_modes(state, [0, 1])

@@ -71,7 +71,7 @@ def test_stack_rows_equal_single_calls_bitwise(m, d_max):
         for sel, stacked_rows in zip(selectors, rows):
             row, single_row = stacked_rows[i], extract_bogoliubov(alone, sel)
             assert type(row.alpha_g) is complex and row.alpha_g == single_row.alpha_g
-            for name in ("k", "l", "noise", "x", "y", "z", "cross"):
+            for name in ("k", "l", "noise", "x", "y", "z", "cross", "defect"):
                 assert same_bits(getattr(row, name), getattr(single_row, name))
             assert type(row.x) is float and type(row.cross) is complex
             assert relative_purity_closed_form(row) == relative_purity_closed_form(single_row)
@@ -165,6 +165,23 @@ def test_stacked_transform_raises_the_error_of_its_bad_row():
     with pytest.raises(ValueError) as stacked:
         SymplecticTransform(mats)
     assert str(stacked.value) == str(alone.value)
+    # row 1 fails the symplectic check, row 3 the finite check that runs first
+    eye = np.eye(2)
+    with pytest.raises(ValueError) as stacked:
+        SymplecticTransform(np.stack([eye, 2.0 * eye, eye, np.diag([np.nan, 1.0])]))
+    assert str(stacked.value) == "matrix is not symplectic (defect 3.000e+00)"
+
+
+def test_stacked_decomposition_raises_the_error_of_its_first_bad_row():
+    # row 0 fails the sorting check, row 1 the below-vacuum check that runs first
+    transforms = SymplecticTransform(np.stack([np.eye(4)] * 2))
+    noise = np.array([[1.0, 2.0], [0.5, 0.5]])
+    with pytest.raises(ValueError) as alone:
+        gaussian.WilliamsonDecomposition(transforms[0], noise[0])
+    with pytest.raises(ValueError) as stacked:
+        gaussian.WilliamsonDecomposition(transforms, noise)
+    assert type(stacked.value) is type(alone.value) is ValueError
+    assert str(stacked.value) == str(alone.value) == "noise factors must be sorted descending"
 
 
 def test_bogoliubov_stack_raises_the_error_of_its_bad_row():
@@ -176,10 +193,8 @@ def test_bogoliubov_stack_raises_the_error_of_its_bad_row():
     with pytest.raises(ValueError) as stacked:
         subtraction.BogoliubovRow(np.zeros(2, dtype=complex), k, l, noise)
     assert str(stacked.value) == str(alone.value)
-    # the failing row is tagged, so extract_bogoliubov can recheck the rows before it
-    with pytest.raises(ValueError, match="finite") as later:
+    with pytest.raises(ValueError, match="finite"):
         subtraction.BogoliubovRow(np.zeros(2, dtype=complex), k, l, np.array([[1.5], [np.nan]]))
-    assert later.value.stack_row == 1
 
 
 def single_state_calls(state, rows, sel, transform):

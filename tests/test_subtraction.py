@@ -127,7 +127,7 @@ def test_extraction_normalization_constraint_fuzz():
         m = 1 + seed % 4
         state = random_state(m, 31_000 + seed)
         row = extract_bogoliubov(state, ModeSelector.for_mode(seed % m, m))
-        assert row.constraint_defect() < 1e-9
+        assert row.defect < 1e-9
 
 
 def test_cross_sum_not_imaginary_for_squeezed_states():
