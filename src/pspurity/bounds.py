@@ -115,19 +115,18 @@ def purification_conditions(row: BogoliubovRow) -> BoundReport:
     check (gain numerator >= 0, i.e. ratio = 1).
     """
     require_single(row, "purification_conditions")
-    x, y, z, cross = row.x, row.y, row.z, row.cross
-    a2 = abs(row.alpha_g) ** 2
+    x, y, z, cross, a2 = row.x, row.y, row.z, row.cross, row.alpha_sq
     if y + a2 <= VACUUM_THRESHOLD:
         raise SubtractionFromVacuumError("row describes an empty mode")
     phi = np.angle(row.alpha_g) if a2 > ZERO_DISPLACEMENT_SQ else 0.0
     direction = float(np.real(np.exp(2j * phi) * np.conj(cross)))
     # gain numerator: ratio >= 1  iff  x^2 + 2|cross|^2 - y^2 + 4 a2 dir >= 0
-    gain = x**2 + 2.0 * abs(cross) ** 2 - y**2 + 4.0 * a2 * direction
+    gain = x**2 + 2.0 * row.cross_sq - y**2 + 4.0 * a2 * direction
     if a2 <= ZERO_DISPLACEMENT_SQ:
         threshold = None
         purifiable = False
     elif direction > 0.0:
-        threshold = (y**2 - x**2 - 2.0 * abs(cross) ** 2) / (4.0 * direction)
+        threshold = (y**2 - x**2 - 2.0 * row.cross_sq) / (4.0 * direction)
         purifiable = a2 >= threshold - 1e-12 * max(abs(threshold), 1.0)
     else:
         threshold = None

@@ -137,23 +137,8 @@ def _write_csv(path: str, config: RunConfig, columns: dict):
         fh.writelines(",".join(row) + "\n" for row in zip(*fields, strict=True))
 
 
-def _record_columns(records: list, names: tuple) -> dict:
-    """One column per name, read from each sweep record's params or outputs."""
-    merged = [r.params | r.outputs for r in records]
-    return {name: [m[name] for m in merged] for name in names}
-
-
-def _reproduce_fig1a(config: RunConfig) -> int:
-    records = sweep("fig1a", points=config.points)
-    _write_csv(config.output, config,
-               _record_columns(records, ("phi", "s_db", "ratio", "f_alpha")))
-    return 0
-
-
-def _reproduce_fig1b(config: RunConfig) -> int:
-    records = sweep("fig1b", points=config.points)
-    _write_csv(config.output, config,
-               _record_columns(records, ("alpha_mag", "n_g", "phi", "ratio")))
+def _reproduce_sweep(config: RunConfig) -> int:
+    _write_csv(config.output, config, sweep(config.figure, points=config.points))
     return 0
 
 
@@ -217,8 +202,8 @@ def _reproduce_fig3(config: RunConfig) -> int:
 
 #: figure name -> (handler, default output path)
 FIGURES = {
-    "fig1a": (_reproduce_fig1a, "fig1a.csv"),
-    "fig1b": (_reproduce_fig1b, "fig1b.csv"),
+    "fig1a": (_reproduce_sweep, "fig1a.csv"),
+    "fig1b": (_reproduce_sweep, "fig1b.csv"),
     "fig2": (_reproduce_fig2, "fig2.csv"),
     "fig3": (_reproduce_fig3, "fig3.json"),
 }
@@ -370,16 +355,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.command == "run":
-            with open(args.config) as fh:
-                config = RunConfig.from_text(fh.read())
-        else:
-            known = {f.name for f in dataclasses.fields(RunConfig)}
-            config = RunConfig(**{k: v for k, v in vars(args).items() if k in known})
-    except ValueError as exc:
-        parser.error(str(exc))
-    return _dispatch(config)
+    try:  # OSError: a config file that cannot be read or an output that cannot be written
+        try:
+            if args.command == "run":
+                with open(args.config) as fh:
+                    config = RunConfig.from_text(fh.read())
+            else:
+                known = {f.name for f in dataclasses.fields(RunConfig)}
+                config = RunConfig(**{k: v for k, v in vars(args).items() if k in known})
+        except ValueError as exc:
+            parser.error(str(exc))
+        return _dispatch(config)
+    except OSError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

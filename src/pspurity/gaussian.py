@@ -24,7 +24,8 @@ raises the error its first failing row raises alone: when a check fails,
 ``_replay_rows`` rebuilds the rows alone and in order until one raises, which
 costs time only on that failure path.  ``stack[i]`` is row i, ``stack[i:j]`` a
 smaller stack; functions that take one state refuse a stack through
-``require_single``.
+``require_single``.  Of the purity formulas, only the closed form
+(``subtraction.relative_purity_closed_form``) takes a stack, of rows.
 
 Gates: ``_gate_block`` checks a gate and builds its block.  The four gate
 constructors, ``CircuitDescription`` (at construction) and
@@ -360,6 +361,8 @@ class WilliamsonDecomposition:
         object.__setattr__(self, "noise_factors", n)
         rows = _stacked(n, 1)
         try:
+            if not np.isfinite(rows).all():
+                raise ValueError(f"noise factors must be finite, got {n}")
             # the covariance's own tolerance, as GaussianState applies it
             tol = _vacuum_tolerance(_stacked(self.reconstruct(), 2))
             for k, (low, t) in enumerate(zip(rows.min(axis=1).tolist(), tol)):

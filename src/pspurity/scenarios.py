@@ -11,7 +11,6 @@ rather than hard-coding one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .subtraction import (
     relative_purity_closed_form,
     subtract_photon,
 )
-from .bounds import purification_conditions
+from .bounds import bound_f
 
 #: squeezer pairings searched for the three-mode example (modes 0-indexed)
 MODE_PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -43,14 +42,6 @@ MODE_PAIRS = ((0, 1), (0, 2), (1, 2))
 #: sign pattern of the published three-mode example: rows are the subtracted
 #: mode, entries are +1 (ratio > 1) or -1 (ratio < 1) per observed mode
 TARGET_SIGN_PATTERN = ((1, 1, 1), (-1, -1, -1), (1, 1, -1))
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """One grid point of a sweep: named inputs and named outputs."""
-
-    params: dict
-    outputs: dict
 
 
 # ---------------------------------------------------------------------------
@@ -259,47 +250,34 @@ FIG1A_SQUEEZINGS_DB = (1.0, 10.0, 30.0)
 FIG1B_ROWS = ((10.0, 0.0), (20.0, 0.0), (10.0, np.pi / 2.0), (20.0, np.pi / 2.0))
 
 
-def sweep(figure: str, points: int = 241) -> list[SweepRecord]:
-    """Relative-purity sweeps behind the shipped datasets.
+def sweep(figure: str, points: int = 241) -> dict:
+    """Relative-purity sweeps behind the shipped datasets, as the CSV's
+    columns in order, each an array with one entry per grid point.
 
-    fig1a: ratio and envelope vs displacement direction phi in [0, 2 pi]
-        for squeezing 1, 10, 30 dB at n = 10, amplitude 6.
-    fig1b: ratio vs displacement amplitude in [0, 12] for four
-        (n, phi) combinations at 10 dB.
+    fig1a: ratio and envelope f_alpha vs displacement direction phi in
+        [0, 2 pi] for squeezing 1, 10, 30 dB at n = 10, amplitude 6
+        (columns phi, s_db, ratio, f_alpha).
+    fig1b: ratio vs displacement amplitude in [0, 12] for four (n, phi)
+        combinations at 10 dB (columns alpha_mag, n_g, phi, ratio).
+
+    Every grid point is one row of a single stack, extracted and put through
+    the closed form in one pass.
     """
     if figure == "fig1a":
-        return _sweep_fig1a(points)
-    if figure == "fig1b":
-        return _sweep_fig1b(points)
-    raise ValueError(f"unknown sweep {figure!r}")
-
-
-def _records(params: list[dict], state: GaussianState) -> list[SweepRecord]:
-    """One record per row of the stacked sweep state: closed form and
-    conditions row by row, from one batched extraction."""
+        s_db = np.repeat(FIG1A_SQUEEZINGS_DB, points)
+        phi = np.tile(np.linspace(0.0, 2.0 * np.pi, points), len(FIG1A_SQUEEZINGS_DB))
+        columns = {"phi": phi, "s_db": s_db}
+        state = single_mode_family(10.0, s_db, 6.0, phi)
+    elif figure == "fig1b":
+        n_g, phi = (np.repeat(column, points) for column in zip(*FIG1B_ROWS))
+        alpha_mag = np.tile(np.linspace(0.0, 12.0, points), len(FIG1B_ROWS))
+        columns = {"alpha_mag": alpha_mag, "n_g": n_g, "phi": phi}
+        state = single_mode_family(n_g, 10.0, alpha_mag, phi)
+    else:
+        raise ValueError(f"unknown sweep {figure!r}")
     rows = extract_bogoliubov(state, ModeSelector.for_mode(0, 1))
-    records = []
-    for i, point in enumerate(params):
-        row = rows[i]
-        report = purification_conditions(row)
-        records.append(SweepRecord(point, {
-            "ratio": relative_purity_closed_form(row),
-            "f_alpha": report.f_alpha,
-            "purifiable": report.purifiable,
-        }))
-    return records
-
-
-def _sweep_fig1a(points: int) -> list[SweepRecord]:
-    phi = np.tile(np.linspace(0.0, 2.0 * np.pi, points), len(FIG1A_SQUEEZINGS_DB))
-    s_db = np.repeat(FIG1A_SQUEEZINGS_DB, points)
-    params = [{"phi": float(p), "s_db": float(s)} for p, s in zip(phi, s_db)]
-    return _records(params, single_mode_family(10.0, s_db, 6.0, phi))
-
-
-def _sweep_fig1b(points: int) -> list[SweepRecord]:
-    alpha_mag = np.tile(np.linspace(0.0, 12.0, points), len(FIG1B_ROWS))
-    n_g, phi = (np.repeat(column, points) for column in zip(*FIG1B_ROWS))
-    params = [{"alpha_mag": float(a), "n_g": float(n), "phi": float(p)}
-              for a, n, p in zip(alpha_mag, n_g, phi)]
-    return _records(params, single_mode_family(n_g, 10.0, alpha_mag, phi))
+    columns["ratio"] = relative_purity_closed_form(rows)
+    if figure == "fig1a":
+        aggregates = (rows.x.tolist(), rows.y.tolist(), rows.z.tolist(), rows.alpha_sq.tolist())
+        columns["f_alpha"] = np.array([bound_f(*row) for row in zip(*aggregates)])
+    return columns

@@ -22,8 +22,11 @@ factor-of-two errors.
 ``extract_bogoliubov`` takes a stack of states (see ``gaussian``) and returns
 a stack of rows.  A row sums itself, once and over the whole stack, into the
 four aggregates x, y, z and cross that the closed form and the purification
-conditions (``bounds``) read, and into its normalization defect; the purity
-formulas and ``subtract_photon`` take one state or one row, ``rows[i]``.
+conditions (``bounds``) read, its normalization defect and the squared
+magnitudes |alpha_g|^2 and |cross|^2.  ``relative_purity_closed_form`` takes
+a stack of rows and returns one ratio per row; the purification conditions,
+the prefactor-moment purities and ``subtract_photon`` take one state or one
+row, ``rows[i]``.
 """
 
 from __future__ import annotations
@@ -117,8 +120,10 @@ class BogoliubovRow:
         z = 2 sum |k_i| |l_i| w_i >= 0,  cross = sum k_i l_i w_i (complex,
         phase-bearing, |cross| <= z / 2),
 
-    and the normalization defect |sum(|l_i|^2 - |k_i|^2) - 1|; N-vectors on
-    a stack, whose ``rows[i]`` carries row i's as Python scalars.
+    the normalization defect |sum(|l_i|^2 - |k_i|^2) - 1|, and
+    ``alpha_sq`` = |alpha_g|^2 and ``cross_sq`` = |cross|^2, each the product
+    ``abs(c) * abs(c)`` of Python's ``abs``; N-vectors on a stack, whose
+    ``rows[i]`` carries row i's as Python scalars.
     """
 
     alpha_g: complex
@@ -130,6 +135,8 @@ class BogoliubovRow:
     z: float = field(init=False, repr=False, compare=False)
     cross: complex = field(init=False, repr=False, compare=False)
     defect: float = field(init=False, repr=False, compare=False)
+    alpha_sq: float = field(init=False, repr=False, compare=False)
+    cross_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha_g, dtype=complex)
@@ -158,8 +165,10 @@ class BogoliubovRow:
         sums = ((plus - minus) / n, plus + minus, 2.0 * ak * al * weight, k * l * weight,
                 al2 - ak2)
         x, y, z, cross, norm = (a.sum(axis=-1) for a in sums)
+        # hypot is what Python's abs(complex) computes; NumPy's complex abs rounds otherwise
+        alpha_sq, cross_sq = (np.square(np.hypot(c.real, c.imag)) for c in (alpha, cross))
         fields = dict(x=x, y=y, z=z, cross=cross, defect=np.abs(norm - 1.0),
-                      k=k, l=l, noise=n, alpha_g=alpha)
+                      alpha_sq=alpha_sq, cross_sq=cross_sq, k=k, l=l, noise=n, alpha_g=alpha)
         for name, value in fields.items():
             object.__setattr__(self, name, value.item() if value.ndim == 0 else value)
 
@@ -293,7 +302,7 @@ def extract_bogoliubov(state: GaussianState, selector: ModeSelector) -> Bogoliub
     return row
 
 
-def relative_purity_closed_form(row: BogoliubovRow) -> float:
+def relative_purity_closed_form(row: BogoliubovRow) -> float | np.ndarray:
     """Ratio of purities after/before subtraction, from the row's aggregates.
 
     With x, y and cross as in ``BogoliubovRow`` and a = alpha_g the ratio is
@@ -301,23 +310,26 @@ def relative_purity_closed_form(row: BogoliubovRow) -> float:
         1/2 + [x^2/2 + |a|^4/2 + |cross|^2 + 2 Re(conj(a)^2 cross)
                + |a|^2 y] / (y + |a|^2)^2
 
-    and always lies in [1/2, 1.2).
+    and always lies in [1/2, 1.2).  A stack of rows gives an N-vector, one
+    row a Python float.  Only +, -, * and / act on the row's fields, so each
+    entry of a stack rounds as its row alone; the rows are checked in order,
+    so a stack raises its first failing row's error.
     """
-    require_single(row, "relative_purity_closed_form")
-    if row.defect > ROW_TOL:
-        raise InconsistentRowError(f"row violates normalization by {row.defect:.3e}")
-    a2 = abs(row.alpha_g) ** 2
-    denom = row.y + a2
-    if denom <= VACUUM_THRESHOLD:
-        raise SubtractionFromVacuumError("row describes an empty mode")
+    denom = row.y + row.alpha_sq
+    for defect, d in zip(np.atleast_1d(row.defect).tolist(), np.atleast_1d(denom).tolist()):
+        if defect > ROW_TOL:
+            raise InconsistentRowError(f"row violates normalization by {defect:.3e}")
+        if d <= VACUUM_THRESHOLD:
+            raise SubtractionFromVacuumError("row describes an empty mode")
+    a2, ar, ai, cross = row.alpha_sq, row.alpha_g.real, row.alpha_g.imag, row.cross
     num = (
-        0.5 * row.x**2
-        + 0.5 * a2**2
-        + abs(row.cross) ** 2
-        + 2.0 * np.real(np.conj(row.alpha_g) ** 2 * row.cross)
+        0.5 * (row.x * row.x)
+        + 0.5 * (a2 * a2)
+        + row.cross_sq
+        + 2.0 * ((ar * ar - ai * ai) * cross.real + 2.0 * (ar * ai) * cross.imag)
         + a2 * row.y
     )
-    return float(0.5 + num / denom**2)
+    return 0.5 + num / (denom * denom)
 
 
 def purity_subtracted(sub: SubtractedState) -> float:

@@ -224,10 +224,9 @@ def test_criterion_8_three_mode_sign_pattern():
 
 def test_criterion_9_orthogonal_direction():
     def check():
-        records = sweep("fig1b", points=241)
-        rows = [r for r in records if r.params["phi"] > 1.0]
-        assert rows and max(r.params["alpha_mag"] for r in rows) == 12.0
-        for r in rows:
-            assert r.outputs["ratio"] <= 1.0 + 1e-9
+        columns = sweep("fig1b", points=241)
+        rows = columns["phi"] > 1.0
+        assert rows.any() and columns["alpha_mag"][rows].max() == 12.0
+        assert (columns["ratio"][rows] <= 1.0 + 1e-9).all()
 
     report(9, "orthogonal displacement never purifies", check)

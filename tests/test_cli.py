@@ -260,6 +260,24 @@ def test_out_of_range_input_rejected(tmp_path, monkeypatch, capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["run", "missing.cfg"],
+                                  ["reproduce", "fig1a", "--output", "taken"],
+                                  ["reproduce", "fig3", "--output", "taken"]],
+                         ids=["missing_config", "fig1a_into_directory", "fig3_into_directory"])
+def test_file_errors_exit_2_naming_the_path(tmp_path, monkeypatch, capsys, argv):
+    """A config file that cannot be read, or an output path that is a
+    directory, ends in one error line that names the path, not a traceback."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pspurity: error: ") and err.count("\n") == 1
+    assert repr(argv[-1]) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
 def test_config_round_trip():
     config = RunConfig(command="fuzz", seed=99, count=123)
     again = RunConfig.from_text(config.to_text())

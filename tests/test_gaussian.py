@@ -416,6 +416,14 @@ def test_williamson_decomposition_checks_noise_length(noise):
         WilliamsonDecomposition(SymplecticTransform(np.eye(4)), np.array(noise))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_williamson_decomposition_refuses_non_finite_noise(bad):
+    with pytest.raises(ValueError, match="noise factors must be finite"):
+        WilliamsonDecomposition(SymplecticTransform(np.eye(2)), np.array([bad]))
+    with pytest.raises(ValueError, match="noise factors must be finite"):
+        WilliamsonDecomposition(SymplecticTransform(np.eye(4)), np.array([bad, 1.0]))
+
+
 def test_generated_states_physical():
     for seed in range(50):
         state = random_state(3, 777 + seed)

@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses, every private
 module-level function is referenced somewhere else in the package, and every
 public one (function or class) somewhere in the package, the tests or the
-benchmark harness; ``import pspurity`` and ``pspurity fuzz`` load no SciPy."""
+benchmark harness; ``import pspurity``, ``pspurity fuzz`` and the fig1a and
+fig1b sweeps load no SciPy."""
 
 import ast
 import os
@@ -166,12 +167,12 @@ def test_package_import_detected():
                                        "cli"}
 
 
-def modules_after(code: str) -> set[str]:
-    """Modules a fresh interpreter holds after running ``code``."""
+def modules_after(code: str, cwd=None) -> set[str]:
+    """Modules a fresh interpreter holds after running ``code`` in ``cwd``."""
     probe = code + "\nimport sys\nprint(' '.join(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(Path(pspurity.__file__).parent.parent))
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
+                          text=True, timeout=120, check=True, cwd=cwd)
     return set(done.stdout.strip().splitlines()[-1].split())
 
 
@@ -191,8 +192,10 @@ def test_fock_loads_no_sparse_scipy():
     assert {name for name in scipy_modules(loaded) if name.startswith("scipy.sparse")} == set()
 
 
-def test_fuzz_loads_neither_scipy_nor_the_oracles():
-    loaded = modules_after("from pspurity import cli\ncli.main(['fuzz', '--count', '5'])")
+@pytest.mark.parametrize("argv", [["fuzz", "--count", "5"], ["reproduce", "fig1a"],
+                                  ["reproduce", "fig1b"]], ids=["fuzz", "fig1a", "fig1b"])
+def test_fuzz_loads_neither_scipy_nor_the_oracles(tmp_path, argv):
+    loaded = modules_after(f"from pspurity import cli\ncli.main({argv!r})", cwd=tmp_path)
     assert scipy_modules(loaded) == set()
     assert {"pspurity.fock", "pspurity.crosscheck", "pspurity.quadrature"}.isdisjoint(loaded)
 

@@ -194,40 +194,33 @@ def test_random_pure_undisplaced_never_purify():
 
 
 def test_sweep_fig1a_peak_at_multiples_of_pi():
-    records = sweep("fig1a", points=241)
+    columns = sweep("fig1a", points=241)
     for s_db in (1.0, 10.0, 30.0):
-        rows = [r for r in records if r.params["s_db"] == s_db]
-        phis = np.array([r.params["phi"] for r in rows])
-        ratios = np.array([r.outputs["ratio"] for r in rows])
+        rows = columns["s_db"] == s_db
+        phis = columns["phi"][rows]
+        ratios = columns["ratio"][rows]
         peak = phis[np.argmax(ratios)] % np.pi
         assert min(peak, np.pi - peak) < (phis[1] - phis[0]) / 2 + 1e-12
 
 
 def test_sweep_fig1a_periodic_and_symmetric():
-    records = sweep("fig1a", points=241)
-    rows = [r for r in records if r.params["s_db"] == 10.0]
-    ratios = np.array([r.outputs["ratio"] for r in rows])
+    columns = sweep("fig1a", points=241)
+    ratios = columns["ratio"][columns["s_db"] == 10.0]
     assert ratios[0] == pytest.approx(ratios[-1], abs=1e-9)  # 2 pi periodic
     assert np.abs(ratios - ratios[::-1]).max() < 1e-9  # symmetric about pi
 
 
 def test_sweep_fig1b_orthogonal_rows_never_purify():
-    records = sweep("fig1b", points=121)
-    bad = [
-        r
-        for r in records
-        if r.params["phi"] > 1.0 and r.outputs["ratio"] > 1.0 + 1e-9
-    ]
-    assert not bad
+    columns = sweep("fig1b", points=121)
+    bad = (columns["phi"] > 1.0) & (columns["ratio"] > 1.0 + 1e-9)
+    assert not bad.any()
 
 
 def test_sweep_fig1b_attains_envelope_maximum():
-    records = sweep("fig1b", points=241)
-    rows = [
-        r for r in records if r.params["n_g"] == 10.0 and r.params["phi"] == 0.0
-    ]
-    ratios = np.array([r.outputs["ratio"] for r in rows])
-    alphas = np.array([r.params["alpha_mag"] for r in rows])
+    columns = sweep("fig1b", points=241)
+    rows = (columns["n_g"] == 10.0) & (columns["phi"] == 0.0)
+    ratios = columns["ratio"][rows]
+    alphas = columns["alpha_mag"][rows]
     best = np.argmax(ratios)
     row = extract_bogoliubov(
         single_mode_family(10.0, 10.0, 6.0, 0.0), ModeSelector.for_mode(0, 1)
@@ -241,8 +234,8 @@ def test_sweep_fig1b_attains_envelope_maximum():
 def test_sweep_records_recompute_identically():
     first = sweep("fig1a", points=41)
     second = sweep("fig1a", points=41)
-    for a, b in zip(first, second):
-        assert a.outputs["ratio"] == b.outputs["ratio"]
+    assert list(first) == list(second) == ["phi", "s_db", "ratio", "f_alpha"]
+    assert np.array_equal(first["ratio"], second["ratio"])
 
 
 def test_sweep_unknown_figure():

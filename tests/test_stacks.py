@@ -38,7 +38,12 @@ from pspurity import (
     williamson,
     zero_displacement_ratio_bound,
 )
-from pspurity.errors import NumericDegenerateError, UnphysicalStateError
+from pspurity.errors import (
+    InconsistentRowError,
+    NumericDegenerateError,
+    SubtractionFromVacuumError,
+    UnphysicalStateError,
+)
 from pspurity.fock import gaussian_state_to_fock
 from pspurity.quadrature import GridSpec
 from pspurity.scenarios import mode_ratio_table, random_state, single_mode_family
@@ -58,6 +63,7 @@ def test_stack_rows_equal_single_calls_bitwise(m, d_max):
     selectors = [ModeSelector.for_mode(m - 1, m),
                  ModeSelector.from_direction(np.arange(1.0, 2 * m + 1))]
     rows = [extract_bogoliubov(states, sel) for sel in selectors]
+    ratios = [relative_purity_closed_form(stacked_rows) for stacked_rows in rows]
     decomp = williamson(states)
     assert states.stacked and states.covariance.shape == (len(SEEDS), 2 * m, 2 * m)
     for i, seed in enumerate(SEEDS):
@@ -68,13 +74,21 @@ def test_stack_rows_equal_single_calls_bitwise(m, d_max):
         single = williamson(alone)
         assert same_bits(decomp[i].symplectic.matrix, single.symplectic.matrix)
         assert same_bits(decomp[i].noise_factors, single.noise_factors)
-        for sel, stacked_rows in zip(selectors, rows):
+        for sel, stacked_rows, stacked_ratios in zip(selectors, rows, ratios):
             row, single_row = stacked_rows[i], extract_bogoliubov(alone, sel)
             assert type(row.alpha_g) is complex and row.alpha_g == single_row.alpha_g
-            for name in ("k", "l", "noise", "x", "y", "z", "cross", "defect"):
+            for name in ("k", "l", "noise", "x", "y", "z", "cross", "defect", "alpha_sq",
+                         "cross_sq"):
                 assert same_bits(getattr(row, name), getattr(single_row, name))
             assert type(row.x) is float and type(row.cross) is complex
-            assert relative_purity_closed_form(row) == relative_purity_closed_form(single_row)
+            assert type(row.alpha_sq) is float and type(row.cross_sq) is float
+            # hypot, as Python's abs(complex): NumPy's complex abs rounds otherwise
+            assert row.alpha_sq == abs(row.alpha_g) * abs(row.alpha_g)
+            assert row.cross_sq == abs(row.cross) * abs(row.cross)
+            ratio = relative_purity_closed_form(single_row)
+            assert type(ratio) is float
+            assert same_bits(stacked_ratios[i], ratio)
+            assert relative_purity_closed_form(row) == ratio
 
 
 def test_stack_slices_and_single_rows():
@@ -182,6 +196,15 @@ def test_stacked_decomposition_raises_the_error_of_its_first_bad_row():
         gaussian.WilliamsonDecomposition(transforms, noise)
     assert type(stacked.value) is type(alone.value) is ValueError
     assert str(stacked.value) == str(alone.value) == "noise factors must be sorted descending"
+    # a non-finite row raises its own message, unless an earlier row fails first
+    noise = np.array([[2.0, 1.0], [np.inf, 1.0]])
+    with pytest.raises(ValueError) as alone:
+        gaussian.WilliamsonDecomposition(transforms[1], noise[1])
+    with pytest.raises(ValueError) as stacked:
+        gaussian.WilliamsonDecomposition(transforms, noise)
+    assert str(stacked.value) == str(alone.value) == "noise factors must be finite, got [inf  1.]"
+    with pytest.raises(ValueError, match="sorted descending"):
+        gaussian.WilliamsonDecomposition(transforms, np.array([[1.0, 2.0], [np.nan, 1.0]]))
 
 
 def test_bogoliubov_stack_raises_the_error_of_its_bad_row():
@@ -195,6 +218,30 @@ def test_bogoliubov_stack_raises_the_error_of_its_bad_row():
     assert str(stacked.value) == str(alone.value)
     with pytest.raises(ValueError, match="finite"):
         subtraction.BogoliubovRow(np.zeros(2, dtype=complex), k, l, np.array([[1.5], [np.nan]]))
+
+
+def test_stacked_closed_form_raises_the_error_of_its_first_bad_row():
+    # rows: good (y = 1), empty (y = 0, undisplaced), normalization defect 3
+    good, empty, defect = (subtraction.BogoliubovRow(0j, np.zeros(1), np.array([l]),
+                                                      np.array([n]))
+                           for l, n in ((1.0, 3.0), (1.0, 1.0), (2.0, 3.0)))
+    bad, errors = {"empty": empty, "defect": defect}, {}
+    for name, row in bad.items():
+        with pytest.raises(ValueError) as alone:
+            relative_purity_closed_form(row)
+        errors[name] = alone.value
+    assert type(errors["empty"]) is SubtractionFromVacuumError
+    assert type(errors["defect"]) is InconsistentRowError
+    for order in (("empty", "defect"), ("defect", "empty")):
+        rows = [good, *(bad[name] for name in order), good]
+        stack = subtraction.BogoliubovRow(np.zeros(4, dtype=complex),
+                                          np.stack([r.k for r in rows]),
+                                          np.stack([r.l for r in rows]),
+                                          np.stack([r.noise for r in rows]))
+        with pytest.raises(ValueError) as stacked:
+            relative_purity_closed_form(stack)
+        first = errors[order[0]]
+        assert type(stacked.value) is type(first) and str(stacked.value) == str(first)
 
 
 def single_state_calls(state, rows, sel, transform):
@@ -214,7 +261,6 @@ def single_state_calls(state, rows, sel, transform):
         "GridSpec.for_state": lambda: GridSpec.for_state(state),
         "gaussian_state_to_fock": lambda: gaussian_state_to_fock(state),
         "mode_ratio_table": lambda: mode_ratio_table(state),
-        "relative_purity_closed_form": lambda: relative_purity_closed_form(rows),
         "purification_conditions": lambda: purification_conditions(rows),
         "zero_displacement_ratio_bound": lambda: zero_displacement_ratio_bound(rows),
     }
@@ -244,7 +290,7 @@ def test_single_state_functions_refuse_stacks():
 def test_refusal_table_covers_every_single_state_function():
     """Every public function whose parameters name a GaussianState or a
     BogoliubovRow is in the refusal table or takes stacks."""
-    batched = {"extract_bogoliubov"}
+    batched = {"extract_bogoliubov", "relative_purity_closed_form"}
     found = set()
     for module in (gaussian, subtraction, bounds, scenarios, fock):
         for name, func in inspect.getmembers(module, inspect.isfunction):
