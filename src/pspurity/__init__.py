@@ -7,7 +7,8 @@ numerical oracles (truncated number basis and grid quadrature).
 
 ``import pspurity`` loads NumPy only.  The oracle and CLI modules (``fock``,
 ``quadrature``, ``crosscheck``, ``scenarios``, ``cli``) load on first use,
-as ``pspurity.fock`` or ``from pspurity import fock``; the oracles need SciPy.
+as ``pspurity.fock`` or ``from pspurity import fock``; only ``pspurity.fock``
+loads SciPy.
 """
 
 import importlib

@@ -69,7 +69,7 @@ def bound_f(x: float, y: float, z: float, alpha: float) -> float:
     denom = y + alpha
     if denom <= 0.0:
         raise ZeroDivisionError("y + alpha must be positive")
-    return float(1.0 + 0.5 * (x * x - y * y + 0.5 * z * z + 2.0 * alpha * z) / denom**2)
+    return float(1.0 + 0.5 * (x * x - y * y + 0.5 * z * z + 2.0 * alpha * z) / (denom * denom))
 
 
 def bound_f_max(x: float, y: float, z: float) -> tuple[float, float]:
@@ -121,16 +121,16 @@ def purification_conditions(row: BogoliubovRow) -> BoundReport:
     phi = np.angle(row.alpha_g) if a2 > ZERO_DISPLACEMENT_SQ else 0.0
     direction = float(np.real(np.exp(2j * phi) * np.conj(cross)))
     # gain numerator: ratio >= 1  iff  x^2 + 2|cross|^2 - y^2 + 4 a2 dir >= 0
-    gain = x**2 + 2.0 * row.cross_sq - y**2 + 4.0 * a2 * direction
+    gain = x * x + 2.0 * row.cross_sq - y * y + 4.0 * a2 * direction
     if a2 <= ZERO_DISPLACEMENT_SQ:
         threshold = None
         purifiable = False
     elif direction > 0.0:
-        threshold = (y**2 - x**2 - 2.0 * row.cross_sq) / (4.0 * direction)
+        threshold = (y * y - x * x - 2.0 * row.cross_sq) / (4.0 * direction)
         purifiable = a2 >= threshold - 1e-12 * max(abs(threshold), 1.0)
     else:
         threshold = None
-        purifiable = gain >= -1e-12 * max(y**2, 1.0)
+        purifiable = gain >= -1e-12 * max(y * y, 1.0)
     f_alpha = bound_f(x, y, z, a2)
     if z > 1e-15 * max(y, 1.0):
         _, f_max = bound_f_max(x, y, z)

@@ -153,15 +153,10 @@ def _reproduce_fig2(config: RunConfig) -> int:
     n = config.grid_points
     qs = np.linspace(center[0] - 5 * sig[0], center[0] + 5 * sig[0], n)
     ps = np.linspace(center[1] - 5 * sig[1], center[1] + 5 * sig[1], n)
-    # one call per grid row: the shipped values were computed that way, and
-    # one call over the whole grid is not guaranteed to round alike
-    rows = [np.column_stack([np.full(n, q), ps]) for q in qs]
-    _write_csv(config.output, config, {
-        "q": np.repeat(qs, n),
-        "p": np.tile(ps, n),
-        "w_gaussian": np.concatenate([w_g(pts) for pts in rows]),
-        "w_subtracted": np.concatenate([w_s(pts) for pts in rows]),
-    })
+    q, p = np.repeat(qs, n), np.tile(ps, n)
+    grid = np.column_stack([q, p])
+    _write_csv(config.output, config, {"q": q, "p": p, "w_gaussian": w_g(grid),
+                                       "w_subtracted": w_s(grid)})
     return 0
 
 

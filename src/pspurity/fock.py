@@ -101,10 +101,6 @@ class FockState:
     def mode_count(self) -> int:
         return self.amplitudes.ndim
 
-    @property
-    def physical_modes(self) -> int:
-        return self.mode_count - self.num_ancilla
-
 
 def _memory_budget_bytes() -> float:
     """The budget that ``PSPURITY_FOCK_MEMORY_MB`` sets, read on each call;

@@ -705,39 +705,30 @@ def mean_photon(state: GaussianState, selector: ModeSelector) -> float:
 def purity_gaussian(state: GaussianState) -> float:
     """Purity of a Gaussian state, 1 / sqrt(det V)."""
     require_single(state, "purity_gaussian")
-    sign, logdet = np.linalg.slogdet(state.covariance)
-    if sign <= 0:
-        raise UnphysicalStateError("covariance determinant is not positive")
-    return float(np.exp(-0.5 * logdet))
+    return float(np.exp(-0.5 * np.linalg.slogdet(state.covariance)[1]))
 
 
 def gaussian_wigner_fn(state: GaussianState):
     """Vectorized evaluator for the Gaussian Wigner function.
 
     Returns a callable mapping an array of shape (..., 2m) to values of
-    exp(-(b - a)^T V^-1 (b - a) / 2) / ((2 pi)^m sqrt(det V)).
+    exp(-(b - a)^T V^-1 (b - a) / 2) / ((2 pi)^m sqrt(det V)).  The quadratic
+    form is |L^-1 (b - a)|^2 with L the Cholesky factor of V that the
+    state's physicality check computed.  A checked state has det V =
+    prod nu_i^2 >= (1 - tol)^(2m), so det V is positive and far from
+    underflow.
     """
-    from scipy.linalg import solve_triangular  # the only scipy use: import it here
-
     require_single(state, "gaussian_wigner_fn")
-    cov = state.covariance
+    chol = state._chol
     mean = state.displacement
     m = state.mode_count
-    sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0 or logdet < -690.0:  # det underflows float64
-        raise NumericDegenerateError("covariance determinant degenerate")
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise NumericDegenerateError("covariance not positive definite") from exc
-    log_norm = -(m * np.log(2.0 * np.pi) + 0.5 * logdet)
+    log_norm = -(m * np.log(2.0 * np.pi) + 0.5 * np.linalg.slogdet(state.covariance)[1])
 
     def wigner(points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         scalar = pts.ndim == 1
         flat = pts.reshape(-1, 2 * m) - mean
-        # quadratic form via the Cholesky factor: |L^-1 (b - a)|^2
-        z = solve_triangular(chol, flat.T, lower=True, check_finite=False)
+        z = np.linalg.solve(chol, flat.T)
         q = np.einsum("ij,ij->j", z, z)
         vals = np.exp(-0.5 * q + log_norm)
         return float(vals[0]) if scalar else vals.reshape(pts.shape[:-1])

@@ -16,6 +16,7 @@ from pspurity import (
     beamsplitter,
     db_to_squeezing_parameter,
     db_to_variance_factor,
+    gaussian_wigner_fn,
     make_thermal,
     make_vacuum,
     mean_photon,
@@ -262,6 +263,25 @@ def test_wigner_coarse_normalization():
     vals = wigner_gaussian_at(state, grid)
     step = xs[1] - xs[0]
     assert vals.sum() * step**2 == pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_gaussian_wigner_matches_density_formula(m):
+    """The Cholesky-factor kernel against exp(-d^T V^-1 d / 2) / ((2 pi)^m sqrt(det V))
+    from the inverse and the determinant, at points spread 3 widths around the mean."""
+    states = random_state(m, range(100, 150))
+    rng = np.random.default_rng(m)
+    for i in range(50):
+        state = states[i]
+        cov, mean = state.covariance, state.displacement
+        points = mean + rng.normal(0.0, 3.0, (64, 2 * m)) @ np.linalg.cholesky(cov).T
+        d = points - mean
+        quad = np.einsum("ni,ij,nj->n", d, np.linalg.inv(cov), d)
+        expected = np.exp(-0.5 * quad) / ((2 * np.pi) ** m * np.sqrt(np.linalg.det(cov)))
+        wigner = gaussian_wigner_fn(state)
+        assert np.abs(wigner(points) / expected - 1.0).max() <= 1e-10
+        one = wigner(points[0])
+        assert type(one) is float and one == pytest.approx(expected[0], rel=1e-10)
 
 
 def test_selector_validation():

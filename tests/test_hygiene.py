@@ -193,7 +193,8 @@ def test_fock_loads_no_sparse_scipy():
 
 
 @pytest.mark.parametrize("argv", [["fuzz", "--count", "5"], ["reproduce", "fig1a"],
-                                  ["reproduce", "fig1b"]], ids=["fuzz", "fig1a", "fig1b"])
+                                  ["reproduce", "fig1b"], ["reproduce", "fig2"]],
+                         ids=["fuzz", "fig1a", "fig1b", "fig2"])
 def test_fuzz_loads_neither_scipy_nor_the_oracles(tmp_path, argv):
     loaded = modules_after(f"from pspurity import cli\ncli.main({argv!r})", cwd=tmp_path)
     assert scipy_modules(loaded) == set()

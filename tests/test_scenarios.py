@@ -35,6 +35,7 @@ from pspurity.scenarios import (
     three_mode_circuit,
     topology_search,
 )
+from pspurity.scenarios import _SIGNS
 
 
 def test_single_mode_family_reference():
@@ -155,6 +156,16 @@ def test_random_state_deterministic():
     assert np.array_equal(a.displacement, b.displacement)
     c = random_state(3, 2027)
     assert not np.array_equal(a.covariance, c.covariance)
+
+
+def test_random_state_sign_draw_is_rng_choice():
+    """Indexing _SIGNS by integers(0, 2, m) is rng.choice([-1.0, 1.0], m):
+    the same signs, and the generator left in the same state."""
+    for m in range(1, 5):
+        for seed in range(2000):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(_SIGNS[ours.integers(0, 2, m)], theirs.choice([-1.0, 1.0], m))
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 @pytest.mark.parametrize("ranges", [
