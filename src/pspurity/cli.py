@@ -269,7 +269,7 @@ def _cmd_fuzz(config: RunConfig) -> int:
     for (m, g, displaced), members in groups.items():
         built = _fuzz_group(m, g, displaced, [seed for _, seed in members])
         for (i, seed), outcome in zip(members, built):
-            record = {"seed": seed, "modes": m, "subtract_mode": g}
+            record = {"seed": seed, "modes": m, "displaced": displaced, "subtract_mode": g}
             try:
                 if isinstance(outcome, PspurityError):
                     raise outcome

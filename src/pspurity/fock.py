@@ -34,6 +34,7 @@ reduced density matrix is formed.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -60,15 +61,16 @@ DEFAULT_MEMORY_MB = 2048.0
 
 @dataclass(frozen=True)
 class TruncationSpec:
-    """Per-mode Fock cutoffs."""
+    """Per-mode Fock cutoffs: integers of at least 2, not bools."""
 
     cutoffs: tuple
 
     def __post_init__(self):
-        cut = tuple(int(c) for c in self.cutoffs)
-        if any(c < 2 for c in cut):
-            raise ValueError("cutoffs must be at least 2")
-        object.__setattr__(self, "cutoffs", cut)
+        cut = tuple(self.cutoffs)
+        if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) and c >= 2
+                   for c in cut):
+            raise ValueError(f"cutoffs must be integers of at least 2, got {cut!r}")
+        object.__setattr__(self, "cutoffs", tuple(map(int, cut)))
 
 
 @dataclass(frozen=True)

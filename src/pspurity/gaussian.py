@@ -145,16 +145,34 @@ def _normal_form(cov: np.ndarray):
 
 def symplectic_eigenvalues(covariance: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a positive-definite matrix, one value per mode,
-    sorted descending (errors as for ``GaussianState``; a stack of matrices
-    gives one spectrum per row)."""
+    sorted descending (errors as for ``GaussianState``, but no value need
+    reach 1; a stack of matrices gives one spectrum per row)."""
     cov = np.asarray(covariance, dtype=float)
-    _vacuum_tolerance(_stacked(cov, 2))
-    return _normal_form(cov)[1]
+    disp = np.zeros(cov.shape[:-1])
+    _check_shapes(cov, disp)
+    try:
+        nu = _checked_covariance(_stacked(cov, 2), _stacked(disp, 1))[1][1]
+    except ValueError as exc:
+        if cov.ndim == 3:
+            _replay_rows(exc, len(cov), lambda i: symplectic_eigenvalues(cov[i]))
+        raise
+    return nu if cov.ndim == 3 else nu[0]
+
+
+def _check_shapes(cov: np.ndarray, disp: np.ndarray):
+    """The shape checks of ``GaussianState``, which run before its stack checks."""
+    if (cov.ndim not in (2, 3) or cov.shape[-1] != cov.shape[-2]
+            or cov.shape[-1] % 2 or cov.size == 0):
+        raise UnphysicalStateError(
+            f"covariance must be 2m x 2m (N x 2m x 2m for a stack), got {cov.shape}")
+    if disp.shape != cov.shape[:-1]:
+        raise UnphysicalStateError(
+            f"displacement shape {disp.shape} does not match covariance {cov.shape}")
 
 
 def _checked_covariance(cov: np.ndarray, disp: np.ndarray):
-    """The checks of ``GaussianState`` on a stack; returns the symmetrized
-    covariances and their normal form.
+    """The checks of ``GaussianState`` on a stack, but nu >= 1; returns the
+    symmetrized covariances, their normal form and ``_vacuum_tolerance``.
 
     Each check reduces every row with NumPy and compares the per-row values
     as Python floats, which costs less than further array calls on small
@@ -171,11 +189,7 @@ def _checked_covariance(cov: np.ndarray, disp: np.ndarray):
             raise UnphysicalStateError("covariance matrix is not symmetric")
     cov = 0.5 * (cov + cov.swapaxes(-1, -2))
     tol = _vacuum_tolerance(cov)
-    normal = _normal_form(cov)
-    for nu, t in zip(normal[1][:, -1].tolist(), tol):
-        if nu < 1.0 - t:
-            raise UnphysicalStateError(f"minimal symplectic eigenvalue {nu} is below 1")
-    return cov, normal
+    return cov, _normal_form(cov), tol
 
 
 def _as_readonly(arr: np.ndarray) -> np.ndarray:
@@ -206,16 +220,12 @@ class GaussianState:
     def __post_init__(self):
         cov = np.asarray(self.covariance, dtype=float)
         disp = np.asarray(self.displacement, dtype=float)
-        if (cov.ndim not in (2, 3) or cov.shape[-1] != cov.shape[-2]
-                or cov.shape[-1] % 2 or cov.size == 0):
-            raise UnphysicalStateError(
-                f"covariance must be 2m x 2m (N x 2m x 2m for a stack), got {cov.shape}")
-        if disp.shape != cov.shape[:-1]:
-            raise UnphysicalStateError(
-                f"displacement shape {disp.shape} does not match covariance {cov.shape}"
-            )
+        _check_shapes(cov, disp)
         try:
-            sym, normal = _checked_covariance(_stacked(cov, 2), _stacked(disp, 1))
+            sym, normal, tol = _checked_covariance(_stacked(cov, 2), _stacked(disp, 1))
+            for nu, t in zip(normal[1][:, -1].tolist(), tol):
+                if nu < 1.0 - t:
+                    raise UnphysicalStateError(f"minimal symplectic eigenvalue {nu} is below 1")
         except ValueError as exc:
             if cov.ndim == 3:
                 _replay_rows(exc, len(cov), lambda i: GaussianState(cov[i], disp[i]))
@@ -283,47 +293,19 @@ class SymplecticTransform:
 
 @dataclass(frozen=True)
 class ModeSelector:
-    """Phase-space basis pair (g_x, g_p) singling out one bosonic mode.
+    """The bosonic mode g along a phase-space direction g_x.
 
-    The pair must be orthonormal with ``g_p = Omega^T g_x`` so that the mode
-    quadratures obey the canonical commutator ``[x_g, p_g] = 2i``.
+    Built from a finite 2m-vector of nonzero norm, stored normalized as
+    ``basis_x``.  The conjugate quadrature ``basis_p`` = g_p = Omega^T g_x
+    follows from it, so the mode quadratures obey the canonical commutator
+    ``[x_g, p_g] = 2i``.
     """
 
     basis_x: np.ndarray
-    basis_p: np.ndarray
+    basis_p: np.ndarray = field(init=False)
 
     def __post_init__(self):
         gx = np.asarray(self.basis_x, dtype=float)
-        gp = np.asarray(self.basis_p, dtype=float)
-        if gx.ndim != 1 or gx.shape != gp.shape or gx.size % 2:
-            raise ValueError("selector vectors must be equal-length 2m vectors")
-        if not (np.isfinite(gx).all() and np.isfinite(gp).all()):
-            raise ValueError("selector vectors must be finite")
-        m = gx.size // 2
-        if abs(np.linalg.norm(gx) - 1.0) > 1e-10 or abs(np.linalg.norm(gp) - 1.0) > 1e-10:
-            raise ValueError("selector vectors must be unit norm")
-        if abs(gx @ gp) > 1e-10:
-            raise ValueError("selector vectors must be orthogonal")
-        if np.abs(gp - symplectic_form(m).T @ gx).max() > 1e-10:
-            raise ValueError("selector pair must satisfy g_p = Omega^T g_x")
-        object.__setattr__(self, "basis_x", _as_readonly(gx))
-        object.__setattr__(self, "basis_p", _as_readonly(gp))
-
-    @classmethod
-    def for_mode(cls, mode: int, num_modes: int) -> "ModeSelector":
-        """Selector for computational mode ``mode`` of an m-mode system."""
-        _check_mode(mode, num_modes)
-        gx = np.zeros(2 * num_modes)
-        gp = np.zeros(2 * num_modes)
-        gx[mode] = 1.0
-        gp[num_modes + mode] = 1.0
-        return cls(gx, gp)
-
-    @classmethod
-    def from_direction(cls, direction: np.ndarray) -> "ModeSelector":
-        """Selector for the superposition mode along a phase-space direction:
-        a finite 2m-vector of nonzero norm."""
-        gx = np.asarray(direction, dtype=float)
         if gx.ndim != 1 or gx.size % 2:
             raise ValueError(f"direction must be a 2m-vector, got shape {gx.shape}")
         if not np.isfinite(gx).all():
@@ -332,8 +314,16 @@ class ModeSelector:
         if not 0.0 < norm < math.inf:
             raise ValueError(f"direction must have a finite nonzero norm, got {norm}")
         gx = gx / norm
-        m = gx.size // 2
-        return cls(gx, symplectic_form(m).T @ gx)
+        object.__setattr__(self, "basis_x", _as_readonly(gx))
+        object.__setattr__(self, "basis_p", _as_readonly(symplectic_form(gx.size // 2).T @ gx))
+
+    @classmethod
+    def for_mode(cls, mode: int, num_modes: int) -> "ModeSelector":
+        """Selector for computational mode ``mode`` of an m-mode system."""
+        _check_mode(mode, num_modes)
+        gx = np.zeros(2 * num_modes)
+        gx[mode] = 1.0
+        return cls(gx)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -437,9 +427,13 @@ def db_to_squeezing_parameter(db: float) -> float:
     return 0.5 * np.log(db_to_variance_factor(db))
 
 
+def _is_integer(value) -> bool:
+    """An integer of any integral type, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_mode(mode, num_modes: int):
-    if (isinstance(mode, bool) or not isinstance(mode, numbers.Integral)
-            or not 0 <= mode < num_modes):
+    if not _is_integer(mode) or not 0 <= mode < num_modes:
         raise ValueError(f"mode {mode!r} out of range for {num_modes} modes")
 
 
@@ -607,7 +601,7 @@ class CircuitDescription:
     def __post_init__(self):
         # circuits enter here from JSON: both routes may assume valid gates
         m = self.mode_count
-        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+        if not _is_integer(m) or m < 1:
             raise ValueError(f"mode_count must be a positive integer, got {m!r}")
         for gate in self.gates:
             _gate_block(gate.kind, gate.params, gate.modes, m)
@@ -693,9 +687,16 @@ def reduce_modes(state: GaussianState, modes) -> GaussianState:
     )
 
 
+def _check_selector(state: GaussianState, selector: ModeSelector):
+    """The check of every function that applies a selector to a state (or a stack)."""
+    if selector.basis_x.size != 2 * state.mode_count:
+        raise ValueError(f"selector dimension does not match the state ({state.mode_count} modes)")
+
+
 def mean_photon(state: GaussianState, selector: ModeSelector) -> float:
     """Mean photon number of the selected mode: (tr V_g - 2 + |a_g|^2) / 4."""
     require_single(state, "mean_photon")
+    _check_selector(state, selector)
     g = selector.matrix
     vg = g.T @ state.covariance @ g
     ag = g.T @ state.displacement

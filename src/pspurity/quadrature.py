@@ -20,7 +20,8 @@ integrates such a product exactly:
 difference as an exactness witness: it stays at rounding unless the
 integrand is not a Gaussian times a quartic in the given frame (a wrong frame
 or a Wigner function of another form).  Both entry points reject a frame in
-which W does not integrate to one.
+which W does not integrate to one, or to a NaN; ``GridSpec`` refuses a
+non-finite frame.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ class GridSpec:
                 f"frame needs a k-vector and a k x k covariance, got "
                 f"{center.shape} and {cov.shape}"
             )
+        if not (np.isfinite(center).all() and np.isfinite(cov).all()):
+            raise ValueError("frame center and covariance must be finite")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "covariance", cov)
 
@@ -106,7 +109,7 @@ def _weighted_wigner(wigner: Callable, num_modes: int, grid: GridSpec):
     nodes, weights = grid.rule(num_modes, 1.0, grid.points_per_axis)
     weighted = weights * np.asarray(wigner(nodes))
     total = weighted.sum()
-    if abs(total - 1.0) > NORMALIZATION_TOL:
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:  # a NaN total fails too
         raise GridExtentError(
             f"frame captures total probability {total:.8f}; use the base "
             "state's mean and covariance"

@@ -20,6 +20,7 @@ from .gaussian import (
     Gate,
     GaussianState,
     ModeSelector,
+    _is_integer,
     circuit_to_gaussian,
     db_to_squeezing_parameter,
     db_to_variance_factor,
@@ -268,6 +269,8 @@ def sweep(figure: str, points: int = 241) -> dict:
     Every grid point is one row of a single stack, extracted and put through
     the closed form in one pass.
     """
+    if not _is_integer(points) or points < 1:
+        raise ValueError(f"points must be an integer of at least 1, got {points!r}")
     if figure == "fig1a":
         s_db = np.repeat(FIG1A_SQUEEZINGS_DB, points)
         phi = np.tile(np.linspace(0.0, 2.0 * np.pi, points), len(FIG1A_SQUEEZINGS_DB))

@@ -32,7 +32,6 @@ row, ``rows[i]``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .errors import InconsistentRowError, SubtractionFromVacuumError
 from .gaussian import (
     GaussianState,
     ModeSelector,
+    _check_selector,
     _replay_rows,
     _rows,
     _stacked,
@@ -71,13 +71,9 @@ class SubtractedState:
     where ``W_gauss`` is the Wigner function of ``base`` and the
     normalization equals ``|a_g|^2 + tr(V_g) - 2`` (four times the mean
     photon number of the subtracted mode).
-
-    ``selector`` is None for marginals of subtracted states, where the
-    original subtraction mode is no longer expressible.
     """
 
     base: GaussianState
-    selector: Optional[ModeSelector]
     c0: float
     c1: np.ndarray
     c2: np.ndarray
@@ -191,11 +187,10 @@ class BogoliubovRow:
 
 @dataclass(frozen=True)
 class MomentReport:
-    """First and second moments plus purity of a (possibly non-Gaussian) state."""
+    """First and second moments of a (possibly non-Gaussian) state."""
 
     mean: np.ndarray
     covariance: np.ndarray
-    purity: float
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +208,6 @@ def subtract_photon(state: GaussianState, selector: ModeSelector) -> SubtractedS
     oracle; see the test suite.
     """
     require_single(state, "subtract_photon")
-    if 2 * state.mode_count != selector.basis_x.size:
-        raise ValueError("selector dimension does not match the state")
     norm = 4.0 * mean_photon(state, selector)
     if norm <= VACUUM_THRESHOLD:
         raise SubtractionFromVacuumError(
@@ -233,9 +226,7 @@ def subtract_photon(state: GaussianState, selector: ModeSelector) -> SubtractedS
     lin_w = 2.0 * m_mat.T @ a_g  # linear coefficient in w = b - a0
     c1 = lin_w - 2.0 * c2 @ alpha
     c0 = float(alpha @ c2 @ alpha - lin_w @ alpha + a_g @ a_g + trace_term)
-    return SubtractedState(
-        base=state, selector=selector, c0=c0, c1=c1, c2=c2, normalization=float(norm)
-    )
+    return SubtractedState(base=state, c0=c0, c1=c1, c2=c2, normalization=float(norm))
 
 
 def subtracted_wigner_fn(sub: SubtractedState):
@@ -277,6 +268,7 @@ def extract_bogoliubov(state: GaussianState, selector: ModeSelector) -> Bogoliub
     two displacement scales are converted.  A stack of states gives a stack
     of rows, one selector for all.
     """
+    _check_selector(state, selector)
     try:
         decomp = williamson(state)
         m = state.mode_count
@@ -354,7 +346,7 @@ def moments_subtracted(sub: SubtractedState) -> MomentReport:
     First and second moments of the polynomial-times-Gaussian Wigner
     function, exactly: the mean shifts by V d1 / normalization and the
     covariance gains 2 V C V / normalization less the outer product of that
-    shift.  The purity comes from ``purity_subtracted``.
+    shift.
     """
     d0, d1, c2 = sub.prefactor_centered()
     cov = sub.base.covariance
@@ -364,9 +356,7 @@ def moments_subtracted(sub: SubtractedState) -> MomentReport:
     mean = alpha + sd1 / norm
     second = cov + 2.0 * cov @ c2 @ cov / norm
     cov_sub = second - np.outer(sd1, sd1) / norm**2
-    return MomentReport(
-        mean=mean, covariance=cov_sub, purity=purity_subtracted(sub)
-    )
+    return MomentReport(mean=mean, covariance=cov_sub)
 
 
 def marginal_subtracted(sub: SubtractedState, modes) -> SubtractedState:
@@ -403,7 +393,4 @@ def marginal_subtracted(sub: SubtractedState, modes) -> SubtractedState:
     alpha = base.displacement
     c1 = q1 - 2.0 * q2 @ alpha
     c0 = float(q0 - q1 @ alpha + alpha @ q2 @ alpha)
-    return SubtractedState(
-        base=base, selector=None, c0=c0, c1=c1, c2=q2,
-        normalization=sub.normalization,
-    )
+    return SubtractedState(base=base, c0=c0, c1=c1, c2=q2, normalization=sub.normalization)

@@ -11,7 +11,12 @@ import pytest
 
 from pspurity.cli import RunConfig, _write_csv, main
 from pspurity.fock import reduced_purity_fock, run_circuit_fock, subtract_photon_fock
-from pspurity.scenarios import circuit_to_gaussian, mode_ratio_table, three_mode_circuit
+from pspurity.scenarios import (
+    circuit_to_gaussian,
+    mode_ratio_table,
+    random_state,
+    three_mode_circuit,
+)
 
 
 def read_csv(path):
@@ -197,7 +202,15 @@ def test_fuzz_records_library_error_and_continues(monkeypatch, capsys):
     assert record["seed"] == plan[2][1]
     assert record["exception"] == "NumericDegenerateError"
     assert record["message"] == "injected"
-    assert {"modes", "subtract_mode"} <= set(record)
+    assert {"modes", "subtract_mode", "displaced"} <= set(record)
+    # the record alone replays the injected state: the flag picks the stream
+    m, seed, displaced, _ = plan[2]
+    injected = random_state(m, seed, d_max=8.0 if displaced else 0.0)
+    replayed = random_state(record["modes"], record["seed"],
+                            d_max=8.0 if record["displaced"] else 0.0)
+    assert record["displaced"] == displaced
+    assert np.array_equal(replayed.covariance, injected.covariance)
+    assert np.array_equal(replayed.displacement, injected.displacement)
 
 
 def test_fuzz_failing_group_is_replayed_state_by_state(monkeypatch, capsys):

@@ -154,6 +154,17 @@ def test_subtract_coherent_is_fixed_point():
     assert state_overlap_fock(state, sub) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("cutoffs", [(2.7, 3), (3.0,), (True, 3), (1,), ("4",)])
+def test_truncation_refuses_non_integral_bool_and_small_cutoffs(cutoffs):
+    with pytest.raises(ValueError, match="cutoffs must be integers of at least 2"):
+        TruncationSpec(cutoffs)
+
+
+def test_truncation_takes_numpy_integers():
+    cut = TruncationSpec((np.int64(3), 2))
+    assert cut.cutoffs == (3, 2) and all(type(c) is int for c in cut.cutoffs)
+
+
 def test_subtract_single_photon_gives_vacuum():
     cut = TruncationSpec((8,))
     psi = np.zeros(8, complex)

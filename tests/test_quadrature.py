@@ -35,6 +35,32 @@ def test_gridspec_validation():
         variance_by_grid(wig, 0, 1, two_mode)
 
 
+@pytest.mark.parametrize("center, cov", [
+    ([np.nan, 0.0], np.eye(2)),
+    ([0.0, np.inf], np.eye(2)),
+    ([0.0, 0.0], np.diag([np.inf, 1.0])),
+    ([0.0, 0.0], np.diag([1.0, np.nan])),
+])
+def test_gridspec_refuses_non_finite_frames(center, cov):
+    with pytest.raises(ValueError, match="finite"):
+        GridSpec(center, cov)
+
+
+@pytest.mark.parametrize("entry", ["purity", "variance"])
+def test_nan_wigner_values_raise_grid_extent_error(entry):
+    """A total of NaN is not within the normalization tolerance of 1."""
+    grid = GridSpec.for_state(make_vacuum(1))
+
+    def wigner(points):
+        return np.full(np.shape(points)[:-1], np.nan)
+
+    with pytest.raises(GridExtentError):
+        if entry == "purity":
+            purity_by_grid(wigner, 1, grid)
+        else:
+            variance_by_grid(wigner, 0, 1, grid)
+
+
 def test_vacuum_purity():
     vac = make_vacuum(1)
     value, err = purity_by_grid(gaussian_wigner_fn(vac), 1, GridSpec.for_state(vac))

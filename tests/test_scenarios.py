@@ -254,6 +254,18 @@ def test_sweep_unknown_figure():
         sweep("fig9")
 
 
+@pytest.mark.parametrize("points", [0, -1, 2.5, 3.0, True, "41"])
+def test_sweep_refuses_points_but_a_positive_integer(points):
+    with pytest.raises(ValueError, match="points"):
+        sweep("fig1a", points=points)
+
+
+def test_sweep_takes_one_point_and_numpy_integers():
+    assert sweep("fig1b", points=1)["ratio"].shape == (4,)
+    assert np.array_equal(sweep("fig1a", points=np.int64(5))["ratio"],
+                          sweep("fig1a", points=5)["ratio"])
+
+
 def test_gate_targets_validated():
     with pytest.raises(ValueError):
         CircuitDescription(2, (Gate("displacement", {"re": 1.0}, (5,)),))

@@ -11,8 +11,10 @@ from pspurity import (
     SubtractionFromVacuumError,
     apply_displacement,
     extract_bogoliubov,
+    make_thermal,
     make_vacuum,
     marginal_subtracted,
+    mean_photon,
     moments_subtracted,
     purity_gaussian,
     purity_subtracted,
@@ -21,7 +23,13 @@ from pspurity import (
     wigner_gaussian_at,
     wigner_subtracted_at,
 )
-from pspurity.scenarios import random_state, reference_single_mode_state
+from pspurity.scenarios import (
+    circuit_to_gaussian,
+    random_state,
+    reference_single_mode_state,
+    three_mode_circuit,
+    topology_search,
+)
 
 
 def selector1():
@@ -31,6 +39,14 @@ def selector1():
 # ---------------------------------------------------------------------------
 # subtraction basics
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call", [mean_photon, extract_bogoliubov, subtract_photon])
+@pytest.mark.parametrize("selector_modes, state_modes", [(1, 2), (3, 1)])
+def test_selector_of_another_mode_count_is_refused(call, selector_modes, state_modes):
+    state = make_thermal([3.0] * state_modes)
+    with pytest.raises(ValueError, match="selector dimension does not match the state"):
+        call(state, ModeSelector.for_mode(0, selector_modes))
+
 
 def test_subtract_from_vacuum_raises():
     with pytest.raises(SubtractionFromVacuumError):
@@ -206,7 +222,7 @@ def test_reference_state_moments():
     assert report.covariance[0, 0] == pytest.approx(85.0617284, abs=1e-6)
     assert report.covariance[0, 0] / 100.0 == pytest.approx(0.85, abs=0.01)
     assert report.covariance[1, 1] == pytest.approx(1.0, abs=1e-9)
-    assert report.purity == pytest.approx(0.11966997, abs=1e-6)
+    assert purity_subtracted(sub) == pytest.approx(0.11966997, abs=1e-6)
 
 
 def test_moments_covariance_symmetric():
@@ -290,3 +306,34 @@ def test_regime_map():
         assert dev <= RANGE_K * (lam[-1] / lam[0]) * eps, (build.__name__, args, dev)
         accepted += 1
     assert accepted > 0 and refused > 0
+
+
+# ---------------------------------------------------------------------------
+# complementary marginals of pure subtracted states (Schmidt)
+# ---------------------------------------------------------------------------
+
+def assert_complementary_marginals_agree(state):
+    """Subtraction keeps a pure state pure, and the two sides of any cut of
+    a pure state have equal purity: for each subtracted mode g and mode l,
+    the marginal on {l} and the marginal on the other modes."""
+    m = state.mode_count
+    for g in range(m):
+        sub = subtract_photon(state, ModeSelector.for_mode(g, m))
+        assert purity_subtracted(sub) == pytest.approx(1.0, abs=1e-9)
+        for l in range(m):
+            rest = [j for j in range(m) if j != l]
+            one = purity_subtracted(marginal_subtracted(sub, [l]))
+            other = purity_subtracted(marginal_subtracted(sub, rest))
+            assert abs(one - other) <= 1e-12, (g, l, one, other)
+
+
+def test_complementary_marginals_of_fig3_state():
+    topology, _ = topology_search(alpha=1.6, s_db=3.0)
+    assert_complementary_marginals_agree(circuit_to_gaussian(three_mode_circuit(topology)))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_complementary_marginals_of_pure_random_states(m):
+    states = random_state(m, range(600, 620), n_max=1.0)
+    for i in range(20):
+        assert_complementary_marginals_agree(states[i])
