@@ -21,6 +21,7 @@ import math
 import sys
 import typing
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -215,26 +216,29 @@ def _cmd_verify(config: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _fuzz_group(m: int, g: int, displaced: bool, seeds: list) -> list:
-    """(state, row) of each seed of one fuzz group, or the library error it
-    raised.  The group is drawn and extracted as one stack; if that raises,
-    it is replayed one state at a time, so every error names its own seed."""
-    selector = ModeSelector.for_mode(g, m)
+def _fuzz_group(m: int, displaced: bool, seeds: tuple, modes: tuple):
+    """(states, rows) of one fuzz group: each row that of its seed's state
+    with that state's own subtracted mode, or the library error it raised.
+    The group is drawn and extracted as one stack, with a stacked selector;
+    if that raises, it is replayed one state at a time, so every error names
+    its own seed."""
     d_max = 8.0 if displaced else 0.0
     try:
         states = random_state(m, seeds, d_max=d_max)
-        rows = extract_bogoliubov(states, selector)
-        return [(states[i], rows[i]) for i in range(len(seeds))]
+        return states, extract_bogoliubov(states, ModeSelector.for_mode(modes, m))
     except PspurityError:
         pass
-    out = []
-    for seed in seeds:
+    states, rows = [], []
+    for seed, g in zip(seeds, modes):
+        state = None
         try:
             state = random_state(m, seed, d_max=d_max)
-            out.append((state, extract_bogoliubov(state, selector)))
+            row = extract_bogoliubov(state, ModeSelector.for_mode(g, m))
         except PspurityError as exc:
-            out.append(exc)
-    return out
+            row = exc
+        states.append(state)
+        rows.append(row)
+    return states, rows
 
 
 def _fuzz_problems(ratio: float, report, displaced: bool) -> list:
@@ -255,8 +259,8 @@ def _fuzz_problems(ratio: float, report, displaced: bool) -> list:
 
 def _cmd_fuzz(config: RunConfig) -> int:
     """Draw (m, seed, displaced, g) per state from the ``--seed`` generator,
-    build and extract each (m, g, displaced) group as one stack, then check
-    the closed form and the conditions state by state."""
+    build and extract each (m, displaced) group as one stack, then check the
+    closed form and the conditions state by state."""
     rng = np.random.default_rng(config.seed)
     groups = {}
     for i in range(config.count):
@@ -264,18 +268,18 @@ def _cmd_fuzz(config: RunConfig) -> int:
         seed = int(rng.integers(0, 2**63 - 1))
         displaced = bool(rng.random() < 0.8)
         g = int(rng.integers(0, m))
-        groups.setdefault((m, g, displaced), []).append((i, seed))
+        groups.setdefault((m, displaced), []).append((i, seed, g))
     failures = {}  # state index -> record, reported in state order
-    for (m, g, displaced), members in groups.items():
-        built = _fuzz_group(m, g, displaced, [seed for _, seed in members])
-        for (i, seed), outcome in zip(members, built):
+    for (m, displaced), members in groups.items():
+        _, seeds, modes = zip(*members)
+        states, rows = _fuzz_group(m, displaced, seeds, modes)
+        for j, ((i, seed, g), outcome) in enumerate(zip(members, rows)):
             record = {"seed": seed, "modes": m, "displaced": displaced, "subtract_mode": g}
             try:
                 if isinstance(outcome, PspurityError):
                     raise outcome
-                state, row = outcome
-                ratio = relative_purity_closed_form(row)
-                report = purification_conditions(row)
+                ratio = relative_purity_closed_form(outcome)
+                report = purification_conditions(outcome)
             except SubtractionFromVacuumError:
                 continue
             except PspurityError as exc:
@@ -283,6 +287,7 @@ def _cmd_fuzz(config: RunConfig) -> int:
                 continue
             problems = _fuzz_problems(ratio, report, displaced)
             if problems:
+                state = states[j]
                 failures[i] = dict(record, covariance=state.covariance.tolist(),
                                    displacement=state.displacement.tolist(),
                                    problems=problems)
@@ -317,6 +322,7 @@ def _dispatch(config: RunConfig) -> int:
     return 2
 
 
+@lru_cache(maxsize=None)  # argparse spends about 0.5 ms building it; parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pspurity",

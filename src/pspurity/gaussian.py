@@ -23,9 +23,11 @@ runs on every row of the whole stack, in whatever order is cheapest.  A stack
 raises the error its first failing row raises alone: when a check fails,
 ``_replay_rows`` rebuilds the rows alone and in order until one raises, which
 costs time only on that failure path.  ``stack[i]`` is row i, ``stack[i:j]`` a
-smaller stack; functions that take one state refuse a stack through
+smaller stack, and ``for row in stack`` yields the rows ``stack[i]`` gives, in
+one pass; functions that take one state refuse a stack through
 ``require_single``.  Of the purity formulas, only the closed form
-(``subtraction.relative_purity_closed_form``) takes a stack, of rows.
+(``subtraction.relative_purity_closed_form``) takes a stack, of rows.  A
+``ModeSelector`` stacks the same way, one direction per state of a stack.
 
 Gates: ``_gate_block`` checks a gate and builds its block.  The four gate
 constructors, ``CircuitDescription`` (at construction) and
@@ -103,6 +105,25 @@ def _rows(obj, index):
         value = getattr(obj, name)[index]
         object.__setattr__(out, name, value.item() if isinstance(value, np.generic) else value)
     return out
+
+
+def _iter_rows(obj):
+    """The rows of a stack in order, each what ``obj[i]`` gives: a 1-D field
+    becomes Python scalars with one ``tolist`` and an N-D field row views."""
+    if not obj.stacked:
+        raise TypeError(f"a single {type(obj).__name__} has no rows")
+    names = list(obj.__dataclass_fields__)
+    columns = [getattr(obj, name) for name in names]
+    columns = [c.tolist() if isinstance(c, np.ndarray) and c.ndim == 1 else c for c in columns]
+
+    def rows():  # a generator, so the check above runs at iter(obj)
+        for values in zip(*columns):
+            out = object.__new__(type(obj))
+            for name, value in zip(names, values):
+                object.__setattr__(out, name, value)
+            yield out
+
+    return rows()
 
 
 def _vacuum_tolerance(cov: np.ndarray) -> list:
@@ -240,6 +261,7 @@ class GaussianState:
         object.__setattr__(self, "_vecs", vecs)
 
     __getitem__ = _rows
+    __iter__ = _iter_rows
 
     @property
     def stacked(self) -> bool:
@@ -281,6 +303,7 @@ class SymplecticTransform:
         object.__setattr__(self, "matrix", _as_readonly(mat))
 
     __getitem__ = _rows
+    __iter__ = _iter_rows
 
     @property
     def stacked(self) -> bool:
@@ -298,7 +321,8 @@ class ModeSelector:
     Built from a finite 2m-vector of nonzero norm, stored normalized as
     ``basis_x``.  The conjugate quadrature ``basis_p`` = g_p = Omega^T g_x
     follows from it, so the mode quadratures obey the canonical commutator
-    ``[x_g, p_g] = 2i``.
+    ``[x_g, p_g] = 2i``.  An N x 2m array gives a stack of N selectors, each
+    direction normalized alone, for a stack of N states.
     """
 
     basis_x: np.ndarray
@@ -306,29 +330,46 @@ class ModeSelector:
 
     def __post_init__(self):
         gx = np.asarray(self.basis_x, dtype=float)
-        if gx.ndim != 1 or gx.size % 2:
-            raise ValueError(f"direction must be a 2m-vector, got shape {gx.shape}")
-        if not np.isfinite(gx).all():
-            raise ValueError("direction must be finite")
-        norm = np.linalg.norm(gx)
-        if not 0.0 < norm < math.inf:
-            raise ValueError(f"direction must have a finite nonzero norm, got {norm}")
-        gx = gx / norm
-        object.__setattr__(self, "basis_x", _as_readonly(gx))
-        object.__setattr__(self, "basis_p", _as_readonly(symplectic_form(gx.size // 2).T @ gx))
+        if gx.ndim not in (1, 2) or gx.shape[-1] % 2 or gx.ndim == 2 and not len(gx):
+            raise ValueError(f"direction must be a 2m-vector (N x 2m for a stack), "
+                             f"got shape {gx.shape}")
+        rows = _stacked(gx, 1)
+        # sqrt(g.g), as np.linalg.norm takes it; a norm past float64 is refused below
+        with np.errstate(over="ignore"):
+            norm = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+        for i, value in enumerate(norm.tolist()):  # NaN or inf entries fail here too
+            if not 0.0 < value < math.inf:
+                if not np.isfinite(rows[i]).all():
+                    raise ValueError("direction must be finite")
+                raise ValueError(f"direction must have a finite nonzero norm, got {value}")
+        gx = (rows / norm[:, None]).reshape(gx.shape)
+        gx.flags.writeable = False  # a new array: no copy needed
+        gp = gx @ symplectic_form(gx.shape[-1] // 2)  # Omega^T g_x, row by row
+        gp.flags.writeable = False
+        object.__setattr__(self, "basis_x", gx)
+        object.__setattr__(self, "basis_p", gp)
+
+    __getitem__ = _rows
+    __iter__ = _iter_rows
 
     @classmethod
-    def for_mode(cls, mode: int, num_modes: int) -> "ModeSelector":
-        """Selector for computational mode ``mode`` of an m-mode system."""
-        _check_mode(mode, num_modes)
-        gx = np.zeros(2 * num_modes)
-        gx[mode] = 1.0
-        return cls(gx)
+    def for_mode(cls, mode, num_modes: int) -> "ModeSelector":
+        """Selector for computational mode ``mode`` of an m-mode system; a 1-D
+        sequence of modes gives a stack, one selector per entry."""
+        stacked = not _is_integer(mode) and np.ndim(mode) > 0
+        modes = list(mode) if stacked else mode
+        for j in modes if stacked else (mode,):
+            _check_mode(j, num_modes)
+        return cls(np.eye(2 * num_modes)[modes])  # a row of the identity per mode
+
+    @property
+    def stacked(self) -> bool:
+        return self.basis_x.ndim == 2
 
     @property
     def matrix(self) -> np.ndarray:
-        """The 2m x 2 selector matrix with columns (g_x, g_p)."""
-        return np.column_stack([self.basis_x, self.basis_p])
+        """The 2m x 2 selector matrix with columns (g_x, g_p) (N x 2m x 2 for a stack)."""
+        return np.stack([self.basis_x, self.basis_p], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -367,6 +408,7 @@ class WilliamsonDecomposition:
             raise
 
     __getitem__ = _rows
+    __iter__ = _iter_rows
 
     @property
     def stacked(self) -> bool:
@@ -688,14 +730,20 @@ def reduce_modes(state: GaussianState, modes) -> GaussianState:
 
 
 def _check_selector(state: GaussianState, selector: ModeSelector):
-    """The check of every function that applies a selector to a state (or a stack)."""
-    if selector.basis_x.size != 2 * state.mode_count:
+    """The check of every function that applies a selector to a state (or a
+    stack): a stack of selectors needs a stack of states of its length."""
+    if selector.basis_x.shape[-1] != 2 * state.mode_count:
         raise ValueError(f"selector dimension does not match the state ({state.mode_count} modes)")
+    if selector.stacked and (not state.stacked or len(state.covariance) != len(selector.basis_x)):
+        got = f"{len(state.covariance)} states" if state.stacked else "a single state"
+        raise ValueError(f"a stack of {len(selector.basis_x)} selectors needs a stack of as "
+                         f"many states, got {got}")
 
 
 def mean_photon(state: GaussianState, selector: ModeSelector) -> float:
     """Mean photon number of the selected mode: (tr V_g - 2 + |a_g|^2) / 4."""
     require_single(state, "mean_photon")
+    require_single(selector, "mean_photon")
     _check_selector(state, selector)
     g = selector.matrix
     vg = g.T @ state.covariance @ g

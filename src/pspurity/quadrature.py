@@ -33,7 +33,7 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
 from .errors import GridExtentError
-from .gaussian import GaussianState, require_single
+from .gaussian import GaussianState, _check_mode, _is_integer, require_single
 
 #: relative tolerance on the total-probability check of every frame
 NORMALIZATION_TOL = 1e-5
@@ -96,10 +96,10 @@ class GridSpec:
 
 def _check_modes(num_modes: int):
     # the n = 5 witness evaluates 5^(2m) nodes: 390,625 at m = 4
-    if not 1 <= num_modes <= 4:
+    if not _is_integer(num_modes) or not 1 <= num_modes <= 4:
         raise ValueError(
-            "Gauss-Hermite quadrature supports 1 to 4 modes; use the "
-            "number-basis oracle beyond that"
+            f"num_modes {num_modes!r}: Gauss-Hermite quadrature supports 1 to 4 "
+            "modes; use the number-basis oracle beyond that"
         )
 
 
@@ -145,8 +145,7 @@ def variance_by_grid(
     ``mean_p``, ``var_x`` and ``var_p``.
     """
     _check_modes(num_modes)
-    if not 0 <= mode < num_modes:
-        raise ValueError(f"mode {mode} out of range")
+    _check_mode(mode, num_modes)
     nodes, weighted = _weighted_wigner(wigner, num_modes, grid)
     moments = {}
     for name, axis in (("x", mode), ("p", num_modes + mode)):

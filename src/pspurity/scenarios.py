@@ -208,33 +208,40 @@ def random_state(
 
     ``seed`` may be a sequence: the result is then a stack with one state per
     seed, each bit for bit the state of its own seed.  Every state draws from
-    its own ``default_rng(seed)``; the matrix algebra runs once on the stack.
+    its own ``default_rng(seed)`` in four calls: the uniforms of n and log r,
+    the signs, the Gaussian matrices and the uniforms of the displacement.
+    The maps ``low + (high - low) u`` that ``Generator.uniform`` applies, and
+    the matrix algebra, run once on the stack.
     """
+    if not _is_integer(num_modes) or num_modes < 1:
+        raise ValueError(f"num_modes must be an integer of at least 1, got {num_modes!r}")
     if not (np.isfinite([n_max, r_max, d_max]).all()
             and n_max >= 1.0 and r_max >= 0.0 and d_max >= 0.0):
         raise ValueError(
             f"random_state needs finite n_max >= 1, r_max >= 0 and d_max >= 0, "
             f"got {n_max}, {r_max}, {d_max}"
         )
-    m = num_modes
+    m = int(num_modes)
     stacked = np.ndim(seed) > 0
     seeds = list(seed) if stacked else [seed]
     if not seeds:
         raise ValueError("need at least one seed")
     r_top = r_max or 0.01  # r_max = 0 draws 0.01 (zeroed below): the same stream
-    log_r = np.log(min(0.01, r_top)), np.log(r_top)
-    draws = []
-    for one in seeds:
+    low = np.array([1.0, np.log(min(0.01, r_top)), 0.0, 0.0])
+    span = np.array([n_max, np.log(r_top), d_max, 2.0 * np.pi]) - low
+    # per state: uniforms of n, log r, mag and phase; signs; re and im of two matrices
+    u = np.zeros((len(seeds), 4, m))  # mag stays 0 when d_max is 0
+    flips = np.empty((len(seeds), m), dtype=np.int64)
+    gauss = np.empty((len(seeds), 2, 2, m, m))
+    for i, one in enumerate(seeds):
         rng = np.random.default_rng(one)
-        n = rng.uniform(1.0, n_max, m)
-        r = rng.uniform(*log_r, m)
-        sign = _SIGNS[rng.integers(0, 2, m)]
-        z = [rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-             for _ in range(2)]
-        mag = rng.uniform(0.0, d_max, m) if d_max > 0 else np.zeros(m)
-        draws.append((n, r, sign, z, mag, rng.uniform(0.0, 2.0 * np.pi, m)))
-    n, r, sign, z, mag, phase = (np.array(d) for d in zip(*draws))
-    r = np.exp(r) * sign
+        rng.random(out=u[i, :2])
+        flips[i] = rng.integers(0, 2, m)
+        rng.standard_normal(out=gauss[i])
+        rng.random(out=u[i, 2:] if d_max > 0 else u[i, 3])
+    n, r, mag, phase = (low[:, None] + span[:, None] * u).swapaxes(0, 1)
+    z = gauss[:, :, 0] + 1j * gauss[:, :, 1]
+    r = np.exp(r) * _SIGNS[flips]
     if r_max == 0.0:
         r[:] = 0.0
     o = _random_orthogonal_symplectic(z / np.sqrt(2.0))  # O1 and O2 of each state

@@ -19,14 +19,14 @@ place, ``extract_bogoliubov``: phase-space vectors carry ``(2 Re<a>,
 itself.  Keeping the conversion at a single boundary avoids silent
 factor-of-two errors.
 
-``extract_bogoliubov`` takes a stack of states (see ``gaussian``) and returns
-a stack of rows.  A row sums itself, once and over the whole stack, into the
-four aggregates x, y, z and cross that the closed form and the purification
-conditions (``bounds``) read, its normalization defect and the squared
-magnitudes |alpha_g|^2 and |cross|^2.  ``relative_purity_closed_form`` takes
-a stack of rows and returns one ratio per row; the purification conditions,
-the prefactor-moment purities and ``subtract_photon`` take one state or one
-row, ``rows[i]``.
+``extract_bogoliubov`` takes a stack of states (see ``gaussian``), with one
+selector for all or a stack of selectors, and returns a stack of rows.  A row
+sums itself, once and over the whole stack, into the four aggregates x, y, z
+and cross that the closed form and the purification conditions (``bounds``)
+read, its normalization defect and the squared magnitudes |alpha_g|^2 and
+|cross|^2.  ``relative_purity_closed_form`` takes a stack of rows and returns
+one ratio per row; the purification conditions, the prefactor-moment
+purities and ``subtract_photon`` take one state or one row, ``rows[i]``.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .gaussian import (
     GaussianState,
     ModeSelector,
     _check_selector,
+    _iter_rows,
     _replay_rows,
     _rows,
     _stacked,
@@ -169,6 +170,7 @@ class BogoliubovRow:
             object.__setattr__(self, name, value.item() if value.ndim == 0 else value)
 
     __getitem__ = _rows
+    __iter__ = _iter_rows
 
     @property
     def stacked(self) -> bool:
@@ -208,6 +210,7 @@ def subtract_photon(state: GaussianState, selector: ModeSelector) -> SubtractedS
     oracle; see the test suite.
     """
     require_single(state, "subtract_photon")
+    require_single(selector, "subtract_photon")
     norm = 4.0 * mean_photon(state, selector)
     if norm <= VACUUM_THRESHOLD:
         raise SubtractionFromVacuumError(
@@ -266,20 +269,22 @@ def extract_bogoliubov(state: GaussianState, selector: ModeSelector) -> Bogoliub
     and ``alpha_g = (a0.g_x + i a0.g_p) / 2`` converts the phase-space
     displacement to a complex amplitude.  This is the single place where the
     two displacement scales are converted.  A stack of states gives a stack
-    of rows, one selector for all.
+    of rows, with one selector for all or a stack of selectors, one per state.
     """
     _check_selector(state, selector)
     try:
         decomp = williamson(state)
         m = state.mode_count
         s = _stacked(decomp.symplectic.matrix, 2).swapaxes(-1, -2)
-        u = s @ selector.basis_x
-        v = s @ selector.basis_p
+        # column vectors: one selector broadcasts over the stack, a stack pairs row by row
+        bx = _stacked(selector.basis_x, 1)[..., None]
+        bp = _stacked(selector.basis_p, 1)[..., None]
+        u, v = (s @ bx)[..., 0], (s @ bp)[..., 0]
         k = (u[:, :m] - v[:, m:]) / 2.0 + 1j * (v[:, :m] + u[:, m:]) / 2.0
         l = (u[:, :m] + v[:, m:]) / 2.0 + 1j * (v[:, :m] - u[:, m:]) / 2.0
         # one dot product per row: a single gemv over the stack sums in another order
         disp = _stacked(state.displacement, 1)[:, None, :]
-        alpha_g = (disp @ selector.basis_x + 1j * (disp @ selector.basis_p))[:, 0] / 2.0
+        alpha_g = (disp @ bx + 1j * (disp @ bp))[:, 0, 0] / 2.0
         if not state.stacked:
             alpha_g, k, l = alpha_g[0], k[0], l[0]
         row = BogoliubovRow(alpha_g=alpha_g, k=k, l=l, noise=decomp.noise_factors)
@@ -289,7 +294,8 @@ def extract_bogoliubov(state: GaussianState, selector: ModeSelector) -> Bogoliub
     except ValueError as exc:
         if state.stacked:
             _replay_rows(exc, len(state.covariance),
-                         lambda i: extract_bogoliubov(state[i], selector))
+                         lambda i: extract_bogoliubov(
+                             state[i], selector[i] if selector.stacked else selector))
         raise
     return row
 

@@ -220,8 +220,9 @@ def test_fuzz_failing_group_is_replayed_state_by_state(monkeypatch, capsys):
     from pspurity import cli
 
     plan = fuzz_plan(7, 40)
-    group = [i for i, p in enumerate(plan) if (p[0], p[2], p[3]) == (plan[0][0], plan[0][2],
-                                                                   plan[0][3])]
+    # a group is one (modes, displaced) pair, whatever the subtracted modes
+    group = [i for i, p in enumerate(plan) if (p[0], p[2]) == (plan[0][0], plan[0][2])]
+    assert len({plan[i][3] for i in group}) > 1
     # the first group is checked first; its second state comes after
     # state 1, which lies in another group
     later, earlier = group[1], 1
@@ -241,6 +242,28 @@ def test_fuzz_failing_group_is_replayed_state_by_state(monkeypatch, capsys):
     records = json.loads("\n".join(out[:-1]))
     assert [r["seed"] for r in records] == [plan[earlier][1], plan[later][1]]
     assert len(checked) == 38
+
+
+def test_reused_parser_keeps_no_state(tmp_path, monkeypatch, capsys):
+    """The parser is built once per process; a refused call, a fuzz call and a
+    reproduce call in a row each see only their own arguments."""
+    from pspurity import cli
+
+    monkeypatch.chdir(tmp_path)
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--count", "0"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.endswith("error: count must be at least 1, got 0\n")
+    assert main(["fuzz", "--count", "3"]) == 0
+    assert capsys.readouterr().out == "fuzz: 3 states, no violations (seed 7)\n"
+    assert main(["reproduce", "fig1a", "--points", "3"]) == 0
+    assert capsys.readouterr().out == "wrote fig1a.csv\n"
+    lines = (tmp_path / "fig1a.csv").read_text().splitlines()
+    expected = RunConfig("reproduce", figure="fig1a", output="fig1a.csv", points=3)
+    assert f"config_sha256={expected.hash()} " in lines[0]
+    assert lines[1] == "phi,s_db,ratio,f_alpha" and len(lines) == 2 + 3 * 3
 
 
 def test_unknown_command_exits_2():

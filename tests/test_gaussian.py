@@ -302,11 +302,12 @@ def test_superposition_selector():
 
 
 @pytest.mark.parametrize("direction, message", [
-    (np.ones((2, 2)), "2m-vector"),
+    (np.ones((2, 2, 2)), "2m-vector"),
     (np.ones(3), "2m-vector"),
     (np.array([1.0, np.nan]), "finite"),
     (np.array([np.inf, 0.0]), "finite"),
     (np.zeros(4), "nonzero norm"),
+    (np.ones((2, 3)), "2m-vector"),
 ])
 def test_superposition_selector_refuses_bad_directions(direction, message):
     with pytest.raises(ValueError, match=message):

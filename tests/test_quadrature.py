@@ -1,5 +1,7 @@
 """Grid-integration oracle: purity and variance from pointwise Wigner values."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,34 @@ def test_witness_flags_a_wrong_frame():
 def test_five_modes_unsupported():
     with pytest.raises(ValueError):
         purity_by_grid(lambda p: np.zeros(len(p)), 5, GridSpec.for_state(make_vacuum(5)))
+
+
+@pytest.mark.parametrize("num_modes", [2.0, True, 0, 5, "2", None])
+def test_grid_oracle_refuses_bad_mode_counts(num_modes):
+    """Both entry points name num_modes before the rule is built."""
+    state = make_vacuum(2)
+    wig, grid = gaussian_wigner_fn(state), GridSpec.for_state(state)
+    for call in (lambda: purity_by_grid(wig, num_modes, grid),
+                 lambda: variance_by_grid(wig, 0, num_modes, grid)):
+        with pytest.raises(ValueError, match=rf"^num_modes {re.escape(repr(num_modes))}: "
+                                             "Gauss-Hermite quadrature supports 1 to 4 modes"):
+            call()
+
+
+@pytest.mark.parametrize("mode", [True, 0.5, 1.0, 2, -1, "0"])
+def test_variance_by_grid_refuses_bad_modes(mode):
+    state = make_vacuum(2)
+    with pytest.raises(ValueError, match=rf"^mode {re.escape(repr(mode))} out of range "
+                                         "for 2 modes$"):
+        variance_by_grid(gaussian_wigner_fn(state), mode, 2, GridSpec.for_state(state))
+
+
+def test_grid_oracle_takes_numpy_integers():
+    state = make_thermal([2.0, 3.0])
+    wig, grid = gaussian_wigner_fn(state), GridSpec.for_state(state)
+    assert variance_by_grid(wig, np.int64(1), np.int64(2), grid) == variance_by_grid(
+        wig, 1, 2, grid)
+    assert purity_by_grid(wig, np.int32(2), grid) == purity_by_grid(wig, 2, grid)
 
 
 @pytest.mark.parametrize("num_modes", [2, 3, 4])

@@ -1,6 +1,8 @@
 """Worked examples, topology search, random states, sweeps."""
 
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -166,6 +168,49 @@ def test_random_state_sign_draw_is_rng_choice():
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
             assert np.array_equal(_SIGNS[ours.integers(0, 2, m)], theirs.choice([-1.0, 1.0], m))
             assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+#: sha256 of the covariance and displacement bytes of random_state(m, range(3000))
+#: and of the single seeds 0, 7 and 2**62, for m = 1 .. 4 in turn, per range
+#: setting; recorded before the draws were batched, so they pin the corpus
+CORPUS_DIGESTS = {
+    "default": ({}, "1a82b9df93fc45591e168796afb3035a80ed611ca74d644b4e6ea44d75da4a08"),
+    "undisplaced": ({"d_max": 0.0},
+                    "8de5b0aa0f3d67394dc2147351d069e96db6204b8e2a654d9606493ebfde0860"),
+    "unsqueezed": ({"r_max": 0.0},
+                   "8d3721b0e9197ea3b4c31ace9644ef45620ce6dac8e949a48a42faee5d9633d1"),
+    "narrow": ({"n_max": 3.0, "r_max": 0.6, "d_max": 2.0},
+               "7f23ed0f4315f2952ab4f1d50cc2b56904b8151f3a7d07ce3aa62acef2fb4595"),
+    "pure": ({"n_max": 1.0}, "b61ff0d12bd3c4ab12f640b2ccdb6483b5b725e03b7eb1739a9ede2e47cc2d50"),
+}
+
+
+@pytest.mark.parametrize("setting", list(CORPUS_DIGESTS))
+def test_random_state_corpus_is_pinned(setting):
+    ranges, digest = CORPUS_DIGESTS[setting]
+    h = hashlib.sha256()
+    for m in range(1, 5):
+        for seeds in (range(3000), 0, 7, 2**62):
+            state = random_state(m, seeds, **ranges)
+            h.update(state.covariance.tobytes())
+            h.update(state.displacement.tobytes())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("num_modes", [0, -1, 2.5, 2.0, True, "2", None])
+def test_random_state_refuses_bad_num_modes(num_modes):
+    for seed in (3, [3, 4]):
+        with pytest.raises(ValueError, match=rf"^num_modes must be an integer of at least 1, "
+                                             rf"got {re.escape(repr(num_modes))}$"):
+            random_state(num_modes, seed)
+
+
+def test_random_state_takes_numpy_integer_mode_counts():
+    for m in (np.int64(2), np.int32(3), np.uint8(1)):
+        state, plain = random_state(m, [5, 6]), random_state(int(m), [5, 6])
+        assert state.mode_count == m
+        assert state.covariance.tobytes() == plain.covariance.tobytes()
+        assert state.displacement.tobytes() == plain.displacement.tobytes()
 
 
 @pytest.mark.parametrize("ranges", [

@@ -51,9 +51,19 @@ from pspurity.scenarios import mode_ratio_table, random_state, single_mode_famil
 SEEDS = [1_000 + 37 * i for i in range(40)]
 
 
+ROW_FIELDS = ("alpha_g", "k", "l", "noise", "x", "y", "z", "cross", "defect", "alpha_sq",
+              "cross_sq")
+
+
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def same_row(a, b) -> bool:
+    """Two Bogoliubov rows hold the same bits and the same Python types in every field."""
+    return all(type(getattr(a, name)) is type(getattr(b, name))
+               and same_bits(getattr(a, name), getattr(b, name)) for name in ROW_FIELDS)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -76,10 +86,7 @@ def test_stack_rows_equal_single_calls_bitwise(m, d_max):
         assert same_bits(decomp[i].noise_factors, single.noise_factors)
         for sel, stacked_rows, stacked_ratios in zip(selectors, rows, ratios):
             row, single_row = stacked_rows[i], extract_bogoliubov(alone, sel)
-            assert type(row.alpha_g) is complex and row.alpha_g == single_row.alpha_g
-            for name in ("k", "l", "noise", "x", "y", "z", "cross", "defect", "alpha_sq",
-                         "cross_sq"):
-                assert same_bits(getattr(row, name), getattr(single_row, name))
+            assert type(row.alpha_g) is complex and same_row(row, single_row)
             assert type(row.x) is float and type(row.cross) is complex
             assert type(row.alpha_sq) is float and type(row.cross_sq) is float
             # hypot, as Python's abs(complex): NumPy's complex abs rounds otherwise
@@ -89,6 +96,111 @@ def test_stack_rows_equal_single_calls_bitwise(m, d_max):
             assert type(ratio) is float
             assert same_bits(stacked_ratios[i], ratio)
             assert relative_purity_closed_form(row) == ratio
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("d_max", [8.0, 0.0], ids=["displaced", "undisplaced"])
+def test_stacked_selector_rows_equal_single_calls_bitwise(m, d_max):
+    """One selector per state: each row is its state's extraction with its
+    own selector alone, for computational modes and general directions."""
+    states = random_state(m, SEEDS, d_max=d_max)
+    modes = [seed % m for seed in SEEDS]
+    directions = np.random.default_rng(m).standard_normal((len(SEEDS), 2 * m))
+    directions[0] = np.arange(1.0, 2 * m + 1)
+    directions[1] *= 1e-3
+    stacks = {"for_mode": (ModeSelector.for_mode(modes, m),
+                           [ModeSelector.for_mode(g, m) for g in modes]),
+              "directions": (ModeSelector(directions),
+                             [ModeSelector(d) for d in directions])}
+    for selectors, alone in stacks.values():
+        assert selectors.stacked and not alone[0].stacked
+        assert selectors.basis_x.shape == selectors.basis_p.shape == (len(SEEDS), 2 * m)
+        rows = extract_bogoliubov(states, selectors)
+        for i, sel in enumerate(alone):
+            assert same_bits(selectors[i].basis_x, sel.basis_x)
+            assert same_bits(selectors[i].basis_p, sel.basis_p)
+            assert same_row(rows[i], extract_bogoliubov(states[i], sel))
+
+
+def test_stacked_selector_raises_the_error_of_its_first_bad_row():
+    # row 1 fails the norm check, row 2 the finite check that runs first
+    directions = np.array([[1.0, 0.0], [0.0, 0.0], [np.nan, 1.0]])
+    with pytest.raises(ValueError) as alone:
+        ModeSelector(directions[1])
+    with pytest.raises(ValueError) as stacked:
+        ModeSelector(directions)
+    assert str(stacked.value) == str(alone.value)
+    assert str(alone.value) == "direction must have a finite nonzero norm, got 0.0"
+    with pytest.raises(ValueError, match="^direction must be finite$"):
+        ModeSelector(directions[[0, 2, 1]])
+    # a norm past float64 is refused, with no overflow warning
+    with pytest.raises(ValueError, match="nonzero norm, got inf"):
+        ModeSelector(np.array([[1.0, 0.0], [1e200, 0.0]]))
+    with pytest.raises(ValueError, match="2m-vector"):
+        ModeSelector(np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="^mode 2 out of range for 2 modes$"):
+        ModeSelector.for_mode([0, 2, 5], 2)
+    for modes in ([0, True], [0, 1.0], [[0, 1]]):
+        with pytest.raises(ValueError, match="out of range"):
+            ModeSelector.for_mode(modes, 2)
+
+
+def test_stacked_selectors_need_a_stack_of_their_length(monkeypatch):
+    states = random_state(1, SEEDS[:3])
+    selectors = ModeSelector.for_mode([0, 0, 0], 1)
+    for name, call in (("mean_photon", mean_photon), ("subtract_photon", subtract_photon)):
+        with pytest.raises(ValueError, match=rf"^{name} takes a single ModeSelector, not a stack"):
+            call(states[0], selectors)
+    with pytest.raises(ValueError, match="^a stack of 2 selectors needs a stack of as many "
+                                         "states, got 3 states$"):
+        extract_bogoliubov(states, ModeSelector.for_mode([0, 0], 1))
+    with pytest.raises(ValueError, match="got a single state$"):
+        extract_bogoliubov(states[0], ModeSelector.for_mode([0], 1))
+    with pytest.raises(ValueError, match="selector dimension"):
+        extract_bogoliubov(states, ModeSelector.for_mode([0, 1, 0], 2))
+    # a failing stack replays each state with its own selector: here every
+    # state passes alone, so the stack's own error is raised
+    real = subtraction.williamson
+
+    def fail_on_stacks(state):
+        if state.stacked:
+            raise NumericDegenerateError("injected")
+        return real(state)
+
+    monkeypatch.setattr(subtraction, "williamson", fail_on_stacks)
+    with pytest.raises(NumericDegenerateError, match="^injected$"):
+        extract_bogoliubov(states, selectors)
+
+
+def same_fields(a, b) -> bool:
+    """Two objects of one stacked class hold the same bits in every field."""
+    if type(a) is not type(b):
+        return False
+    for name in a.__dataclass_fields__:
+        x, y = getattr(a, name), getattr(b, name)
+        nested = hasattr(x, "__dataclass_fields__")
+        if not (same_fields(x, y) if nested else type(x) is type(y) and same_bits(x, y)):
+            return False
+    return True
+
+
+def test_iterating_a_stack_gives_its_rows_bitwise():
+    states = random_state(3, SEEDS[:7])
+    stacks = {
+        "GaussianState": states,
+        "SymplecticTransform": williamson(states).symplectic,
+        "WilliamsonDecomposition": williamson(states),
+        "BogoliubovRow": extract_bogoliubov(states, ModeSelector.for_mode([0, 1, 2] * 2 + [1],
+                                                                           3)),
+        "ModeSelector": ModeSelector(np.arange(1.0, 43.0).reshape(7, 6)),
+    }
+    for name, stack in stacks.items():
+        rows = list(stack)
+        assert len(rows) == 7, name
+        assert all(same_fields(row, stack[i]) for i, row in enumerate(rows)), name
+        with pytest.raises(TypeError, match="has no rows"):
+            iter(rows[0])
+    assert type(rows[0].basis_x) is np.ndarray and not rows[0].basis_x.flags.writeable
 
 
 def test_stack_slices_and_single_rows():
