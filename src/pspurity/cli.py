@@ -127,15 +127,17 @@ def _write_csv(path: str, config: RunConfig, columns: dict):
     round-trip ``repr``.  ``repr`` runs once per distinct value of a column;
     values are told apart by bit pattern, so 0.0 and -0.0 are never merged."""
     fields = []
-    for values in columns.values():
+    for k, values in enumerate(columns.values(), start=1):
         col = np.ascontiguousarray(values, dtype=np.float64)
         bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-        text = list(map(repr, bits.view(np.float64).tolist()))
-        fields.append([text[i] for i in inverse.tolist()])
+        text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        if k == len(columns):
+            text += "\n"  # the last column's text ends each row
+        fields.append(text[inverse].tolist())
     with open(path, "w") as fh:
         fh.write(_header(config))
         fh.write(",".join(columns) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*fields, strict=True))
+        fh.writelines(map(",".join, zip(*fields, strict=True)))
 
 
 def _reproduce_sweep(config: RunConfig) -> int:

@@ -21,6 +21,7 @@ from .fock import (
     subtract_photon_fock,
 )
 from .gaussian import (
+    GaussianState,
     ModeSelector,
     circuit_to_gaussian,
     gaussian_wigner_fn,
@@ -61,19 +62,30 @@ class CheckResult:
         )
 
 
-def _single_mode_corpus(count: int, seed0: int = 1000):
+#: subtraction from the only mode of a single-mode state
+_MODE_0 = ModeSelector.for_mode(0, 1)
+
+
+def _single_mode_corpus(count: int, seed0: int = 1000) -> GaussianState:
+    """The states of seeds seed0 .. seed0 + count - 1 as one stack; each row
+    is bit for bit its own seed's draw."""
     # moderate ranges keep every grid check honest at its tolerance
-    for i in range(count):
-        yield random_state(1, seed0 + i, n_max=15.0, r_max=1.2, d_max=6.0)
+    return random_state(1, range(seed0, seed0 + count), n_max=15.0, r_max=1.2, d_max=6.0)
+
+
+def _corpus_ratios(count: int):
+    """Rows of the corpus with their closed-form ratios, from one stacked
+    extraction; the single-state routes below take the rows one at a time."""
+    states = _single_mode_corpus(count)
+    ratios = relative_purity_closed_form(extract_bogoliubov(states, _MODE_0))
+    return zip(states, ratios.tolist())
 
 
 def check_closed_form_vs_moments(count: int = 20) -> CheckResult:
     """Closed-form ratio against the prefactor-moment purity, single-mode states."""
     worst = 0.0
-    for state in _single_mode_corpus(count):
-        sel = ModeSelector.for_mode(0, 1)
-        ratio = relative_purity_closed_form(extract_bogoliubov(state, sel))
-        mu_sub = purity_subtracted(subtract_photon(state, sel))
+    for state, ratio in _corpus_ratios(count):
+        mu_sub = purity_subtracted(subtract_photon(state, _MODE_0))
         worst = max(worst, abs(ratio * purity_gaussian(state) - mu_sub))
     return CheckResult("closed form vs moment engine", worst, 1e-9)
 
@@ -81,10 +93,8 @@ def check_closed_form_vs_moments(count: int = 20) -> CheckResult:
 def check_closed_form_vs_grid(count: int = 20) -> CheckResult:
     """Closed-form ratio against grid-integrated purities."""
     worst = 0.0
-    for state in _single_mode_corpus(count):
-        sel = ModeSelector.for_mode(0, 1)
-        ratio = relative_purity_closed_form(extract_bogoliubov(state, sel))
-        sub = subtract_photon(state, sel)
+    for state, ratio in _corpus_ratios(count):
+        sub = subtract_photon(state, _MODE_0)
         mu_grid, err = purity_by_grid(
             gaussian_wigner_fn(state), 1, GridSpec.for_state(state)
         )
@@ -135,9 +145,8 @@ def check_three_mode_global_purity() -> CheckResult:
 def check_reference_state() -> CheckResult:
     """Showcase configuration: ratio 1.1967, variance suppression 0.85."""
     state = reference_single_mode_state()
-    sel = ModeSelector.for_mode(0, 1)
-    ratio = relative_purity_closed_form(extract_bogoliubov(state, sel))
-    sub = subtract_photon(state, sel)
+    ratio = relative_purity_closed_form(extract_bogoliubov(state, _MODE_0))
+    sub = subtract_photon(state, _MODE_0)
     report = moments_subtracted(sub)
     dev = max(
         abs(ratio - 1.1967) / 5e-4,
@@ -150,7 +159,7 @@ def check_reference_state() -> CheckResult:
 def check_reference_variances_by_grid() -> CheckResult:
     """Grid-route variance ratios for the showcase configuration."""
     state = reference_single_mode_state()
-    sub = subtract_photon(state, ModeSelector.for_mode(0, 1))
+    sub = subtract_photon(state, _MODE_0)
     grid = GridSpec.for_state(sub.base)
     mom = variance_by_grid(subtracted_wigner_fn(sub), 0, 1, grid)
     dev = max(

@@ -426,8 +426,8 @@ class WilliamsonDecomposition:
 
 def make_vacuum(num_modes: int) -> GaussianState:
     """The m-mode vacuum: identity covariance, zero displacement."""
-    if num_modes < 1:
-        raise ValueError("need at least one mode")
+    if not _is_integer(num_modes) or num_modes < 1:
+        raise ValueError(f"num_modes must be an integer of at least 1, got {num_modes!r}")
     return GaussianState(np.eye(2 * num_modes), np.zeros(2 * num_modes))
 
 

@@ -27,6 +27,7 @@ non-finite frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -37,6 +38,17 @@ from .gaussian import GaussianState, _check_mode, _is_integer, require_single
 
 #: relative tolerance on the total-probability check of every frame
 NORMALIZATION_TOL = 1e-5
+
+
+@lru_cache(maxsize=None)
+def _line_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes z and weights w exp(z^2 / 2) of the n-point Gauss-Hermite rule
+    of weight exp(-z^2 / 2), read-only: one build per n, shared by every
+    frame.  The factor exp(z^2 / 2) divides the rule's weight back out of f."""
+    z, w = hermegauss(n)
+    w = w * np.exp(0.5 * z * z)
+    z.flags.writeable = w.flags.writeable = False
+    return z, w
 
 
 @dataclass(frozen=True)
@@ -85,9 +97,7 @@ class GridSpec:
             chol = np.linalg.cholesky(scale * self.covariance)
         except np.linalg.LinAlgError as exc:
             raise ValueError("frame covariance is not positive definite") from exc
-        z, w = hermegauss(n)
-        # the weight exp(-z^2 / 2) of the rule is divided back out of f
-        w = w * np.exp(0.5 * z * z)
+        z, w = _line_rule(n)
         index = np.indices((n,) * dim).reshape(dim, -1).T
         nodes = self.center + z[index] @ chol.T
         weights = np.prod(w[index], axis=1) * np.prod(np.diag(chol))

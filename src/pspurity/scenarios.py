@@ -118,6 +118,27 @@ def three_mode_circuit(
     return CircuitDescription(3, tuple(gates))
 
 
+def _ratio_entries(state: GaussianState):
+    """(g, j, ratio) of every entry of the per-mode table, in row-major
+    order, each computed as its turn comes; a consumer that stops early
+    computes nothing past the entry it stopped at.  A row whose subtraction
+    is undefined (mode g holds no photons) yields NaN entries."""
+    m = state.mode_count
+    before = []  # purity of mode j's marginal, computed by the first row that reaches j
+    for g in range(m):
+        try:
+            sub = subtract_photon(state, ModeSelector.for_mode(g, m))
+        except SubtractionFromVacuumError:
+            sub = None
+        for j in range(m):
+            if sub is None:
+                yield g, j, np.nan
+                continue
+            if j == len(before):
+                before.append(purity_gaussian(reduce_modes(state, [j])))
+            yield g, j, purity_subtracted(marginal_subtracted(sub, [j])) / before[j]
+
+
 def mode_ratio_table(state: GaussianState) -> np.ndarray:
     """3 x 3 (or m x m) table of per-mode relative purities.
 
@@ -127,16 +148,9 @@ def mode_ratio_table(state: GaussianState) -> np.ndarray:
     """
     require_single(state, "mode_ratio_table")
     m = state.mode_count
-    table = np.full((m, m), np.nan)
-    before = [purity_gaussian(reduce_modes(state, [j])) for j in range(m)]
-    for g in range(m):
-        try:
-            sub = subtract_photon(state, ModeSelector.for_mode(g, m))
-        except SubtractionFromVacuumError:
-            continue
-        for j in range(m):
-            marg = marginal_subtracted(sub, [j])
-            table[g, j] = purity_subtracted(marg) / before[j]
+    table = np.empty((m, m))
+    for g, j, ratio in _ratio_entries(state):
+        table[g, j] = ratio
     return table
 
 
@@ -146,25 +160,20 @@ def topology_search(alpha: float = 1.6, s_db: float = 3.0):
     Enumerates all 27 ordered sequences of the three mode pairs (deterministic
     lexicographic order) and returns ``(topology, table)`` for the first one
     whose 9-entry table matches TARGET_SIGN_PATTERN, or ``(None, None)`` when
-    none qualifies.
+    none qualifies.  Each candidate's table is built entry by entry in
+    row-major order and dropped at its first NaN or wrong sign, so the
+    winner's table is the only full one.
     """
     for topology in itertools.product(MODE_PAIRS, repeat=3):
-        circuit = three_mode_circuit(topology, alpha=alpha, s_db=s_db)
-        state = circuit_to_gaussian(circuit)
-        table = mode_ratio_table(state)
-        if np.isnan(table).any():
-            continue
-        if _matches_pattern(table, TARGET_SIGN_PATTERN):
+        state = circuit_to_gaussian(three_mode_circuit(topology, alpha=alpha, s_db=s_db))
+        table = np.empty((3, 3))
+        for g, j, ratio in _ratio_entries(state):
+            if np.sign(ratio - 1.0) != TARGET_SIGN_PATTERN[g][j]:  # NaN: never equal
+                break
+            table[g, j] = ratio
+        else:
             return topology, table
     return None, None
-
-
-def _matches_pattern(table: np.ndarray, pattern) -> bool:
-    for g in range(table.shape[0]):
-        for j in range(table.shape[1]):
-            if np.sign(table[g, j] - 1.0) != pattern[g][j]:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +212,8 @@ def random_state(
     magnitudes log-uniform in [min(0.01, r_max), r_max] (covers
     near-identity and strongly squeezed regimes; r = 0 when r_max is 0).
     Displacement amplitudes per mode are uniform in [0, d_max].  Identical
-    seeds give byte-identical states.  The ranges must be finite with
-    n_max >= 1, r_max >= 0 and d_max >= 0.
+    seeds give byte-identical states; a seed is a non-negative integer.  The
+    ranges must be finite with n_max >= 1, r_max >= 0 and d_max >= 0.
 
     ``seed`` may be a sequence: the result is then a stack with one state per
     seed, each bit for bit the state of its own seed.  Every state draws from
@@ -226,6 +235,10 @@ def random_state(
     seeds = list(seed) if stacked else [seed]
     if not seeds:
         raise ValueError("need at least one seed")
+    for i, one in enumerate(seeds):
+        if not _is_integer(one) or one < 0:
+            name = f"seed[{i}]" if stacked else "seed"
+            raise ValueError(f"{name} must be a non-negative integer, got {one!r}")
     r_top = r_max or 0.01  # r_max = 0 draws 0.01 (zeroed below): the same stream
     low = np.array([1.0, np.log(min(0.01, r_top)), 0.0, 0.0])
     span = np.array([n_max, np.log(r_top), d_max, 2.0 * np.pi]) - low

@@ -53,6 +53,16 @@ def test_vacuum_rejects_zero_modes():
         make_vacuum(0)
 
 
+@pytest.mark.parametrize("num_modes", [2.5, True, 2.0, "2", None, -1])
+def test_vacuum_refuses_mode_counts_but_positive_integers(num_modes):
+    with pytest.raises(ValueError, match=r"^num_modes must be an integer of at least 1, got "):
+        make_vacuum(num_modes)
+
+
+def test_vacuum_takes_numpy_integer_mode_counts():
+    assert np.array_equal(make_vacuum(np.int64(2)).covariance, np.eye(4))
+
+
 @pytest.mark.parametrize(
     "factors,expected",
     [([10.0], 0.1), ([1.0, 1.0], 1.0), ([2.0, 3.0], 1.0 / 6.0)],

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 
 from pspurity import (
     GaussianState,
@@ -20,7 +21,7 @@ from pspurity import (
     subtracted_wigner_fn,
     two_mode_squeezer,
 )
-from pspurity.quadrature import GridSpec, purity_by_grid, variance_by_grid
+from pspurity.quadrature import GridSpec, _line_rule, purity_by_grid, variance_by_grid
 from pspurity.scenarios import random_state, reference_single_mode_state
 from pspurity.subtraction import moments_subtracted
 
@@ -226,6 +227,32 @@ def test_multimode_subtracted_exact(num_modes):
     }
     for key, exact in want.items():
         assert mom[key] == pytest.approx(exact, rel=1e-9), key
+
+
+def test_line_rule_is_cached_and_read_only():
+    z, w = _line_rule(3)
+    assert _line_rule(3)[0] is z
+    for a in (z, w):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("num_modes", [1, 2])
+def test_cached_rule_equals_an_uncached_build(n, num_modes):
+    """The tensor rule from the cached line rule, against one built from a
+    fresh ``hermegauss`` as before the cache."""
+    state = random_state(num_modes, 40 + n, n_max=15.0, r_max=1.2, d_max=6.0)
+    grid = GridSpec.for_state(state)
+    nodes, weights = grid.rule(num_modes, 0.5, n)
+    dim = 2 * num_modes
+    z, w = hermegauss(n)
+    w = w * np.exp(0.5 * z * z)
+    chol = np.linalg.cholesky(0.5 * grid.covariance)
+    index = np.indices((n,) * dim).reshape(dim, -1).T
+    assert nodes.tobytes() == (grid.center + z[index] @ chol.T).tobytes()
+    assert weights.tobytes() == (np.prod(w[index], axis=1) * np.prod(np.diag(chol))).tobytes()
 
 
 def test_bad_extent_reported():

@@ -1,6 +1,7 @@
 """Worked examples, topology search, random states, sweeps."""
 
 import hashlib
+import itertools
 import json
 import re
 
@@ -18,6 +19,7 @@ from pspurity import (
     purity_gaussian,
     purity_subtracted,
     relative_purity_closed_form,
+    scenarios,
     subtract_photon,
     symplectic_eigenvalues,
     two_mode_squeezer,
@@ -27,6 +29,7 @@ from pspurity.bounds import bound_f_max
 from pspurity.scenarios import (
     CircuitDescription,
     Gate,
+    MODE_PAIRS,
     TARGET_SIGN_PATTERN,
     circuit_to_gaussian,
     mode_ratio_table,
@@ -128,6 +131,38 @@ def test_topology_search_no_match_without_displacement():
     assert topology is None and table is None
 
 
+def _brute_force_search(alpha, s_db):
+    """Every candidate's full table, then the sign match: the search's spec."""
+    for topology in itertools.product(MODE_PAIRS, repeat=3):
+        table = mode_ratio_table(circuit_to_gaussian(three_mode_circuit(topology, alpha, s_db)))
+        if np.array_equal(np.sign(table - 1.0), TARGET_SIGN_PATTERN):  # NaN never matches
+            return topology, table
+    return None, None
+
+
+@pytest.mark.parametrize("alpha, s_db", [(1.6, 3.0), (0.0, 3.0), (1.4, 6.0), (2.0, 5.0)])
+def test_topology_search_equals_brute_force_scan(alpha, s_db):
+    topology, table = topology_search(alpha, s_db)
+    want_topology, want_table = _brute_force_search(alpha, s_db)
+    assert topology == want_topology
+    if want_table is None:
+        assert table is None
+    else:
+        assert table.tobytes() == want_table.tobytes()
+
+
+def test_topology_search_stops_each_candidate_at_its_first_wrong_sign(monkeypatch):
+    """The seven candidates before the winner fail at entry (0, 0): one
+    marginal each, then nine for the winner's table."""
+    calls = []
+    real = scenarios.marginal_subtracted
+    monkeypatch.setattr(scenarios, "marginal_subtracted",
+                        lambda sub, modes: calls.append(modes) or real(sub, modes))
+    topology, _ = topology_search()
+    assert topology == ((0, 1), (1, 2), (0, 2))
+    assert len(calls) <= 7 + 9
+
+
 def test_zero_displacement_circuit_never_purifies_any_mode():
     for topology in [((0, 1), (1, 2), (0, 2)), ((0, 1), (0, 2), (1, 2))]:
         circ = three_mode_circuit(topology, alpha=0.0)
@@ -211,6 +246,31 @@ def test_random_state_takes_numpy_integer_mode_counts():
         assert state.mode_count == m
         assert state.covariance.tobytes() == plain.covariance.tobytes()
         assert state.displacement.tobytes() == plain.displacement.tobytes()
+
+
+@pytest.mark.parametrize("seed, name", [
+    (2.5, "seed"), (-1, "seed"), (True, "seed"), ("3", "seed"), (None, "seed"),
+    ([1.5], "seed[0]"), ([3, -2], "seed[1]"), ([4, 5, False], "seed[2]"),
+    (np.array([1.0, 2.0]), "seed[0]"), ([[1, 2]], "seed[0]"),
+])
+def test_random_state_refuses_bad_seeds(seed, name):
+    """Every seed is checked before any draw; a bad one is named, with its
+    index when ``seed`` is a sequence."""
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be a non-negative "
+                                         rf"integer, got "):
+        random_state(1, seed)
+
+
+def test_random_state_takes_numpy_integer_and_range_seeds():
+    plain = random_state(2, [0, 7, 2**62])
+    for seeds in ([np.int64(0), np.uint8(7), np.uint64(2**62)], np.array([0, 7, 2**62]),
+                  range(0, 14, 7)):
+        state = random_state(2, seeds)
+        n = len(state.covariance)
+        assert state.covariance.tobytes() == plain.covariance[:n].tobytes()
+        assert state.displacement.tobytes() == plain.displacement[:n].tobytes()
+    one = random_state(2, np.int64(7))
+    assert one.covariance.tobytes() == plain.covariance[1].tobytes()
 
 
 @pytest.mark.parametrize("ranges", [
