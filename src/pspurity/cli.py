@@ -1,17 +1,14 @@
-"""Command-line interface.
+"""Command-line interface: ``reproduce fig1a|fig1b|fig2|fig3``, ``verify``,
+``fuzz``, and ``run CONFIG`` for a run described by a config file.
 
-Subcommands:
-    reproduce fig1a|fig1b|fig2|fig3   write the sweep datasets (CSV / JSON)
-    verify                            run the cross-oracle suite
-    fuzz                              property-check bounds on random states
-    run CONFIG                        execute a run described by a config file
+``COMMANDS`` names the ``RunConfig`` fields each command and figure reads.
+The flags, the config-file casts and the refusal of a field the command does
+not read are all built from it and the field types.
 
 Output files are deterministic: identical (command, config, seed) triples
 produce byte-identical bytes, and every file starts with a header naming
 the config hash and the numeric conventions (displacement scale, dB rule).
 """
-
-from __future__ import annotations
 
 import argparse
 import dataclasses
@@ -19,7 +16,7 @@ import hashlib
 import json
 import math
 import sys
-import typing
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,8 +47,10 @@ CONVENTIONS = "displacement=(2*Re<a>,2*Im<a>) squeeze=10^(dB/10)"
 class RunConfig:
     """Flat run description; serializes to ``key = value`` lines.
 
-    The field defaults are the CLI defaults.  Out-of-range values raise
-    ValueError at construction.
+    The field defaults are the CLI defaults and the field types cast both
+    flags and config-file values.  An unknown command or figure, a field the
+    command does not read set away from its default, and an out-of-range
+    value raise ValueError at construction.
     """
 
     command: str
@@ -65,6 +64,14 @@ class RunConfig:
     s_db: float = 3.0
 
     def __post_init__(self):
+        entry = COMMANDS.get((self.command, self.figure))
+        name = f"{self.command} {self.figure}".strip()
+        if entry is None:
+            known = ", ".join(f"{command} {figure}".strip() for command, figure in COMMANDS)
+            raise ValueError(f"unknown command {name!r}; known: {known}")
+        for f in dataclasses.fields(self)[2:]:  # command and figure pick the entry
+            if f.name not in entry.reads and getattr(self, f.name) != f.default:
+                raise ValueError(f"{name} does not read {f.name}")
         for name in ("count", "points", "grid_points"):
             value = getattr(self, name)
             if value < 1:
@@ -86,7 +93,9 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        field_types = typing.get_type_hints(cls)
+        """Read ``key = value`` lines (``#`` starts a comment): each key once,
+        each value cast by its field's type; a string may be quoted, as
+        ``to_text`` writes it."""
         values = {}
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
@@ -94,18 +103,19 @@ class RunConfig:
                 continue
             if "=" not in line:
                 raise ValueError(f"line {lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in field_types:
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key not in FIELD_TYPES:
                 raise ValueError(f"line {lineno}: unknown key {key!r}")
-            caster = field_types[key]
-            value = value.strip()
-            if caster is str:
-                if value.startswith(("'", '"')) and value.endswith(value[0]):
-                    value = value[1:-1]
-                values[key] = value
-            else:
-                values[key] = caster(value)
+            if key in values:
+                raise ValueError(f"line {lineno}: repeated key {key!r}")
+            cast = FIELD_TYPES[key]
+            if cast is str and value.startswith(("'", '"')) and value.endswith(value[0]):
+                value = value[1:-1]
+            try:
+                values[key] = cast(value)
+            except ValueError:
+                raise ValueError(f"line {lineno}: {key}: invalid {cast.__name__} "
+                                 f"value {value!r}") from None
         if "command" not in values:
             raise ValueError("config must set 'command'")
         return cls(**values)
@@ -114,6 +124,10 @@ class RunConfig:
         # the output path is where the data goes, not what the data is
         semantic = dataclasses.replace(self, output="")
         return hashlib.sha256(semantic.to_text().encode()).hexdigest()[:16]
+
+
+#: the one type source: flags and config-file values are cast by it
+FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 
 def _header(config: RunConfig) -> str:
@@ -196,15 +210,6 @@ def _reproduce_fig3(config: RunConfig) -> int:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return 0 if payload.get("found") else 1
-
-
-#: figure name -> (handler, default output path)
-FIGURES = {
-    "fig1a": (_reproduce_sweep, "fig1a.csv"),
-    "fig1b": (_reproduce_sweep, "fig1b.csv"),
-    "fig2": (_reproduce_fig2, "fig2.csv"),
-    "fig3": (_reproduce_fig3, "fig3.json"),
-}
 
 
 def _cmd_verify(config: RunConfig) -> int:
@@ -293,82 +298,76 @@ def _cmd_fuzz(config: RunConfig) -> int:
                 failures[i] = dict(record, covariance=state.covariance.tolist(),
                                    displacement=state.displacement.tolist(),
                                    problems=problems)
+    failures = [failures[i] for i in sorted(failures)]
+    if config.output:  # every record; a clean run writes []
+        with open(config.output, "w") as fh:
+            fh.write(json.dumps(failures, indent=2) + "\n")
     if failures:
-        failures = [failures[i] for i in sorted(failures)]
-        text = json.dumps(failures[:10], indent=2)
-        if config.output:
-            with open(config.output, "w") as fh:
-                fh.write(text + "\n")
-        print(text)
+        print(json.dumps(failures[:10], indent=2))
         print(f"fuzz: {len(failures)} violations in {config.count} states")
         return 1
     print(f"fuzz: {config.count} states, no violations (seed {config.seed})")
     return 0
 
 
-def _dispatch(config: RunConfig) -> int:
-    if config.command == "reproduce":
-        if config.figure not in FIGURES:
-            print(f"unknown figure {config.figure!r}", file=sys.stderr)
-            return 2
-        handler, default_output = FIGURES[config.figure]
-        config.output = config.output or default_output
-        status = handler(config)
-        print(f"wrote {config.output}")
-        return status
-    if config.command == "verify":
-        return _cmd_verify(config)
-    if config.command == "fuzz":
-        return _cmd_fuzz(config)
-    print(f"unknown command {config.command!r}", file=sys.stderr)
-    return 2
+#: one COMMANDS entry: the handler, the fields it reads (every other field after
+#: command and figure must keep its default), a figure's default output, a help line
+Command = namedtuple("Command", "run reads output help", defaults=("", None))
+
+
+#: (command, figure) -> Command; the only list of the fields each one reads
+COMMANDS = {
+    ("reproduce", "fig1a"): Command(_reproduce_sweep, ("output", "points"), "fig1a.csv"),
+    ("reproduce", "fig1b"): Command(_reproduce_sweep, ("output", "points"), "fig1b.csv"),
+    ("reproduce", "fig2"): Command(_reproduce_fig2, ("output", "grid_points"), "fig2.csv"),
+    ("reproduce", "fig3"): Command(_reproduce_fig3, ("output", "alpha", "s_db"), "fig3.json"),
+    ("verify", ""): Command(_cmd_verify, (), help="run the cross-oracle suite"),
+    ("fuzz", ""): Command(_cmd_fuzz, ("output", "count", "seed"),
+                          help="property-check bounds on random states"),
+}
 
 
 @lru_cache(maxsize=None)  # argparse spends about 0.5 ms building it; parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
+    """One flag per field a ``COMMANDS`` entry reads, cast by the field's
+    type; flags left out take the RunConfig defaults.  The subparsers pass
+    their errors up, so each is one ``pspurity: error:`` line."""
     parser = argparse.ArgumentParser(
         prog="pspurity",
         description="Photon-subtraction purity toolkit for Gaussian states",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # options left out of the command line take the RunConfig defaults
-    rep = sub.add_parser("reproduce", help="write sweep datasets",
-                         argument_default=argparse.SUPPRESS)
-    rep.add_argument("figure", choices=list(FIGURES))
-    rep.add_argument("--output", help="output path")
-    rep.add_argument("--points", type=int, help="sweep resolution")
-    rep.add_argument("--grid-points", type=int, dest="grid_points")
-    rep.add_argument("--alpha", type=float)
-    rep.add_argument("--s-db", type=float, dest="s_db")
-
-    sub.add_parser("verify", help="run the cross-oracle suite")
-
-    fuzz = sub.add_parser("fuzz", help="property-check bounds on random states",
-                          argument_default=argparse.SUPPRESS)
-    fuzz.add_argument("--count", type=int)
-    fuzz.add_argument("--seed", type=int)
-    fuzz.add_argument("--output", help="where to dump violations")
-
-    run = sub.add_parser("run", help="execute a config file")
+    figures = sub.add_parser("reproduce", help="write a figure's dataset",
+                             exit_on_error=False).add_subparsers(dest="figure", required=True)
+    for (command, figure), entry in COMMANDS.items():
+        cmd = (figures if figure else sub).add_parser(
+            figure or command, help=entry.help, exit_on_error=False,
+            argument_default=argparse.SUPPRESS)
+        for name in entry.reads:
+            cmd.add_argument("--" + name.replace("_", "-"), type=FIELD_TYPES[name])
+    run = sub.add_parser("run", help="execute a config file", exit_on_error=False)
     run.add_argument("config", help="path to a key = value config file")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = vars(parser.parse_args(argv))
     try:  # OSError: a config file that cannot be read or an output that cannot be written
         try:
-            if args.command == "run":
-                with open(args.config) as fh:
+            if args["command"] == "run":
+                with open(args["config"]) as fh:
                     config = RunConfig.from_text(fh.read())
             else:
-                known = {f.name for f in dataclasses.fields(RunConfig)}
-                config = RunConfig(**{k: v for k, v in vars(args).items() if k in known})
+                config = RunConfig(**args)
         except ValueError as exc:
             parser.error(str(exc))
-        return _dispatch(config)
+        command = COMMANDS[config.command, config.figure]
+        config.output = config.output or command.output
+        status = command.run(config)
+        if command.output:
+            print(f"wrote {config.output}")
+        return status
     except OSError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 

@@ -410,10 +410,16 @@ def _passive_gates(o: np.ndarray) -> list:
 # measurements and operations
 # ---------------------------------------------------------------------------
 
+def _check_mode(state: FockState, mode):
+    """Refuse a mode that is not an integer, is a bool, or is not one of the state's."""
+    if (not isinstance(mode, numbers.Integral) or isinstance(mode, bool)
+            or not 0 <= mode < state.mode_count):
+        raise ValueError(f"mode {mode!r} is not an integer in [0, {state.mode_count})")
+
+
 def subtract_photon_fock(state: FockState, mode: int) -> FockState:
     """Apply the annihilation matrix on one mode and renormalize."""
-    if not 0 <= mode < state.mode_count:
-        raise ValueError(f"mode {mode} out of range")
+    _check_mode(state, mode)
     a = annihilator(state.truncation.cutoffs[mode])
     psi = np.tensordot(a, state.amplitudes, axes=([1], [mode]))
     psi = np.moveaxis(psi, 0, mode)
@@ -429,11 +435,10 @@ def subtract_photon_fock(state: FockState, mode: int) -> FockState:
 def _split_modes(state: FockState, modes) -> np.ndarray:
     """Amplitudes as a matrix: rows over ``modes``, columns over the rest."""
     modes = list(modes)
+    for j in modes:
+        _check_mode(state, j)
     if len(set(modes)) != len(modes):
         raise ValueError("duplicate mode indices")
-    for j in modes:
-        if not 0 <= j < state.mode_count:
-            raise ValueError(f"mode {j} out of range")
     rest = [j for j in range(state.mode_count) if j not in modes]
     dim_keep = int(np.prod([state.truncation.cutoffs[j] for j in modes]))
     return np.transpose(state.amplitudes, modes + rest).reshape(dim_keep, -1)

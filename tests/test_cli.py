@@ -4,12 +4,14 @@ import csv
 import hashlib
 import json
 import math
+import shlex
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pspurity.cli import RunConfig, _write_csv, main
+from pspurity.cli import COMMANDS, RunConfig, _write_csv, build_parser, main
 from pspurity.fock import reduced_purity_fock, run_circuit_fock, subtract_photon_fock
 from pspurity.scenarios import (
     circuit_to_gaussian,
@@ -66,13 +68,20 @@ def test_shipped_csv_bytes(tmp_path, figure):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SHIPPED_DIGESTS[figure]
 
 
+def test_fig3_default_config_hash():
+    """fig3's default header is the one no digest above pins; its hash keeps
+    ``RunConfig.hash`` and ``to_text`` from moving."""
+    config = RunConfig("reproduce", figure="fig3", output="fig3.json")
+    assert config.hash() == "8afa1da271d9339d"
+
+
 def test_csv_column_edge_values(tmp_path):
     """Every field is ``repr`` of its float, distinct bit patterns keep their
     own text (0.0 and -0.0), and finite fields parse back to the same bits."""
     values = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5,
               0.1 + 0.2, -0.0, 0.1 + 0.2, 0.0]
     out = tmp_path / "edge.csv"
-    _write_csv(str(out), RunConfig(command="reproduce"),
+    _write_csv(str(out), RunConfig(command="reproduce", figure="fig1a"),
                {"v": values, "w": list(reversed(values))})
     header, rows = read_csv(out)
     assert header.startswith("# pspurity")
@@ -244,6 +253,23 @@ def test_fuzz_failing_group_is_replayed_state_by_state(monkeypatch, capsys):
     assert len(checked) == 38
 
 
+def test_fuzz_output_holds_every_violation(tmp_path, monkeypatch, capsys):
+    """The ``--output`` file gets every record, stdout the first ten; a clean
+    run overwrites an earlier file with an empty list."""
+    plan = fuzz_plan(7, 40)
+    fail_extraction_of(monkeypatch, *plan[:12])
+    out = tmp_path / "violations.json"
+    assert main(["fuzz", "--count", "40", "--seed", "7", "--output", str(out)]) == 1
+    printed = capsys.readouterr().out.strip().splitlines()
+    assert printed[-1] == "fuzz: 12 violations in 40 states"
+    records = json.loads(out.read_text())
+    assert [r["seed"] for r in records] == [p[1] for p in plan[:12]]
+    assert json.loads("\n".join(printed[:-1])) == records[:10]
+    monkeypatch.undo()
+    assert main(["fuzz", "--count", "40", "--seed", "7", "--output", str(out)]) == 0
+    assert out.read_text() == "[]\n"
+
+
 def test_reused_parser_keeps_no_state(tmp_path, monkeypatch, capsys):
     """The parser is built once per process; a refused call, a fuzz call and a
     reproduce call in a row each see only their own arguments."""
@@ -318,6 +344,83 @@ def test_config_round_trip():
     config = RunConfig(command="fuzz", seed=99, count=123)
     again = RunConfig.from_text(config.to_text())
     assert again == config
+
+
+MOVED = {"output": "out.dat", "seed": 8, "count": 3, "points": 5, "grid_points": 7,
+         "alpha": 1.4, "s_db": 2.5}
+
+
+@pytest.mark.parametrize("key", list(COMMANDS), ids=lambda key: " ".join(filter(None, key)))
+def test_config_round_trip_every_command(key):
+    """``to_text`` output reads back for every command with every field it
+    reads moved off its default; the unread fields it writes keep theirs."""
+    config = RunConfig(*key, **{name: MOVED[name] for name in COMMANDS[key].reads})
+    assert RunConfig.from_text(config.to_text()) == config
+
+
+# argv (None: no command-line form), config file, words the error line must
+# hold, and the line the config-file error must name
+REFUSED = {
+    "repeated_key": (None, "command = fuzz\ncommand = verify\n", ("command",), 2),
+    "count_not_int": (["fuzz", "--count", "2.5"], "command = fuzz\ncount = 2.5\n",
+                      ("count", "2.5"), 2),
+    "verify_output": (["verify", "--output", "out"], "command = verify\noutput = out\n",
+                      ("output",), None),
+    "verify_alpha": (["verify", "--alpha", "5"], "command = verify\nalpha = 5\n",
+                     ("alpha",), None),
+    "fig1a_alpha": (["reproduce", "fig1a", "--alpha", "5"],
+                    "command = reproduce\nfigure = fig1a\nalpha = 5\n", ("alpha",), None),
+    "fig2_points": (["reproduce", "fig2", "--points", "3"],
+                    "command = reproduce\nfigure = fig2\npoints = 3\n", ("points",), None),
+    "fig3_grid_points": (["reproduce", "fig3", "--grid-points", "3"],
+                         "command = reproduce\nfigure = fig3\ngrid_points = 3\n", ("grid",),
+                         None),
+    "unknown_figure": (["reproduce", "fig9"], "command = reproduce\nfigure = fig9\n",
+                       ("fig9",), None),
+    "no_figure": (None, "command = reproduce\n", ("reproduce", "fig1a"), None),
+}
+
+
+@pytest.mark.parametrize("case, form", [(case, form) for case, (argv, *_) in REFUSED.items()
+                                         for form in ("flags", "file") if argv or form == "file"])
+def test_grammar_refusal(tmp_path, monkeypatch, capsys, case, form):
+    """Flags and config files refuse the same inputs: exit 2, one
+    ``pspurity: error:`` line naming what is wrong, nothing written."""
+    argv, text, words, line = REFUSED[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(argv if form == "flags" else ["run", "bad.cfg"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    errors = [row for row in out.err.splitlines() if "error:" in row]
+    assert out.out == "" and len(errors) == 1 and errors[0].startswith("pspurity: error: ")
+    assert all(word in errors[0] for word in words)
+    if form == "file" and line:
+        assert f"line {line}:" in errors[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+
+
+def readme_command_lines():
+    """The argv of every ``pspurity ...`` line in the README's Command line block."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("pspurity ")]
+
+
+@pytest.mark.parametrize("argv", readme_command_lines(), ids=" ".join)
+def test_readme_command_line_parses(argv):
+    """Each documented command line is one the grammar takes, without running it."""
+    args = vars(build_parser().parse_args(argv))
+    if args["command"] != "run":
+        RunConfig(**args)
+
+
+def test_readme_documents_every_command():
+    documented = {(argv[0], argv[1] if argv[0] == "reproduce" else "")
+                  for argv in readme_command_lines()}
+    assert documented == set(COMMANDS) | {("run", "")}
 
 
 def test_config_unknown_key_rejected():

@@ -1,6 +1,7 @@
 """Number-basis oracle: gates, subtraction, partial traces, cross-checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -163,6 +164,18 @@ def test_truncation_refuses_non_integral_bool_and_small_cutoffs(cutoffs):
 def test_truncation_takes_numpy_integers():
     cut = TruncationSpec((np.int64(3), 2))
     assert cut.cutoffs == (3, 2) and all(type(c) is int for c in cut.cutoffs)
+
+
+@pytest.mark.parametrize("mode", [0.5, True, -1, 2], ids=["float", "bool", "negative", "m"])
+def test_oracle_refuses_bad_mode_naming_it(mode):
+    """A mode that is not an integer of the state, or is a bool, stops at the
+    boundary with a ValueError naming it, in subtraction and partial trace."""
+    state = run_circuit_fock(circuit(2, Gate("displacement", {"re": 0.7, "im": 0.0}, (0,))))
+    message = rf"^mode {re.escape(repr(mode))} is not an integer in \[0, 2\)$"
+    with pytest.raises(ValueError, match=message):
+        subtract_photon_fock(state, mode)
+    with pytest.raises(ValueError, match=message):
+        reduced_purity_fock(state, [mode])
 
 
 def test_subtract_single_photon_gives_vacuum():
