@@ -11,10 +11,12 @@ the config hash and the numeric conventions (displacement scale, dB rule).
 """
 
 import argparse
+import ast
 import dataclasses
 import hashlib
 import json
 import math
+import re
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
@@ -94,8 +96,10 @@ class RunConfig:
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
         """Read ``key = value`` lines (``#`` starts a comment): each key once,
-        each value cast by its field's type; a string may be quoted, as
-        ``to_text`` writes it."""
+        each value cast by its field's type.  A string value may be quoted:
+        a value that starts with a quote is read as a Python string literal,
+        as ``to_text`` writes it with ``repr``, so a ``#`` or a backslash in
+        it is kept."""
         values = {}
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
@@ -109,10 +113,13 @@ class RunConfig:
             if key in values:
                 raise ValueError(f"line {lineno}: repeated key {key!r}")
             cast = FIELD_TYPES[key]
-            if cast is str and value.startswith(("'", '"')) and value.endswith(value[0]):
-                value = value[1:-1]
             try:
-                values[key] = cast(value)
+                if cast is str and value.startswith(("'", '"')):
+                    # read whole: the comment strip may have cut it at a quoted '#'
+                    value = raw.partition("=")[2].strip()
+                    values[key] = _string_literal(value)
+                else:
+                    values[key] = cast(value)
             except ValueError:
                 raise ValueError(f"line {lineno}: {key}: invalid {cast.__name__} "
                                  f"value {value!r}") from None
@@ -128,6 +135,21 @@ class RunConfig:
 
 #: the one type source: flags and config-file values are cast by it
 FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+
+#: a one-line Python string literal, then at most a comment
+_QUOTED = re.compile(r"""('(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")\s*(?:#.*)?""")
+
+
+def _string_literal(text: str) -> str:
+    """The Python string literal that makes up ``text`` but for a trailing
+    comment; ValueError when there is none."""
+    quoted = _QUOTED.fullmatch(text)
+    if quoted is None:
+        raise ValueError(text)
+    try:
+        return ast.literal_eval(quoted[1])
+    except SyntaxError:  # a malformed escape such as '\x'
+        raise ValueError(text) from None
 
 
 def _header(config: RunConfig) -> str:

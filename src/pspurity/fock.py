@@ -7,13 +7,17 @@ number, which are tridiagonal chains stated in closed form: a displacement
 is one chain n -> n + 1, a single-mode squeezer conserves n mod 2 along
 n -> n + 2, a two-mode squeezer n_a - n_b along (n_a + 1, n_b + 1), a
 beamsplitter n_a + n_b along (n_a + 1, n_b - 1), and a phase rotation is
-diagonal.  Only the sectors that hold amplitude are exponentiated; an empty
-sector maps to exact zeros, so skipping it is exact.
+diagonal.  Row-major order over the gate's modes runs up every chain, so
+each chain is a strided view of the amplitude matrix's rows and is updated
+in place, with no sort, gather or scatter.  Only the chains that hold
+amplitude are exponentiated; an empty chain maps to exact zeros, so
+skipping it is exact.
 A Gaussian state is compiled to such a circuit: ancilla two-mode squeezers
 purify its thermal normal modes (the ancillas are traced out by all
 measurement helpers), Bloch-Messiah and beamsplitter meshes give its
-symplectic part, displacements close it.  Photon subtraction is the literal
-annihilation matrix, and purities come from partial traces.  Nothing here
+symplectic part, displacements close it.  Photon subtraction is the
+annihilation operator as a row shift along the mode, and purities come from
+partial traces (a Hermitian rank-k Gram matrix).  Nothing here
 shares code with the covariance-matrix purity and moment machinery, which
 is the point; the covariance route only sizes the initial cutoffs and
 supplies the normal modes of a Gaussian input.
@@ -36,9 +40,11 @@ from __future__ import annotations
 import math
 import numbers
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import zherk
 from scipy.linalg.lapack import dstevd
 
 from .errors import SubtractionFromVacuumError, TruncationInsufficientError
@@ -119,7 +125,8 @@ def _memory_budget_bytes() -> float:
 
 
 def annihilator(cutoff: int) -> np.ndarray:
-    """Truncated annihilation matrix, a[n-1, n] = sqrt(n)."""
+    """Truncated annihilation matrix, a[n-1, n] = sqrt(n); ``subtract_photon_fock``
+    applies the same map as a row shift."""
     return np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
 
 
@@ -130,30 +137,51 @@ def _top_level_population(psi: np.ndarray, axis: int) -> float:
     return float(np.sum(np.abs(psi[tuple(sl)]) ** 2))
 
 
-def _gate_chains(kind: str, params: dict, cutoffs: tuple) -> tuple:
-    """Conserved-number chains of one gate's H = -i gen on its own modes.
+def _gate_chains(kind: str, cutoffs: tuple, rows: np.ndarray) -> tuple:
+    """Conserved-number chains of one gate on its own modes, in label order,
+    and the chain that each of the row-major ``rows`` lies on.
 
-    For each basis state (row-major over the gate's modes): its sector label,
-    the conserved number, and H's element <next|H|state> to the next state
-    up its chain.  H's diagonal is zero for every gate kind here.  Row-major
-    order runs up every chain, so a stable sort by label lays each sector out
-    as its chain in order; the element of a chain's last state points out of
-    the truncation and is never read.
+    Row i = n_a c_b + n_b runs up every chain, so chain j is the strided set
+    of rows start[j] + stride k, k < length[j]: a displacement's one chain
+    n -> n + 1; a single-mode squeezer's parity p; a two-mode squeezer's
+    delta = n_a - n_b (label delta + c_b - 1), starting at
+    (max(delta, 0), max(-delta, 0)); a beamsplitter's N = n_a + n_b, starting
+    at n_a = max(0, N - c_b + 1).  A one-mode gate reads n as n_b.
     """
-    n = np.indices(cutoffs, dtype=float).reshape(len(cutoffs), -1)
-    na, nb = n[0], n[-1]
+    ca, cb = cutoffs[0], cutoffs[-1]
+    na, nb = np.divmod(rows, cb)
+    if kind == "displacement":
+        return np.zeros(1, int), 1, np.array([cb]), np.zeros_like(rows)
+    if kind == "single_mode_squeezer":
+        parity = np.arange(2)
+        return parity, 2, (cb - parity + 1) // 2, rows % 2
+    if kind == "two_mode_squeezer":
+        delta = np.arange(1 - cb, ca)
+        a0, b0 = np.maximum(delta, 0), np.maximum(-delta, 0)
+        return a0 * cb + b0, cb + 1, np.minimum(ca - a0, cb - b0), na - nb + cb - 1
+    if kind == "beamsplitter":
+        total = np.arange(ca + cb - 1)
+        a0 = np.maximum(total - cb + 1, 0)
+        return a0 * cb + total - a0, cb - 1, np.minimum(total, ca - 1) - a0 + 1, na + nb
+    raise ValueError(f"unknown gate kind {kind!r}")
+
+
+def _chain_scale(kind: str, params: dict) -> tuple[complex, Callable]:
+    """H = -i gen's element <next|H|state> up a chain as scale * base: the
+    gate's complex scalar, and the parameter-free base as a function of the
+    state's (n_a, n_b) (a one-mode gate reads n as n_b)."""
     if kind == "displacement":
         amp = complex(params.get("re", 0.0), params.get("im", 0.0))
-        return np.zeros(na.size), -1j * amp * np.sqrt(na + 1)
+        return -1j * amp, lambda na, nb: np.sqrt(nb + 1.0)
     if kind == "single_mode_squeezer":
         r = _resolve_squeezing(params.get("r"), params.get("db"))
-        return na % 2, -0.5j * r * np.sqrt((na + 1) * (na + 2))
+        return -0.5j * r, lambda na, nb: np.sqrt((nb + 1.0) * (nb + 2.0))
     if kind == "two_mode_squeezer":
         r = _resolve_squeezing(params.get("r"), params.get("db"))
-        return na - nb, -1j * r * np.sqrt((na + 1) * (nb + 1))
+        return -1j * r, lambda na, nb: np.sqrt((na + 1.0) * (nb + 1.0))
     if kind == "beamsplitter":
         theta = np.arccos(np.sqrt(params["transmittance"]))
-        return na + nb, -1j * theta * np.sqrt((na + 1) * nb)
+        return -1j * theta, lambda na, nb: np.sqrt((na + 1.0) * nb)
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
@@ -161,20 +189,24 @@ def _apply_gate(psi: np.ndarray, kind: str, params: dict, modes: tuple) -> np.nd
     """Apply exp(gen) of one gate on the given modes of the amplitude tensor.
 
     A phase rotation is diagonal in the number basis: one broadcast multiply
-    by e^{-i theta n} along its mode.  For the other kinds,
-    ``_gate_chains`` states gen's conserved-number sectors in closed form;
-    one stable sort by sector orders the states so that every sector is a
-    contiguous chain on which H = -i gen is tridiagonal with a zero
-    diagonal.  A one-state sector is left as it is.  On a longer one with
-    sub-diagonal h, the diagonal unitary D, the running product of h / |h|
-    (1 where h = 0), makes T = D^dag H D real symmetric tridiagonal; with
-    T = Q diag(w) Q^T from LAPACK dstevd, exp(gen) = D Q exp(iw) Q^T D^dag.
+    by e^{-i theta n} along its mode.  For the other kinds the gate's modes
+    go first in one private C-ordered copy, whose rows are row-major over
+    them; ``_gate_chains`` states each conserved-number chain as a strided
+    view of those rows, on which H = -i gen is tridiagonal with a zero
+    diagonal and sub-diagonal s * base (``_chain_scale``).  With u = s / |s|,
+    the diagonal unitary D = (1, u, u^2, ...) makes T = D^dag H D =
+    |s| * base real symmetric tridiagonal; with T = Q diag(w) Q^T from LAPACK
+    dstevd, exp(gen) = D Q exp(iw) Q^T D^dag.  Q is real, so Q^T and Q are
+    each one real gemm on the float64 view of the complex block, and the
+    result is written back into the chain's rows in place.
 
-    Only sectors holding amplitude are exponentiated.  exp(gen) is linear
-    and block diagonal, so a sector whose rows of the amplitude matrix are
-    all exactly zero maps to exact zeros: skipping it is exact, not an
-    approximation, and the test is ``!= 0`` with no threshold.  A gate on
-    the vacuum, such as an ancilla two-mode squeezer, solves one sector.
+    Chains of one state and chains that hold no amplitude are left as they
+    are, which is exact: exp(gen) is linear and block diagonal, so a chain
+    whose rows are all exactly zero maps to exact zeros.  The occupancy test
+    is ``!= 0`` per row with no threshold, and the chain of each occupied
+    row comes from its closed-form label, with no sort.  A gate on the
+    vacuum, such as an ancilla two-mode squeezer, solves one chain, and a
+    gate with a zero parameter is the identity.
     """
     if kind == "phase_rotation":
         (axis,) = modes
@@ -182,32 +214,28 @@ def _apply_gate(psi: np.ndarray, kind: str, params: dict, modes: tuple) -> np.nd
         shape[axis] = -1
         n = np.arange(psi.shape[axis], dtype=float)
         return np.exp(1j * (-params["theta"] * n)).reshape(shape) * psi
-    moved = np.moveaxis(psi, modes, range(len(modes)))
-    lead = moved.shape[: len(modes)]
-    mat = moved.reshape(int(np.prod(lead)), -1)
-    sector, up = _gate_chains(kind, params, lead)
-    order = np.argsort(sector, kind="stable")
-    sector, up = sector[order], up[order]
-    # in sorted order, chain c is the slice bounds[c]:bounds[c + 1]
-    bounds = np.flatnonzero(np.concatenate(([True], sector[1:] != sector[:-1], [True])))
-    lo, hi = bounds[:-1], bounds[1:]
-    occupied = np.logical_or.reduceat(np.any(mat != 0, axis=1)[order], lo)
-    out = np.zeros(mat.shape, dtype=complex)
-    single = lo[hi - lo == 1]
-    out[order[single]] = mat[order[single]]
-    chains = (hi - lo > 1) & occupied
-    for start, stop in zip(lo[chains], hi[chains]):
-        h = up[start:stop - 1]
-        mag = np.abs(h)
-        unit = np.divide(h, mag, out=np.ones_like(h), where=mag > 0)
-        phase = np.concatenate(([1.0], np.cumprod(unit)))
-        w, q, info = dstevd(np.zeros(stop - start), mag)
+    scale, base = _chain_scale(kind, params)
+    if scale == 0:
+        return psi.copy()
+    lead = tuple(psi.shape[m] for m in modes)
+    out = np.array(np.moveaxis(psi, modes, range(len(modes))), dtype=complex, order="C")
+    mat = out.reshape(math.prod(lead), -1)
+    rows = np.flatnonzero(np.any(mat != 0, axis=1))
+    start, stride, length, label = _gate_chains(kind, lead, rows)
+    chains = np.flatnonzero((np.bincount(label, minlength=start.size) > 0) & (length > 1))
+    # D's diagonal for the longest chain; shorter ones take its head
+    phase = np.cumprod(np.concatenate(([1.0], np.full(length.max() - 1, scale / abs(scale)))))
+    for j in chains:
+        size = length[j]
+        block = mat[start[j]:start[j] + stride * (size - 1) + 1:stride]
+        na, nb = np.divmod(start[j] + stride * np.arange(size - 1), lead[-1])
+        w, q, info = dstevd(np.zeros(size), abs(scale) * base(na, nb))
         if info:
             raise np.linalg.LinAlgError(f"dstevd failed with info {info}")
-        idx = order[start:stop]
-        rotated = q.T @ (phase.conj()[:, None] * mat[idx])
-        out[idx] = phase[:, None] * ((q * np.exp(1j * w)) @ rotated)
-    out = out.reshape(lead + moved.shape[len(modes):])
+        d = phase[:size, None]
+        rotated = (q.T @ (d.conj() * block).view(float)).view(complex)
+        rotated *= np.exp(1j * w)[:, None]
+        np.multiply(d, (q @ rotated.view(float)).view(complex), out=block)
     return np.moveaxis(out, range(len(modes)), modes)
 
 
@@ -418,11 +446,19 @@ def _check_mode(state: FockState, mode):
 
 
 def subtract_photon_fock(state: FockState, mode: int) -> FockState:
-    """Apply the annihilation matrix on one mode and renormalize."""
+    """Apply the annihilation operator on one mode and renormalize.
+
+    a is a row shift along the mode's axis: psi'[n] = sqrt(n + 1) psi[n + 1],
+    and the top level is left empty; ``annihilator`` is the same map as a
+    matrix.
+    """
     _check_mode(state, mode)
-    a = annihilator(state.truncation.cutoffs[mode])
-    psi = np.tensordot(a, state.amplitudes, axes=([1], [mode]))
-    psi = np.moveaxis(psi, 0, mode)
+    amp = state.amplitudes
+    lower, upper, root = [slice(None)] * amp.ndim, [slice(None)] * amp.ndim, [1] * amp.ndim
+    lower[mode], upper[mode], root[mode] = slice(None, -1), slice(1, None), -1
+    psi = np.zeros_like(amp)
+    np.multiply(np.sqrt(np.arange(1.0, amp.shape[mode])).reshape(root), amp[tuple(upper)],
+                out=psi[tuple(lower)])
     norm = np.linalg.norm(psi)
     if norm < 1e-10:
         raise SubtractionFromVacuumError(
@@ -454,14 +490,19 @@ def reduced_purity_fock(state: FockState, modes) -> float:
     """Purity of the reduced state on the given modes.
 
     Uses the Gram matrix on the smaller side of the bipartition, so tracing
-    out many modes costs no more than keeping them.
+    out many modes costs no more than keeping them.  The Gram matrix G is
+    Hermitian: BLAS zherk forms its upper triangle only, with half the flops
+    of a general product, and tr(rho^2) = sum |G_ij|^2 is twice the upper
+    triangle's sum less the diagonal's.
     """
     mat = _split_modes(state, modes)
-    if mat.shape[0] <= mat.shape[1]:
-        gram = mat @ mat.conj().T
-    else:
-        gram = mat.conj().T @ mat
-    return float(np.real(np.sum(np.abs(gram) ** 2)))
+    # the C-ordered matrix is its own transpose in Fortran order; the Gram
+    # matrices of the transpose are the conjugates of mat's, with equal |G_ij|
+    side = min(mat.shape)
+    gram = zherk(1.0, mat.T, trans=2 if mat.shape[0] <= mat.shape[1] else 0,
+                 c=np.zeros((side, side), dtype=complex, order="F"), overwrite_c=1)
+    total = np.sum(gram.real ** 2 + gram.imag ** 2)
+    return float(2.0 * total - np.sum(np.diagonal(gram).real ** 2))
 
 
 def _ladder_moments(state: FockState, mode: int) -> tuple[complex, complex, float]:

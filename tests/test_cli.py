@@ -423,6 +423,24 @@ def test_readme_documents_every_command():
     assert documented == set(COMMANDS) | {("run", "")}
 
 
+@pytest.mark.parametrize("output", ["a\\b.json", "a#b.json", "it's \"x\".json", "a\\#b'.json"])
+def test_config_round_trip_quoted_output(output):
+    """A quoted value is read as the string literal ``to_text`` wrote: a
+    backslash stays single and a ``#`` inside the quotes is not a comment,
+    with or without a comment after the value; the hash does not move."""
+    config = RunConfig("fuzz", output=output)
+    assert RunConfig.from_text(config.to_text()) == config
+    commented = config.to_text().replace("\nseed", "  # where it goes\nseed")
+    assert RunConfig.from_text(commented) == config
+    assert config.hash() == RunConfig("fuzz").hash()
+
+
+@pytest.mark.parametrize("value", ["'a.json", "'a' 'b'", "'a' b", "'\\x'"])
+def test_config_refuses_malformed_quoted_string(value):
+    with pytest.raises(ValueError, match=r"line 2: output: invalid str value"):
+        RunConfig.from_text(f"command = 'fuzz'\noutput = {value}\n")
+
+
 def test_config_unknown_key_rejected():
     with pytest.raises(ValueError, match="unknown key"):
         RunConfig.from_text("command = 'fuzz'\nbogus = 3\n")

@@ -530,6 +530,78 @@ def test_squeezer_on_vacuum_solves_one_sector(monkeypatch):
     assert len(calls) == 1
 
 
+# a nonzero parameter per kind: the chain structure does not depend on its value
+UNIT_PARAMS = {"displacement": {"re": 1.0, "im": 0.0}, "single_mode_squeezer": {"r": 1.0},
+               "two_mode_squeezer": {"r": 1.0}, "beamsplitter": {"transmittance": 0.5}}
+
+
+@pytest.mark.parametrize("kind, params, cut", [
+    *GATE_CASES,
+    ("displacement", {"re": 0.2, "im": 0.9}, (2,)),
+    ("single_mode_squeezer", {"r": -0.3}, (2,)),
+    ("single_mode_squeezer", {"r": 0.3}, (3,)),
+    ("two_mode_squeezer", {"r": 0.2}, (2, 9)),
+    ("two_mode_squeezer", {"r": 0.2}, (9, 2)),
+    ("beamsplitter", {"transmittance": 0.1}, (9, 2)),
+    ("beamsplitter", {"transmittance": 0.9}, (2, 9)),
+    ("beamsplitter", {"transmittance": 0.5}, (5, 5)),
+])
+def test_strided_chains_are_the_generator_components(kind, params, cut):
+    """Each strided chain of ``_gate_chains`` is one whole connected component
+    of the dense generator, its rows in chain order, the chains in label
+    order with every row on exactly one; the element up each chain is
+    i * scale * base.  A phase rotation is diagonal and has no chains."""
+    gen = reference_generator(kind, params, cut)
+    if kind == "phase_rotation":
+        assert np.array_equal(gen, np.diag(np.diag(gen)))
+        return
+    links = reference_generator(kind, UNIT_PARAMS[kind], cut) != 0
+    components = _sector_labels(links)
+    every_row = np.arange(gen.shape[0])
+    start, stride, length, label = fock._gate_chains(kind, cut, every_row)
+    scale, base = fock._chain_scale(kind, params)
+    seen = []
+    for j in range(start.size):
+        rows = start[j] + stride * np.arange(length[j])
+        assert np.all(label[rows] == j), kind
+        assert np.all(components[rows] == components[rows[0]]), kind
+        assert np.count_nonzero(components == components[rows[0]]) == length[j], kind
+        assert np.all(links[rows[1:], rows[:-1]]), kind  # each row links to the next
+        na, nb = np.divmod(rows[:-1], cut[-1])
+        up = gen[rows[1:], rows[:-1]]
+        assert np.allclose(up, 1j * scale * base(na, nb), rtol=1e-14, atol=0), kind
+        seen.append(rows)
+    assert np.array_equal(np.sort(np.concatenate(seen)), every_row), kind
+
+
+def test_row_shift_subtraction_matches_annihilator():
+    """The row shift on each mode of a random three-mode tensor equals the
+    ``annihilator`` matrix applied by ``tensordot``."""
+    rng = np.random.default_rng(23)
+    cut = (7, 5, 6)
+    psi = rng.normal(size=cut) + 1j * rng.normal(size=cut)
+    state = fock.FockState(psi / np.linalg.norm(psi), TruncationSpec(cut))
+    for mode in range(3):
+        want = np.moveaxis(np.tensordot(annihilator(cut[mode]), state.amplitudes,
+                                        axes=([1], [mode])), 0, mode)
+        got = subtract_photon_fock(state, mode).amplitudes
+        assert np.abs(got - want / np.linalg.norm(want)).max() <= 1e-15, mode
+
+
+@pytest.mark.parametrize("modes", [[0], [1], [2], [0, 1], [1, 2], [2, 0]])
+def test_hermitian_gram_purity_matches_general_product(modes):
+    """The zherk purity equals sum |G_ij|^2 of the smaller-side Gram matrix
+    formed by a general product, for either side being the smaller."""
+    rng = np.random.default_rng(29)
+    cut = (9, 4, 6)
+    psi = rng.normal(size=cut) + 1j * rng.normal(size=cut)
+    state = fock.FockState(psi / np.linalg.norm(psi), TruncationSpec(cut))
+    mat = fock._split_modes(state, modes)
+    gram = mat @ mat.conj().T if mat.shape[0] <= mat.shape[1] else mat.conj().T @ mat
+    want = float(np.sum(np.abs(gram) ** 2))
+    assert reduced_purity_fock(state, modes) == pytest.approx(want, rel=1e-14)
+
+
 def _random_passive(m, rng):
     """Orthogonal symplectic [[Re U, -Im U], [Im U, Re U]] of a random unitary."""
     u, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
