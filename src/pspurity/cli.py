@@ -84,6 +84,8 @@ class RunConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if _CONTROL.search(self.output):  # such as a quoted 'C:\new' read as a newline
+            raise ValueError(f"output must hold no control character, got {self.output!r}")
 
     def to_text(self) -> str:
         lines = []
@@ -135,6 +137,9 @@ class RunConfig:
 
 #: the one type source: flags and config-file values are cast by it
 FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+
+#: a control character: U+0000 to U+001F, or U+007F
+_CONTROL = re.compile("[\x00-\x1f\x7f]")
 
 #: a one-line Python string literal, then at most a comment
 _QUOTED = re.compile(r"""('(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")\s*(?:#.*)?""")
@@ -392,6 +397,8 @@ def main(argv=None) -> int:
         return status
     except OSError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    except PspurityError as exc:  # a library refusal: every command raises it before writing
+        parser.exit(2, f"{parser.prog}: error: {type(exc).__name__}: {exc}\n")
 
 
 if __name__ == "__main__":

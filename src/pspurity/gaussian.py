@@ -20,18 +20,21 @@ Stacks: ``GaussianState``, ``SymplecticTransform`` and
 axis (covariance N x 2m x 2m), and ``williamson`` decomposes such a stack in
 one pass.  A single object is the N = 1 case of the same code.  Every check
 runs on every row of the whole stack, in whatever order is cheapest.  A stack
-raises the error its first failing row raises alone: when a check fails,
-``_replay_rows`` rebuilds the rows alone and in order until one raises, which
-costs time only on that failure path.  ``stack[i]`` is row i, ``stack[i:j]`` a
-smaller stack, and ``for row in stack`` yields the rows ``stack[i]`` gives, in
-one pass; functions that take one state refuse a stack through
-``require_single``.  Of the purity formulas, only the closed form
-(``subtraction.relative_purity_closed_form``) takes a stack, of rows.  A
-``ModeSelector`` stacks the same way, one direction per state of a stack.
+raises the error its first failing row raises alone: the checks run inside
+``_first_failing_row``, which on a failure rebuilds the rows alone and in
+order until one raises, so it costs time only on that failure path.  Every
+stackable class (these three, ``ModeSelector``, one direction per state of a
+stack, and ``subtraction.BogoliubovRow``) inherits the row protocol from
+``_Stack``: ``stacked``, from the field that carries the state axis, then
+``stack[i]`` for row i, ``stack[i:j]`` for a smaller stack, and
+``for row in stack`` for the rows ``stack[i]`` gives, in one pass.  Functions
+that take one state refuse a stack through ``require_single``.  Of the purity
+formulas, only the closed form (``subtraction.relative_purity_closed_form``)
+takes a stack, of rows.
 
 Gates: ``_gate_block`` checks a gate and builds its block.  The four gate
-constructors, ``CircuitDescription`` (at construction) and
-``circuit_to_gaussian`` (one state per circuit) all call it.
+constructors and ``CircuitDescription`` call it; a circuit keeps the blocks
+its check built, and ``circuit_to_gaussian`` multiplies them.
 """
 
 from __future__ import annotations
@@ -75,16 +78,27 @@ def _stacked(a: np.ndarray, ndim: int) -> np.ndarray:
     return a if a.ndim > ndim else a[None]
 
 
-def _replay_rows(exc: ValueError, count: int, alone):
-    """Raise the error the first failing row of a stack raises alone.
+class _first_failing_row:
+    """Make a stack of ``count`` rows raise the error its first failing row
+    raises alone: a context for the checks of a stack.
 
-    ``exc`` is what a check on the whole stack raised; an earlier row may
-    fail a check that ran later.  ``alone(i)`` rebuilds row i by itself, for
-    i = 0 .. count - 1, until one raises.  If none does, ``exc`` is raised.
+    A check on the whole stack may fail on a later row than one that fails a
+    check run after it.  On a ValueError inside the block, ``alone(i)``
+    rebuilds row i by itself, for i = 0 .. count - 1, until one raises; if
+    none does, the block's own error stands.  A single object passes
+    count = 0.  The replay costs time only when a check fails.
     """
-    for i in range(count):
-        alone(i)
-    raise exc
+
+    def __init__(self, count: int, alone):
+        self.count, self.alone = count, alone
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, ValueError):
+            for i in range(self.count):
+                self.alone(i)
 
 
 def require_single(obj, caller: str):
@@ -94,36 +108,49 @@ def require_single(obj, caller: str):
                          "pass one row, stack[i]")
 
 
-def _rows(obj, index):
-    """Row(s) ``index`` of a stack, as views.  Every check runs per row, so
-    rows of a checked stack need no new check; a 0-d entry becomes a Python
-    scalar, as the constructor stores it."""
-    if not obj.stacked:
-        raise TypeError(f"a single {type(obj).__name__} has no rows")
-    out = object.__new__(type(obj))
-    for name in obj.__dataclass_fields__:
-        value = getattr(obj, name)[index]
-        object.__setattr__(out, name, value.item() if isinstance(value, np.generic) else value)
-    return out
+class _Stack:
+    """The row protocol of every stackable class.
 
+    A subclass is a frozen dataclass whose ``_AXIS`` names the field that
+    carries the state axis and that field's ndim for one object; a stack's
+    field has one more, leading, axis.  ``stack[i]`` is row i and
+    ``stack[i:j]`` a smaller stack, as views: every check runs per row, so
+    rows of a checked stack need no new check.  ``iter(stack)`` yields the
+    rows ``stack[i]`` gives, in one pass.  A single object has no rows.
+    """
 
-def _iter_rows(obj):
-    """The rows of a stack in order, each what ``obj[i]`` gives: a 1-D field
-    becomes Python scalars with one ``tolist`` and an N-D field row views."""
-    if not obj.stacked:
-        raise TypeError(f"a single {type(obj).__name__} has no rows")
-    names = list(obj.__dataclass_fields__)
-    columns = [getattr(obj, name) for name in names]
-    columns = [c.tolist() if isinstance(c, np.ndarray) and c.ndim == 1 else c for c in columns]
+    @property
+    def stacked(self) -> bool:
+        name, ndim = self._AXIS
+        return getattr(self, name).ndim > ndim
 
-    def rows():  # a generator, so the check above runs at iter(obj)
-        for values in zip(*columns):
-            out = object.__new__(type(obj))
-            for name, value in zip(names, values):
-                object.__setattr__(out, name, value)
-            yield out
+    def _fields(self) -> list:
+        if not self.stacked:
+            raise TypeError(f"a single {type(self).__name__} has no rows")
+        return list(self.__dataclass_fields__)
 
-    return rows()
+    def __getitem__(self, index):
+        out = object.__new__(type(self))
+        for name in self._fields():
+            value = getattr(self, name)[index]
+            # a 0-d entry becomes a Python scalar, as the constructor stores it
+            object.__setattr__(out, name, value.item() if isinstance(value, np.generic) else value)
+        return out
+
+    def __iter__(self):
+        names = self._fields()  # here, so that iter() of a single object raises
+        # a 1-D field becomes Python scalars with one tolist, an N-D field row views
+        columns = [c.tolist() if isinstance(c, np.ndarray) and c.ndim == 1 else c
+                   for c in (getattr(self, name) for name in names)]
+
+        def rows():
+            for values in zip(*columns):
+                out = object.__new__(type(self))
+                for name, value in zip(names, values):
+                    object.__setattr__(out, name, value)
+                yield out
+
+        return rows()
 
 
 def _vacuum_tolerance(cov: np.ndarray) -> list:
@@ -171,12 +198,9 @@ def symplectic_eigenvalues(covariance: np.ndarray) -> np.ndarray:
     cov = np.asarray(covariance, dtype=float)
     disp = np.zeros(cov.shape[:-1])
     _check_shapes(cov, disp)
-    try:
+    with _first_failing_row(len(cov) if cov.ndim == 3 else 0,
+                            lambda i: symplectic_eigenvalues(cov[i])):
         nu = _checked_covariance(_stacked(cov, 2), _stacked(disp, 1))[1][1]
-    except ValueError as exc:
-        if cov.ndim == 3:
-            _replay_rows(exc, len(cov), lambda i: symplectic_eigenvalues(cov[i]))
-        raise
     return nu if cov.ndim == 3 else nu[0]
 
 
@@ -220,7 +244,7 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GaussianState:
+class GaussianState(_Stack):
     """A Gaussian state: covariance matrix plus displacement vector.
 
     Attributes:
@@ -242,15 +266,12 @@ class GaussianState:
         cov = np.asarray(self.covariance, dtype=float)
         disp = np.asarray(self.displacement, dtype=float)
         _check_shapes(cov, disp)
-        try:
+        with _first_failing_row(len(cov) if cov.ndim == 3 else 0,
+                                lambda i: GaussianState(cov[i], disp[i])):
             sym, normal, tol = _checked_covariance(_stacked(cov, 2), _stacked(disp, 1))
             for nu, t in zip(normal[1][:, -1].tolist(), tol):
                 if nu < 1.0 - t:
                     raise UnphysicalStateError(f"minimal symplectic eigenvalue {nu} is below 1")
-        except ValueError as exc:
-            if cov.ndim == 3:
-                _replay_rows(exc, len(cov), lambda i: GaussianState(cov[i], disp[i]))
-            raise
         sym = sym.reshape(cov.shape)  # a new array: no copy needed
         sym.flags.writeable = False
         object.__setattr__(self, "covariance", sym)
@@ -260,12 +281,7 @@ class GaussianState:
         object.__setattr__(self, "_nu", nu)
         object.__setattr__(self, "_vecs", vecs)
 
-    __getitem__ = _rows
-    __iter__ = _iter_rows
-
-    @property
-    def stacked(self) -> bool:
-        return self.covariance.ndim == 3
+    _AXIS = ("covariance", 2)
 
     @property
     def mode_count(self) -> int:
@@ -273,7 +289,7 @@ class GaussianState:
 
 
 @dataclass(frozen=True)
-class SymplecticTransform:
+class SymplecticTransform(_Stack):
     """A linear phase-space transform S with S Omega S^T = Omega (N x 2m x 2m
     for a stack)."""
 
@@ -289,25 +305,17 @@ class SymplecticTransform:
         # a row's largest magnitude is finite exactly when all its entries
         # are; a NaN defect would compare False against the bound below
         scale = np.abs(stack).max(axis=(1, 2)).tolist()
-        try:
+        with _first_failing_row(len(mat) if mat.ndim == 3 else 0,
+                                lambda i: SymplecticTransform(mat[i])):
             if not all(map(math.isfinite, scale)):
                 raise ValueError("symplectic matrix has non-finite entries")
             defect = np.abs(stack @ omega @ stack.swapaxes(-1, -2) - omega).max(axis=(1, 2))
             for d, c in zip(defect.tolist(), scale):
                 if d > SYMPLECTIC_TOL * max(1.0, c * c):  # c * c overflows to inf, c ** 2 raises
                     raise ValueError(f"matrix is not symplectic (defect {d:.3e})")
-        except ValueError as exc:
-            if mat.ndim == 3:
-                _replay_rows(exc, len(mat), lambda i: SymplecticTransform(mat[i]))
-            raise
         object.__setattr__(self, "matrix", _as_readonly(mat))
 
-    __getitem__ = _rows
-    __iter__ = _iter_rows
-
-    @property
-    def stacked(self) -> bool:
-        return self.matrix.ndim == 3
+    _AXIS = ("matrix", 2)
 
     @property
     def mode_count(self) -> int:
@@ -315,7 +323,7 @@ class SymplecticTransform:
 
 
 @dataclass(frozen=True)
-class ModeSelector:
+class ModeSelector(_Stack):
     """The bosonic mode g along a phase-space direction g_x.
 
     Built from a finite 2m-vector of nonzero norm, stored normalized as
@@ -349,8 +357,7 @@ class ModeSelector:
         object.__setattr__(self, "basis_x", gx)
         object.__setattr__(self, "basis_p", gp)
 
-    __getitem__ = _rows
-    __iter__ = _iter_rows
+    _AXIS = ("basis_x", 1)
 
     @classmethod
     def for_mode(cls, mode, num_modes: int) -> "ModeSelector":
@@ -363,17 +370,13 @@ class ModeSelector:
         return cls(np.eye(2 * num_modes)[modes])  # a row of the identity per mode
 
     @property
-    def stacked(self) -> bool:
-        return self.basis_x.ndim == 2
-
-    @property
     def matrix(self) -> np.ndarray:
         """The 2m x 2 selector matrix with columns (g_x, g_p) (N x 2m x 2 for a stack)."""
         return np.stack([self.basis_x, self.basis_p], axis=-1)
 
 
 @dataclass(frozen=True)
-class WilliamsonDecomposition:
+class WilliamsonDecomposition(_Stack):
     """Normal-mode factorization V = S diag(n, n) S^T with S symplectic
     (a stacked S with N x m noise factors for a stack)."""
 
@@ -391,7 +394,8 @@ class WilliamsonDecomposition:
                 f"transform: need one entry per mode, shape {expected}")
         object.__setattr__(self, "noise_factors", n)
         rows = _stacked(n, 1)
-        try:
+        with _first_failing_row(len(n) if n.ndim == 2 else 0,
+                                lambda i: WilliamsonDecomposition(self.symplectic[i], n[i])):
             if not np.isfinite(rows).all():
                 raise ValueError(f"noise factors must be finite, got {n}")
             # the covariance's own tolerance, as GaussianState applies it
@@ -401,18 +405,8 @@ class WilliamsonDecomposition:
                     raise UnphysicalStateError(f"noise factors below vacuum: {rows[k]}")
             if (np.diff(rows, axis=1) > 1e-12).any():
                 raise ValueError("noise factors must be sorted descending")
-        except ValueError as exc:
-            if n.ndim == 2:
-                _replay_rows(exc, len(n),
-                             lambda i: WilliamsonDecomposition(self.symplectic[i], n[i]))
-            raise
 
-    __getitem__ = _rows
-    __iter__ = _iter_rows
-
-    @property
-    def stacked(self) -> bool:
-        return self.noise_factors.ndim == 2
+    _AXIS = ("noise_factors", 1)
 
     def reconstruct(self) -> np.ndarray:
         s = self.symplectic.matrix
@@ -639,14 +633,16 @@ class CircuitDescription:
 
     mode_count: int
     gates: tuple
+    # each gate's symplectic block (None for a displacement), which circuit_to_gaussian multiplies
+    _blocks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # circuits enter here from JSON: both routes may assume valid gates
         m = self.mode_count
         if not _is_integer(m) or m < 1:
             raise ValueError(f"mode_count must be a positive integer, got {m!r}")
-        for gate in self.gates:
-            _gate_block(gate.kind, gate.params, gate.modes, m)
+        object.__setattr__(self, "_blocks", tuple(
+            _gate_block(gate.kind, gate.params, gate.modes, m) for gate in self.gates))
         # Python numbers: both routes and the JSON text read the checked values
         object.__setattr__(self, "gates", tuple(
             Gate(g.kind, {key: float(v) for key, v in g.params.items()},
@@ -666,13 +662,13 @@ class CircuitDescription:
 
 
 def circuit_to_gaussian(circuit: CircuitDescription) -> GaussianState:
-    """Covariance-route realization of a circuit: its gates multiply into one
-    symplectic S and displacement d, checked once as GaussianState(S S^T, d)."""
+    """Covariance-route realization of a circuit: the blocks of its checked
+    gates multiply into one symplectic S and displacement d, checked once as
+    GaussianState(S S^T, d)."""
     m = circuit.mode_count
     s, d = np.eye(2 * m), np.zeros(2 * m)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        for gate in circuit.gates:
-            block = _gate_block(gate.kind, gate.params, gate.modes, m)
+        for gate, block in zip(circuit.gates, circuit._blocks):
             if block is None:  # a displacement by <a> = re + i im
                 j = gate.modes[0]
                 d[j] += 2.0 * gate.params.get("re", 0.0)
@@ -812,7 +808,7 @@ def williamson(state_or_cov) -> WilliamsonDecomposition:
         state_or_cov = GaussianState(cov, np.zeros(cov.shape[:-1]))
     state = state_or_cov
     cov = _stacked(state.covariance, 2)
-    try:
+    with _first_failing_row(len(cov) if state.stacked else 0, lambda i: williamson(state[i])):
         chol, nu, vecs = _stacked(state._chol, 2), _stacked(state._nu, 1), _stacked(state._vecs, 2)
         m = nu.shape[-1]
         scale = np.concatenate([nu, nu], axis=-1)
@@ -834,7 +830,3 @@ def williamson(state_or_cov) -> WilliamsonDecomposition:
         if not state.stacked:
             s, nu = s[0], nu[0]
         return WilliamsonDecomposition(SymplecticTransform(s), nu)
-    except ValueError as exc:
-        if state.stacked:
-            _replay_rows(exc, len(cov), lambda i: williamson(state[i]))
-        raise

@@ -31,18 +31,18 @@ purities and ``subtract_photon`` take one state or one row, ``rows[i]``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InconsistentRowError, SubtractionFromVacuumError
+from .errors import InconsistentRowError, NumericDegenerateError, SubtractionFromVacuumError
 from .gaussian import (
     GaussianState,
     ModeSelector,
     _check_selector,
-    _iter_rows,
-    _replay_rows,
-    _rows,
+    _first_failing_row,
+    _Stack,
     _stacked,
     gaussian_wigner_fn,
     mean_photon,
@@ -62,6 +62,13 @@ ROW_TOL = 1e-6
 # ---------------------------------------------------------------------------
 # subtracted states
 # ---------------------------------------------------------------------------
+
+def _refuse_normalization(norm: float):
+    """The refusal of a subtracted mode whose normalization 4<n_g> squares
+    past float64: its purity and moments divide by that square."""
+    raise NumericDegenerateError(f"normalization 4<n_g> = {norm:.3e} of the subtracted mode "
+                                 "overflows float64 when squared")
+
 
 @dataclass(frozen=True)
 class SubtractedState:
@@ -86,6 +93,9 @@ class SubtractedState:
             raise SubtractionFromVacuumError(
                 "cannot subtract a photon from an empty mode"
             )
+        norm = float(self.normalization)
+        if not math.isfinite(norm * norm):
+            _refuse_normalization(norm)
         c1 = np.asarray(self.c1, dtype=float)
         c2 = np.asarray(self.c2, dtype=float)
         if np.abs(c2 - c2.T).max() > 1e-10 * max(1.0, np.abs(c2).max()):
@@ -102,7 +112,7 @@ class SubtractedState:
 
 
 @dataclass(frozen=True)
-class BogoliubovRow:
+class BogoliubovRow(_Stack):
     """Coefficients expressing the subtracted mode in the normal-mode frame.
 
     ``a_g`` transforms to ``alpha_g + sum_i k_i a_i^dag + l_i a_i`` where the
@@ -144,16 +154,13 @@ class BogoliubovRow:
                 or alpha.shape != k.shape[:-1]):
             raise ValueError("k, l, noise must be equal-length vectors "
                              "(a stack: N x m arrays and N amplitudes alpha_g)")
-        try:
+        with _first_failing_row(len(k) if k.ndim == 2 else 0,
+                                lambda i: BogoliubovRow(alpha[i], k[i], l[i], n[i])):
             if not all(np.isfinite(a).all() for a in (alpha, k, l, n)):
                 raise ValueError("alpha_g, k, l and noise must be finite")
             low = n < 1.0 - ROW_TOL  # the aggregates divide by n
             if low.any():
                 raise ValueError(f"noise factors must be at least 1, got {n[low][0]}")
-        except ValueError as exc:
-            if k.ndim == 2:
-                _replay_rows(exc, len(k), lambda i: BogoliubovRow(alpha[i], k[i], l[i], n[i]))
-            raise
         ak, al = np.abs(k), np.abs(l)
         ak2, al2 = ak**2, al**2
         plus, minus = ak2 * (n + 1.0) / 2.0, al2 * (n - 1.0) / 2.0
@@ -163,18 +170,19 @@ class BogoliubovRow:
                 al2 - ak2)
         x, y, z, cross, norm = (a.sum(axis=-1) for a in sums)
         # hypot is what Python's abs(complex) computes; NumPy's complex abs rounds otherwise
-        alpha_sq, cross_sq = (np.square(np.hypot(c.real, c.imag)) for c in (alpha, cross))
+        mag = np.hypot(alpha.real, alpha.imag)
+        # every row passed the checks above, so the first row to fail here fails first
+        for a, b in zip(mag.reshape(-1).tolist(), y.reshape(-1).tolist()):
+            norm4 = 4.0 * (b + a * a)  # Python floats: past float64 is inf, with no warning
+            if not math.isfinite(norm4 * norm4):
+                _refuse_normalization(norm4)
+        alpha_sq, cross_sq = np.square(mag), np.square(np.hypot(cross.real, cross.imag))
         fields = dict(x=x, y=y, z=z, cross=cross, defect=np.abs(norm - 1.0),
                       alpha_sq=alpha_sq, cross_sq=cross_sq, k=k, l=l, noise=n, alpha_g=alpha)
         for name, value in fields.items():
             object.__setattr__(self, name, value.item() if value.ndim == 0 else value)
 
-    __getitem__ = _rows
-    __iter__ = _iter_rows
-
-    @property
-    def stacked(self) -> bool:
-        return self.k.ndim == 2
+    _AXIS = ("k", 1)
 
     def cross_sum_real(self):
         """Re sum(k_i l_i^*) (one per row of a stack).
@@ -211,24 +219,26 @@ def subtract_photon(state: GaussianState, selector: ModeSelector) -> SubtractedS
     """
     require_single(state, "subtract_photon")
     require_single(selector, "subtract_photon")
-    norm = 4.0 * mean_photon(state, selector)
-    if norm <= VACUUM_THRESHOLD:
-        raise SubtractionFromVacuumError(
-            f"selected mode holds {norm / 4.0:.2e} photons"
-        )
-    v = state.covariance
-    g = selector.matrix
-    alpha = state.displacement
-    x_mat = g.T @ (v - np.eye(v.shape[0]))
-    m_mat = np.linalg.solve(v.T, x_mat.T).T  # X V^-1
-    a_g = g.T @ alpha
-    v_g = g.T @ v @ g
-    trace_term = float(np.trace(v_g - m_mat @ x_mat.T)) - 2.0
-    # expand |M (b - a0) + a_g|^2 + trace_term into b-monomials
-    c2 = m_mat.T @ m_mat
-    lin_w = 2.0 * m_mat.T @ a_g  # linear coefficient in w = b - a0
-    c1 = lin_w - 2.0 * c2 @ alpha
-    c0 = float(alpha @ c2 @ alpha - lin_w @ alpha + a_g @ a_g + trace_term)
+    # a normalization that squares past float64 is refused by SubtractedState
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = 4.0 * mean_photon(state, selector)
+        if norm <= VACUUM_THRESHOLD:
+            raise SubtractionFromVacuumError(
+                f"selected mode holds {norm / 4.0:.2e} photons"
+            )
+        v = state.covariance
+        g = selector.matrix
+        alpha = state.displacement
+        x_mat = g.T @ (v - np.eye(v.shape[0]))
+        m_mat = np.linalg.solve(v.T, x_mat.T).T  # X V^-1
+        a_g = g.T @ alpha
+        v_g = g.T @ v @ g
+        trace_term = float(np.trace(v_g - m_mat @ x_mat.T)) - 2.0
+        # expand |M (b - a0) + a_g|^2 + trace_term into b-monomials
+        c2 = m_mat.T @ m_mat
+        lin_w = 2.0 * m_mat.T @ a_g  # linear coefficient in w = b - a0
+        c1 = lin_w - 2.0 * c2 @ alpha
+        c0 = float(alpha @ c2 @ alpha - lin_w @ alpha + a_g @ a_g + trace_term)
     return SubtractedState(base=state, c0=c0, c1=c1, c2=c2, normalization=float(norm))
 
 
@@ -272,7 +282,9 @@ def extract_bogoliubov(state: GaussianState, selector: ModeSelector) -> Bogoliub
     of rows, with one selector for all or a stack of selectors, one per state.
     """
     _check_selector(state, selector)
-    try:
+    with _first_failing_row(len(state.covariance) if state.stacked else 0,
+                            lambda i: extract_bogoliubov(
+                                state[i], selector[i] if selector.stacked else selector)):
         decomp = williamson(state)
         m = state.mode_count
         s = _stacked(decomp.symplectic.matrix, 2).swapaxes(-1, -2)
@@ -291,12 +303,6 @@ def extract_bogoliubov(state: GaussianState, selector: ModeSelector) -> Bogoliub
         for defect in np.atleast_1d(row.defect).tolist():
             if defect > 1e-9:
                 raise InconsistentRowError(f"normalization defect {defect:.3e} after extraction")
-    except ValueError as exc:
-        if state.stacked:
-            _replay_rows(exc, len(state.covariance),
-                         lambda i: extract_bogoliubov(
-                             state[i], selector[i] if selector.stacked else selector))
-        raise
     return row
 
 

@@ -340,6 +340,42 @@ def test_file_errors_exit_2_naming_the_path(tmp_path, monkeypatch, capsys, argv)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
+@pytest.mark.parametrize("argv", [["--s-db", "60"], ["--alpha", "1e100"], ["--alpha", "1e200"]],
+                         ids=["s_db_60", "alpha_1e100", "alpha_1e200"])
+def test_library_refusal_exits_2(tmp_path, monkeypatch, capsys, argv):
+    """A library error inside a command ends, before any file is written, in
+    one ``pspurity: error:`` line naming its type, not a traceback."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "fig3", *argv])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert out.err.startswith("pspurity: error: NumericDegenerateError: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("form, output", [
+    ("flags", "a\tb.json"), ("flags", "x\x7f.json"), ("flags", "C:\\data\x0cile.csv"),
+    ("file", "'C:\\data\\file.csv'"), ("file", "'C:\\new\\tab.csv'"),
+    ("file", '"a\\x00.json"')])
+def test_output_with_a_control_character_is_refused(tmp_path, monkeypatch, capsys, form, output):
+    """A control character in ``output``, such as the form feed or newline a
+    quoted Windows path reads as, is an out-of-range value: exit 2, one error
+    line naming the key, nothing written."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_text(f"command = fuzz\ncount = 1\noutput = {output}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--count", "1", "--output", output] if form == "flags"
+             else ["run", "bad.cfg"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    errors = [row for row in out.err.splitlines() if "error:" in row]
+    assert out.out == "" and len(errors) == 1
+    assert errors[0].startswith("pspurity: error: ") and "output" in errors[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+
+
 def test_config_round_trip():
     config = RunConfig(command="fuzz", seed=99, count=123)
     again = RunConfig.from_text(config.to_text())

@@ -2,7 +2,8 @@
 module-level function is referenced somewhere else in the package, and every
 public one (function or class) somewhere in the package, the tests or the
 benchmark harness; ``import pspurity``, ``pspurity fuzz`` and the fig1a and
-fig1b sweeps load no SciPy."""
+fig1b sweeps load no SciPy; the stackable classes state their row protocol
+once; and the benchmark's self-test passes against this source."""
 
 import ast
 import os
@@ -204,3 +205,36 @@ def test_fuzz_loads_neither_scipy_nor_the_oracles(tmp_path, argv):
 def test_submodules_load_on_attribute_access():
     loaded = modules_after("import pspurity\npspurity.fock.annihilator(2)")
     assert "pspurity.fock" in loaded
+
+
+STACKABLE = ("GaussianState", "SymplecticTransform", "ModeSelector", "WilliamsonDecomposition",
+             "BogoliubovRow")
+
+
+def test_stacks_state_their_row_protocol_once():
+    """Every stackable class inherits ``stacked``, rows and iteration from
+    one base, and the first-failing-row replay is one context: no class
+    restates the protocol, the old helpers are gone, and neither stack
+    module catches a ValueError itself."""
+    for name in STACKABLE:
+        cls = getattr(pspurity, name)
+        assert issubclass(cls, pspurity.gaussian._Stack), name
+        assert {"stacked", "__getitem__", "__iter__"}.isdisjoint(vars(cls)), name
+    package = Path(pspurity.__file__).parent
+    for module in ("gaussian.py", "subtraction.py"):
+        tree = ast.parse((package / module).read_text())
+        defined = {node.name for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert defined.isdisjoint({"_rows", "_iter_rows", "_replay_rows"}), module
+        assert not any(isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Name)
+                       and node.type.id == "ValueError" for node in ast.walk(tree)), module
+
+
+def test_benchmark_harness_selftest_passes():
+    """The benchmark reaches into the package by name (the traced functions
+    and constructors, ``purity_by_grid``'s arguments, the Fock cutoffs): its
+    self-test runs every workload at a tiny size against this source."""
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, str(root / "perfbench" / "selftest.py")],
+                          capture_output=True, text=True, timeout=600, cwd=root)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

@@ -102,6 +102,33 @@ def test_circuit_to_gaussian_builds_one_state(monkeypatch):
     assert np.abs(state.displacement - ref.displacement).max() < 1e-13
 
 
+def test_circuit_to_gaussian_reads_the_checked_blocks(monkeypatch):
+    """A circuit's gates are checked once: ``circuit_to_gaussian`` multiplies
+    the blocks the check built, and its state is bit for bit the product of
+    freshly built blocks; the kept blocks stay out of equality and repr."""
+    circuit = three_mode_circuit()
+    m = circuit.mode_count
+    s, d = np.eye(2 * m), np.zeros(2 * m)
+    for gate in circuit.gates:
+        block = gaussian._gate_block(gate.kind, gate.params, gate.modes, m)
+        if block is None:
+            d[gate.modes[0]] += 2.0 * gate.params.get("re", 0.0)
+            d[m + gate.modes[0]] += 2.0 * gate.params.get("im", 0.0)
+        else:
+            g = gaussian._embed(block, gate.modes, m)
+            s, d = g @ s, g @ d
+    ref = GaussianState(s @ s.T, d)
+    calls = []
+    real = gaussian._gate_block
+    monkeypatch.setattr(gaussian, "_gate_block", lambda *args: calls.append(args) or real(*args))
+    state = circuit_to_gaussian(circuit)
+    assert calls == []
+    assert state.covariance.tobytes() == ref.covariance.tobytes()
+    assert state.displacement.tobytes() == ref.displacement.tobytes()
+    assert "_blocks" not in repr(circuit)
+    assert CircuitDescription.from_json(circuit.to_json()) == circuit
+
+
 def test_circuit_stores_python_numbers():
     """NumPy scalars become the Python numbers both routes and JSON read."""
     gate = Gate("beamsplitter", {"transmittance": np.float32(0.3)}, (np.int64(1), np.int64(0)))

@@ -5,6 +5,7 @@ import pytest
 
 from pspurity import (
     BogoliubovRow,
+    purification_conditions,
     GaussianState,
     ModeSelector,
     NumericDegenerateError,
@@ -27,6 +28,7 @@ from pspurity.scenarios import (
     circuit_to_gaussian,
     random_state,
     reference_single_mode_state,
+    single_mode_family,
     three_mode_circuit,
     topology_search,
 )
@@ -306,6 +308,45 @@ def test_regime_map():
         assert dev <= RANGE_K * (lam[-1] / lam[0]) * eps, (build.__name__, args, dev)
         accepted += 1
     assert accepted > 0 and refused > 0
+
+
+@pytest.mark.parametrize("alpha", [1e60, 5.7e76, 5.8e76, 1e100, 1e160])
+def test_displacement_range(alpha):
+    """Both routes hold a displacement while the normalization 4<n_g>
+    squares to a finite float64, |alpha_g| up to about 5.78e76, and give
+    ratio 1 there; beyond it each refuses the row or the subtracted state
+    with NumericDegenerateError, never a NaN, an OverflowError or an
+    overflow warning."""
+    state = single_mode_family(2.0, 3.0, alpha, 0.3)
+    sel = selector1()
+    routes = {
+        "closed_form": lambda: relative_purity_closed_form(extract_bogoliubov(state, sel)),
+        "conditions": lambda: purification_conditions(extract_bogoliubov(state, sel)).f_alpha,
+        "prefactor": lambda: purity_subtracted(subtract_photon(state, sel))
+        / purity_gaussian(state),
+        "moments": lambda: moments_subtracted(subtract_photon(state, sel)).mean[0],
+    }
+    if alpha < 5.78e76:
+        for name in ("closed_form", "prefactor"):
+            assert routes[name]() == pytest.approx(1.0, abs=1e-12), name
+        for name in ("conditions", "moments"):
+            assert np.isfinite(routes[name]()), name
+        return
+    for name, route in routes.items():
+        with pytest.raises(NumericDegenerateError, match="overflows float64 when squared"):
+            route()
+
+
+def test_displacement_range_in_a_stack():
+    """A stack refuses with the error of its first row past the range."""
+    states = single_mode_family(2.0, 3.0, np.array([1.0, 1e160, 1e60, 1e100]), 0.3)
+    with pytest.raises(NumericDegenerateError) as alone:
+        extract_bogoliubov(states[1], selector1())
+    with pytest.raises(NumericDegenerateError) as stacked:
+        extract_bogoliubov(states, selector1())
+    assert str(stacked.value) == str(alone.value)
+    with pytest.raises(NumericDegenerateError, match="= 4.000e[+]200 "):
+        extract_bogoliubov(states[[0, 3, 1]], selector1())
 
 
 # ---------------------------------------------------------------------------
