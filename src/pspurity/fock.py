@@ -26,9 +26,12 @@ Truncation bookkeeping: unitaries of truncated anti-Hermitian generators
 preserve the norm exactly, so lost-norm is not a usable error signal.  The
 reported ``deficiency`` is instead the largest top-level occupation seen on
 any mode after any gate.  Both preparation routes size their own cutoffs:
-they start from a photon-number estimate and double every mode whose
-deficiency exceeds ``LEAKAGE_TOL``, within the memory budget, and record
-on the state how many runs that took (``attempts``).
+they start from a photon-number estimate and grow every mode whose
+deficiency exceeds ``LEAKAGE_TOL`` to the cutoff a geometric tail through
+its measured leak would need (its ratio read from the mode's last two
+leaks once it has grown; at least one level more, at most twice as many),
+within the memory budget, and record on the state how many runs that took
+(``attempts``).
 
 Quadrature moments come from the ladder operators: <a>, <a^2> and <a^dag a>
 are sums over neighbouring rows of the mode-first amplitude matrix, so no
@@ -267,13 +270,43 @@ def run_circuit_fock(circuit) -> FockState:
                              num_ancilla=0)
 
 
+def _grown_cutoff(cutoff: int, leak: float, before: tuple | None = None) -> int:
+    """The cutoff a mode that leaks ``leak`` at ``cutoff`` runs at next.
+
+    A Gaussian mode's photon-number tail falls about geometrically,
+    p_n ~ A q^n (Marian and Marian, PRA 47, 4474, 1993).  ``before`` is the
+    mode's (cutoff, leak) on the previous run, if it leaked then: the two
+    leaks give the ratio q, and the tail is extended from the measured level
+    to a decade below LEAKAGE_TOL, c' = c + ln(LEAKAGE_TOL / (10 leak)) / ln q.
+    The decade covers what a ratio read across two runs misses: a squeezed
+    mode's tail decays more slowly further out and fills every other level,
+    and falling short by a level costs a whole run.  Without ``before`` the
+    tail is read from level 0 with A = 1, c' = c ln(LEAKAGE_TOL) / ln(leak),
+    which undershoots when A < 1.  The step is at least one level and at
+    most a doubling, which is also taken for leak >= 1 and for a leak that
+    did not fall.
+    """
+    if leak >= 1.0:
+        return 2 * cutoff
+    if before is None:
+        need = cutoff * math.log(LEAKAGE_TOL) / math.log(leak)
+    elif before[1] <= leak:
+        return 2 * cutoff
+    else:
+        log_q = math.log(leak / before[1]) / (cutoff - before[0])
+        need = cutoff + math.log(0.1 * LEAKAGE_TOL / leak) / log_q
+    return min(2 * cutoff, max(cutoff + 1, math.ceil(need)))
+
+
 def _converge_cutoffs(attempt, cutoffs: tuple, num_ancilla: int) -> FockState:
-    """Re-run ``attempt`` doubling leaking modes until ``LEAKAGE_TOL`` is met.
+    """Re-run ``attempt``, growing leaking modes by ``_grown_cutoff``, until
+    ``LEAKAGE_TOL`` is met.
 
     Every attempt is checked against the memory budget first.  The state
     records the cutoffs and deficiency of its last run and, as ``attempts``,
     how many runs it took.
     """
+    before = [None] * len(cutoffs)
     for attempts in range(1, 7):
         _check_budget(cutoffs)
         psi, leak = attempt(cutoffs)
@@ -283,8 +316,11 @@ def _converge_cutoffs(attempt, cutoffs: tuple, num_ancilla: int) -> FockState:
                              num_ancilla=num_ancilla, attempts=attempts)
         tried = cutoffs
         cutoffs = tuple(
-            2 * c if leak[j] > LEAKAGE_TOL else c for j, c in enumerate(cutoffs)
+            _grown_cutoff(c, leak[j], before[j]) if leak[j] > LEAKAGE_TOL else c
+            for j, c in enumerate(cutoffs)
         )
+        before = [(c, leak[j]) if leak[j] > LEAKAGE_TOL else None
+                  for j, c in enumerate(tried)]
     raise TruncationInsufficientError(
         f"leakage {deficiency:.3e} persists at cutoffs {tried}"
     )

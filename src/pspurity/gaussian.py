@@ -24,13 +24,15 @@ raises the error its first failing row raises alone: the checks run inside
 ``_first_failing_row``, which on a failure rebuilds the rows alone and in
 order until one raises, so it costs time only on that failure path.  Every
 stackable class (these three, ``ModeSelector``, one direction per state of a
-stack, and ``subtraction.BogoliubovRow``) inherits the row protocol from
+stack, and ``subtraction``'s ``BogoliubovRow``, ``SubtractedState`` and
+``MomentReport``) inherits the row protocol from
 ``_Stack``: ``stacked``, from the field that carries the state axis, then
 ``stack[i]`` for row i, ``stack[i:j]`` for a smaller stack, and
 ``for row in stack`` for the rows ``stack[i]`` gives, in one pass.  Functions
 that take one state refuse a stack through ``require_single``.  Of the purity
-formulas, only the closed form (``subtraction.relative_purity_closed_form``)
-takes a stack, of rows.
+formulas, the closed form (``subtraction.relative_purity_closed_form``) takes
+a stack of rows, and the prefactor-moment route (``subtract_photon``,
+``purity_subtracted``, ``moments_subtracted``) a stack of states.
 
 Gates: ``_gate_block`` checks a gate and builds its block.  The four gate
 constructors and ``CircuitDescription`` call it; a circuit keeps the blocks
@@ -736,21 +738,45 @@ def _check_selector(state: GaussianState, selector: ModeSelector):
                          f"many states, got {got}")
 
 
+def _selected_mode(cov: np.ndarray, disp: np.ndarray, g: np.ndarray) -> tuple:
+    """The mean photon numbers (tr V_g - 2 + |a_g|^2) / 4 of the selected
+    mode of a stack of covariances (N x 2m x 2m) and displacements (N x 2m),
+    an N-vector, with V_g = G^T V G (N x 2 x 2) and a_g = G^T a (N x 2 x 1)
+    for one selector matrix G (2m x 2) or a stack of them.  No range check:
+    past float64 a mean is inf or NaN (with a warning unless the caller
+    ignores it)."""
+    gt = g.swapaxes(-1, -2)
+    vg = gt @ cov @ g
+    ag = gt @ disp[..., None]  # one gemv per row
+    photons = (vg[:, 0, 0] + vg[:, 1, 1] - 2.0 + (ag.swapaxes(-1, -2) @ ag)[:, 0, 0]) / 4.0
+    return photons, vg, ag
+
+
 def mean_photon(state: GaussianState, selector: ModeSelector) -> float:
-    """Mean photon number of the selected mode: (tr V_g - 2 + |a_g|^2) / 4."""
+    """Mean photon number of the selected mode: (tr V_g - 2 + |a_g|^2) / 4.
+
+    A value past float64 raises ``NumericDegenerateError``."""
     require_single(state, "mean_photon")
     require_single(selector, "mean_photon")
     _check_selector(state, selector)
-    g = selector.matrix
-    vg = g.T @ state.covariance @ g
-    ag = g.T @ state.displacement
-    return float((np.trace(vg) - 2.0 + ag @ ag) / 4.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        photons = _selected_mode(state.covariance[None], state.displacement[None],
+                                 selector.matrix)[0].item()
+    if not math.isfinite(photons):
+        raise NumericDegenerateError(
+            f"mean photon number {photons} of the selected mode: past float64")
+    return photons
+
+
+def _purity_gaussian(covariance: np.ndarray) -> np.ndarray:
+    """1 / sqrt(det V) of a covariance or of each of a stack."""
+    return np.exp(-0.5 * np.linalg.slogdet(covariance)[1])
 
 
 def purity_gaussian(state: GaussianState) -> float:
     """Purity of a Gaussian state, 1 / sqrt(det V)."""
     require_single(state, "purity_gaussian")
-    return float(np.exp(-0.5 * np.linalg.slogdet(state.covariance)[1]))
+    return float(_purity_gaussian(state.covariance))
 
 
 def gaussian_wigner_fn(state: GaussianState):

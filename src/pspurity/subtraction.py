@@ -25,14 +25,23 @@ sums itself, once and over the whole stack, into the four aggregates x, y, z
 and cross that the closed form and the purification conditions (``bounds``)
 read, its normalization defect and the squared magnitudes |alpha_g|^2 and
 |cross|^2.  ``relative_purity_closed_form`` takes a stack of rows and returns
-one ratio per row; the purification conditions, the prefactor-moment
-purities and ``subtract_photon`` take one state or one row, ``rows[i]``.
+one ratio per row; the purification conditions take one row, ``rows[i]``.
+
+The prefactor-moment route takes stacks too: ``subtract_photon`` of a stack
+of states (one selector or a stack of them) is a stacked
+``SubtractedState``, and ``purity_subtracted`` and ``moments_subtracted``
+of it give an N-vector and a stacked ``MomentReport``.  It reads no
+Bogoliubov row and no normal-mode decomposition, so it checks the closed
+form.  Each row is bit for bit its state's single call.  The marginals and
+the Wigner evaluators take one subtracted state, ``sub[i]``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,11 +51,11 @@ from .gaussian import (
     ModeSelector,
     _check_selector,
     _first_failing_row,
+    _purity_gaussian,
+    _selected_mode,
     _Stack,
     _stacked,
     gaussian_wigner_fn,
-    mean_photon,
-    purity_gaussian,
     reduce_modes,
     require_single,
     williamson,
@@ -57,6 +66,9 @@ VACUUM_THRESHOLD = 1e-12
 
 #: how far a row's normalization may stray from 1, and a noise factor below 1
 ROW_TOL = 1e-6
+
+#: the largest float whose square is finite
+_ROOT_MAX = math.sqrt(sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -70,15 +82,24 @@ def _refuse_normalization(norm: float):
                                  "overflows float64 when squared")
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr``; the caller's array keeps its flags."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
-class SubtractedState:
+class SubtractedState(_Stack):
     """Photon-subtracted state: Gaussian core times a quadratic prefactor.
 
     The Wigner function is
     ``W(b) = (c0 + c1.b + b^T c2 b) * W_gauss(b) / normalization``
     where ``W_gauss`` is the Wigner function of ``base`` and the
     normalization equals ``|a_g|^2 + tr(V_g) - 2`` (four times the mean
-    photon number of the subtracted mode).
+    photon number of the subtracted mode).  A stack of N subtracted states
+    has a stacked ``base``, N-vectors ``c0`` and ``normalization``, N x 2m
+    ``c1`` and N x 2m x 2m ``c2``; one state holds Python floats.
     """
 
     base: GaussianState
@@ -88,27 +109,52 @@ class SubtractedState:
     normalization: float
 
     def __post_init__(self):
-        require_single(self.base, "SubtractedState")
-        if self.normalization <= VACUUM_THRESHOLD:
-            raise SubtractionFromVacuumError(
-                "cannot subtract a photon from an empty mode"
-            )
-        norm = float(self.normalization)
-        if not math.isfinite(norm * norm):
-            _refuse_normalization(norm)
+        c0 = np.asarray(self.c0, dtype=float)
         c1 = np.asarray(self.c1, dtype=float)
         c2 = np.asarray(self.c2, dtype=float)
-        if np.abs(c2 - c2.T).max() > 1e-10 * max(1.0, np.abs(c2).max()):
-            raise ValueError("quadratic prefactor must be symmetric")
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", 0.5 * (c2 + c2.T))
+        norm = np.asarray(self.normalization, dtype=float)
+        stacked = c1.ndim == 2
+        if (c1.shape != self.base.displacement.shape or c2.shape != self.base.covariance.shape
+                or not c0.shape == norm.shape == c1.shape[:-1]):
+            raise ValueError("c0, c1, c2 and normalization must match the base state "
+                             "(a stack: N-vectors, N x 2m and N x 2m x 2m)")
+        rows = _stacked(c2, 2)
+        c2t = rows.swapaxes(-1, -2)
+        asym = np.abs(rows - c2t).max(axis=(1, 2)).tolist()
+        scale = np.abs(rows).max(axis=(1, 2)).tolist()
+        # every check of a row before the next row: the first failing row raises
+        for n, a, c in zip(np.ravel(norm).tolist(), asym, scale):
+            if n <= VACUUM_THRESHOLD:
+                raise SubtractionFromVacuumError("cannot subtract a photon from an empty mode")
+            if not n <= _ROOT_MAX:  # also NaN: the purity and moments divide by n * n
+                _refuse_normalization(n)
+            if a > 1e-10 * max(1.0, c):
+                raise ValueError("quadratic prefactor must be symmetric")
+        # read-only, as the cached centered prefactor is computed from them
+        object.__setattr__(self, "c0", _read_only(c0) if stacked else c0.item())
+        object.__setattr__(self, "c1", _read_only(c1))
+        object.__setattr__(self, "c2", _read_only((0.5 * (rows + c2t)).reshape(c2.shape)))
+        object.__setattr__(self, "normalization", _read_only(norm) if stacked else norm.item())
 
-    def prefactor_centered(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """(d0, d1, C2) of the prefactor in w = b - displacement."""
-        alpha = self.base.displacement
-        d1 = self.c1 + 2.0 * self.c2 @ alpha
-        d0 = self.c0 + self.c1 @ alpha + alpha @ self.c2 @ alpha
-        return float(d0), d1, self.c2
+    _AXIS = ("c1", 1)
+
+    @cached_property
+    def _centered(self) -> tuple:
+        """``prefactor_centered`` with a leading state axis, N = 1 for one
+        state: computed once per subtracted state, which the purity, the
+        moments and the marginals all read, and read-only."""
+        alpha = _stacked(self.base.displacement, 1)
+        c1, c2, col = _stacked(self.c1, 1), _stacked(self.c2, 2), alpha[..., None]
+        d1 = c1 + (2.0 * c2 @ col)[..., 0]
+        d0 = self.c0 + (c1[:, None] @ col)[:, 0, 0] + (alpha[:, None] @ c2 @ col)[:, 0, 0]
+        d0.flags.writeable = d1.flags.writeable = False
+        return d0, d1, c2
+
+    def prefactor_centered(self) -> tuple:
+        """(d0, d1, C2) of the prefactor in w = b - displacement (an N-vector,
+        N x 2m and N x 2m x 2m for a stack)."""
+        d0, d1, c2 = self._centered
+        return (d0, d1, c2) if self.stacked else (float(d0[0]), d1[0], c2[0])
 
 
 @dataclass(frozen=True)
@@ -161,6 +207,10 @@ class BogoliubovRow(_Stack):
             low = n < 1.0 - ROW_TOL  # the aggregates divide by n
             if low.any():
                 raise ValueError(f"noise factors must be at least 1, got {n[low][0]}")
+            huge = n > _ROOT_MAX  # the weight squares n
+            if huge.any():
+                raise NumericDegenerateError(
+                    f"noise factor {n[huge][0]:.3e} overflows float64 when squared")
         ak, al = np.abs(k), np.abs(l)
         ak2, al2 = ak**2, al**2
         plus, minus = ak2 * (n + 1.0) / 2.0, al2 * (n - 1.0) / 2.0
@@ -196,16 +246,26 @@ class BogoliubovRow(_Stack):
 
 
 @dataclass(frozen=True)
-class MomentReport:
-    """First and second moments of a (possibly non-Gaussian) state."""
+class MomentReport(_Stack):
+    """First and second moments of a (possibly non-Gaussian) state (N x 2m
+    and N x 2m x 2m for a stack)."""
 
     mean: np.ndarray
     covariance: np.ndarray
+
+    _AXIS = ("mean", 1)
 
 
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
+
+def _square(x):
+    """x ** 2 by libm pow, which is what ``** 2`` on a Python float or a NumPy
+    scalar computes; ``**`` on an array squares by x * x, which differs in
+    the last bit for some x, so a stack keeps its rows' single-state bits."""
+    return np.float_power(x, 2.0)
+
 
 def subtract_photon(state: GaussianState, selector: ModeSelector) -> SubtractedState:
     """Construct the state after annihilating one photon in the selected mode.
@@ -215,35 +275,45 @@ def subtract_photon(state: GaussianState, selector: ModeSelector) -> SubtractedS
     ``X = G^T (V - 1)``, ``V_g = G^T V G`` and ``a_g = G^T a0`` (phase-space
     two-vector).  The relative sign between the two terms inside the norm is
     fixed by cross-checking subtracted-state means against a number-basis
-    oracle; see the test suite.
+    oracle; see the test suite.  A stack of states, with one selector for all
+    or a stack of selectors, gives a stack of subtracted states, each row bit
+    for bit its state's own.
     """
-    require_single(state, "subtract_photon")
-    require_single(selector, "subtract_photon")
-    # a normalization that squares past float64 is refused by SubtractedState
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = 4.0 * mean_photon(state, selector)
-        if norm <= VACUUM_THRESHOLD:
-            raise SubtractionFromVacuumError(
-                f"selected mode holds {norm / 4.0:.2e} photons"
-            )
-        v = state.covariance
+    _check_selector(state, selector)
+    with _first_failing_row(len(state.covariance) if state.stacked else 0,
+                            lambda i: subtract_photon(
+                                state[i], selector[i] if selector.stacked else selector)):
+        v = _stacked(state.covariance, 2)
+        alpha = _stacked(state.displacement, 1)
         g = selector.matrix
-        alpha = state.displacement
-        x_mat = g.T @ (v - np.eye(v.shape[0]))
-        m_mat = np.linalg.solve(v.T, x_mat.T).T  # X V^-1
-        a_g = g.T @ alpha
-        v_g = g.T @ v @ g
-        trace_term = float(np.trace(v_g - m_mat @ x_mat.T)) - 2.0
-        # expand |M (b - a0) + a_g|^2 + trace_term into b-monomials
-        c2 = m_mat.T @ m_mat
-        lin_w = 2.0 * m_mat.T @ a_g  # linear coefficient in w = b - a0
-        c1 = lin_w - 2.0 * c2 @ alpha
-        c0 = float(alpha @ c2 @ alpha - lin_w @ alpha + a_g @ a_g + trace_term)
-    return SubtractedState(base=state, c0=c0, c1=c1, c2=c2, normalization=float(norm))
+        # a normalization that squares past float64 is refused by SubtractedState
+        with np.errstate(over="ignore", invalid="ignore"):
+            photons, v_g, a_g = _selected_mode(v, alpha, g)
+            norm = 4.0 * photons
+            for n in norm.tolist():
+                if n <= VACUUM_THRESHOLD:
+                    raise SubtractionFromVacuumError(f"selected mode holds {n / 4.0:.2e} photons")
+            gt, col = g.swapaxes(-1, -2), alpha[..., None]
+            x_t = (gt @ (v - np.eye(v.shape[-1]))).swapaxes(-1, -2)  # X^T
+            m_t = np.linalg.solve(v.swapaxes(-1, -2), x_t)  # (X V^-1)^T
+            m_mat = m_t.swapaxes(-1, -2)
+            t = v_g - m_mat @ x_t  # V_g - X V^-1 X^T
+            trace_term = t[:, 0, 0] + t[:, 1, 1] - 2.0
+            # expand |M (b - a0) + a_g|^2 + trace_term into b-monomials
+            c2 = m_t @ m_mat
+            lin_w = 2.0 * m_t @ a_g  # linear coefficient in w = b - a0
+            c1 = lin_w - 2.0 * c2 @ col
+            c0 = ((alpha[:, None] @ c2 @ col - lin_w.swapaxes(-1, -2) @ col
+                   + a_g.swapaxes(-1, -2) @ a_g)[:, 0, 0] + trace_term)
+        c1 = c1[..., 0]
+        if not state.stacked:
+            c0, c1, c2, norm = c0[0], c1[0], c2[0], norm[0]
+        return SubtractedState(base=state, c0=c0, c1=c1, c2=c2, normalization=norm)
 
 
 def subtracted_wigner_fn(sub: SubtractedState):
     """Vectorized evaluator for the subtracted-state Wigner function."""
+    require_single(sub, "subtracted_wigner_fn")
     gauss = gaussian_wigner_fn(sub.base)
     c0, c1, c2 = sub.c0, sub.c1, sub.c2
     norm = sub.normalization
@@ -262,6 +332,7 @@ def subtracted_wigner_fn(sub: SubtractedState):
 
 def wigner_subtracted_at(sub: SubtractedState, point) -> float | np.ndarray:
     """Subtracted-state Wigner function at a point; may be negative."""
+    require_single(sub, "wigner_subtracted_at")
     return subtracted_wigner_fn(sub)(point)
 
 
@@ -336,20 +407,25 @@ def relative_purity_closed_form(row: BogoliubovRow) -> float | np.ndarray:
     return 0.5 + num / (denom * denom)
 
 
-def purity_subtracted(sub: SubtractedState) -> float:
+def purity_subtracted(sub: SubtractedState) -> float | np.ndarray:
     """Purity of the subtracted state, exactly, from the prefactor moments.
 
     The squared Wigner function integrates against a Gaussian of covariance
     Sigma = V/2, so the purity is mu * E[P(w)^2] / normalization^2 with P the
     centered prefactor and E[P^2] the matrix identity in the module
     docstring.  Agrees with ``relative_purity_closed_form * purity_gaussian``
-    to near machine precision.
+    to near machine precision.  A stack gives an N-vector, one state a
+    Python float.
     """
-    d0, d1, c2 = sub.prefactor_centered()
-    sigma = sub.base.covariance / 2.0
+    d0, d1, c2 = sub._centered
+    cov = _stacked(sub.base.covariance, 2)
+    sigma = cov / 2.0
     cs = c2 @ sigma
-    ep2 = (d0 + np.trace(cs)) ** 2 + d1 @ sigma @ d1 + 2.0 * np.sum(cs * cs.T)
-    return float(purity_gaussian(sub.base) * ep2 / sub.normalization**2)
+    ep2 = (_square(d0 + cs.trace(0, -2, -1))
+           + (d1[:, None] @ sigma @ d1[..., None])[:, 0, 0]
+           + 2.0 * (cs * cs.swapaxes(-1, -2)).sum(axis=(-2, -1)))
+    mu = _purity_gaussian(cov) * ep2 / _square(sub.normalization)
+    return mu if sub.stacked else float(mu[0])
 
 
 def moments_subtracted(sub: SubtractedState) -> MomentReport:
@@ -358,16 +434,18 @@ def moments_subtracted(sub: SubtractedState) -> MomentReport:
     First and second moments of the polynomial-times-Gaussian Wigner
     function, exactly: the mean shifts by V d1 / normalization and the
     covariance gains 2 V C V / normalization less the outer product of that
-    shift.
+    shift.  A stack gives a stacked report.
     """
-    d0, d1, c2 = sub.prefactor_centered()
-    cov = sub.base.covariance
-    alpha = sub.base.displacement
-    norm = sub.normalization
-    sd1 = cov @ d1
+    d0, d1, c2 = sub._centered
+    cov = _stacked(sub.base.covariance, 2)
+    alpha = _stacked(sub.base.displacement, 1)
+    norm = np.array(sub.normalization, ndmin=1)[:, None]
+    sd1 = (cov @ d1[..., None])[..., 0]
     mean = alpha + sd1 / norm
-    second = cov + 2.0 * cov @ c2 @ cov / norm
-    cov_sub = second - np.outer(sd1, sd1) / norm**2
+    second = cov + 2.0 * cov @ c2 @ cov / norm[..., None]
+    cov_sub = second - sd1[..., None] * sd1[:, None] / _square(norm)[..., None]
+    if not sub.stacked:
+        mean, cov_sub = mean[0], cov_sub[0]
     return MomentReport(mean=mean, covariance=cov_sub)
 
 
@@ -380,26 +458,27 @@ def marginal_subtracted(sub: SubtractedState, modes) -> SubtractedState:
     expectation (quadratic again, since the conditional mean is affine).
     The normalization constant is untouched.
     """
+    require_single(sub, "marginal_subtracted")
     modes = list(modes)
     base = reduce_modes(sub.base, modes)
     m = sub.base.mode_count
-    keep = np.array(modes + [m + j for j in modes])
-    drop = np.array([i for i in range(2 * m) if i not in set(keep)])
+    keep = modes + [m + j for j in modes]
+    kept = set(keep)
+    order = np.array(keep + [i for i in range(2 * m) if i not in kept])
+    k = len(keep)  # the kept quadratures lead, the dropped ones follow
     d0, d1, c2 = sub.prefactor_centered()
-    if drop.size == 0:
-        q0, q1, q2 = d0, d1[keep], c2[np.ix_(keep, keep)]
+    d1 = d1[order]
+    if k == 2 * m:
+        q0, q1, q2 = d0, d1, c2[np.ix_(order, order)]
     else:
-        v = sub.base.covariance
-        vaa = v[np.ix_(keep, keep)]
-        vab = v[np.ix_(keep, drop)]
-        vbb = v[np.ix_(drop, drop)]
+        v = sub.base.covariance[np.ix_(order, order)]
+        c2 = c2[np.ix_(order, order)]
+        vaa, vab, vbb = v[:k, :k], v[:k, k:], v[k:, k:]
         reg = np.linalg.solve(vaa.T, vab).T  # V_ba V_aa^-1, transposed build
         cond_cov = vbb - reg @ vab
-        c2aa = c2[np.ix_(keep, keep)]
-        c2ab = c2[np.ix_(keep, drop)]
-        c2bb = c2[np.ix_(drop, drop)]
+        c2aa, c2ab, c2bb = c2[:k, :k], c2[:k, k:], c2[k:, k:]
         q2 = c2aa + c2ab @ reg + reg.T @ c2ab.T + reg.T @ c2bb @ reg
-        q1 = d1[keep] + reg.T @ d1[drop]
+        q1 = d1[:k] + reg.T @ d1[k:]
         q0 = d0 + float(np.trace(c2bb @ cond_cov))
     # back to absolute coordinates of the reduced state
     alpha = base.displacement

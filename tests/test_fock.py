@@ -662,3 +662,110 @@ def test_two_mode_mixed_state_prep(seed):
     sub = subtract_photon_fock(fock, 0)
     ratio = relative_purity_closed_form(extract_bogoliubov(state, ModeSelector.for_mode(0, 2)))
     assert reduced_purity_fock(sub, [0, 1]) / purity == pytest.approx(ratio, abs=1e-8)
+
+
+def test_converge_cutoffs_grows_a_leaking_mode_by_its_measured_tail():
+    """A mode that leaks 1e-6 at cutoff 20 grows to the cutoff a geometric
+    tail through that leak needs, ceil(20 ln(1e-8) / ln(1e-6)) = 27, not 40;
+    a mode within tolerance keeps its cutoff."""
+    tried = []
+
+    def leaks_at_twenty(cut):
+        tried.append(cut)
+        psi = np.zeros(cut, complex)
+        psi[0, 0] = 1.0
+        return psi, np.array([1e-6 if cut[0] == 20 else 1e-9, 1e-9])
+
+    state = _converge_cutoffs(leaks_at_twenty, (20, 5), num_ancilla=0)
+    assert tried == [(20, 5), (27, 5)] and state.attempts == 2
+    assert state.truncation.cutoffs == (27, 5)
+    # a slow tail still steps by at least one level, a fast one at most doubles
+    assert fock._grown_cutoff(20, 0.99 * LEAKAGE_TOL ** 0.99) == 21
+    assert fock._grown_cutoff(20, 0.5) == fock._grown_cutoff(20, 1.0) == 40
+
+
+def test_converge_cutoffs_stops_at_the_sixth_attempt_when_a_leak_persists():
+    tried = []
+
+    def always_leaking(cut):
+        tried.append(cut)
+        return _vacuum_tensor(cut), np.array([1e-6])
+
+    with pytest.raises(TruncationInsufficientError,
+                       match=r"^leakage 1\.000e-06 persists at cutoffs \(432,\)$"):
+        _converge_cutoffs(always_leaking, (20,), num_ancilla=0)
+    # the first step reads the tail from level 0, ceil(20 ln(1e-8) / ln(1e-6))
+    # = 27; a leak that then does not fall doubles the mode
+    assert tried == [(20,), (27,), (54,), (108,), (216,), (432,)]
+
+
+def test_converge_cutoffs_extends_the_tail_from_the_measured_level():
+    """From the second step on, the ratio of a mode's last two leaks gives
+    its tail's decay, whatever its prefactor: a thermal tail (1-q) q^(c-1)
+    lands a decade below LEAKAGE_TOL, where the level-0 rule alone would
+    undershoot."""
+    q = 0.9
+    tried = []
+
+    def thermal(cut):
+        tried.append(cut)
+        return _vacuum_tensor(cut), np.array([(1 - q) * q ** (cut[0] - 1)])
+
+    state = _converge_cutoffs(thermal, (100,), num_ancilla=0)
+    # level 0 gives 145, where the tail still holds 2.5e-8; the ratio of the
+    # two leaks then reaches 1e-9 at 176
+    assert tried == [(100,), (145,), (176,)]
+    assert state.attempts == 3 and state.deficiency <= 0.1 * LEAKAGE_TOL
+    # two decades per 20 levels: the three decades to 1e-9 take 30 more;
+    # a leak that did not fall doubles the mode
+    assert fock._grown_cutoff(40, 1e-6, before=(20, 1e-4)) == 70
+    assert fock._grown_cutoff(40, 1e-6, before=(20, 1e-6)) == 80
+
+
+@pytest.mark.parametrize("gate", [
+    Gate("two_mode_squeezer", {"db": 10.0}, (0, 1)),
+    Gate("two_mode_squeezer", {"db": 20.0}, (0, 1)),
+    Gate("single_mode_squeezer", {"db": 10.0}, (0,)),
+    Gate("single_mode_squeezer", {"db": 20.0}, (0,)),
+], ids=["tms-10dB", "tms-20dB", "sms-10dB", "sms-20dB"])
+def test_strong_squeezing_takes_no_more_attempts_than_doubling(gate, monkeypatch):
+    """A strongly squeezed vacuum, whose tail carries a prefactor far below
+    1 (two-mode) or fills every other level and decays more slowly further
+    out (single-mode), converges in no more runs than doubling every leaking
+    mode takes, and at no larger cutoffs."""
+    circ = circuit(len(gate.modes), gate)
+    grown = run_circuit_fock(circ)
+    monkeypatch.setattr(fock, "_grown_cutoff", lambda c, leak, before=None: 2 * c)
+    doubled = run_circuit_fock(circ)
+    assert grown.deficiency <= LEAKAGE_TOL and grown.attempts <= doubled.attempts
+    assert all(g <= d for g, d in zip(grown.truncation.cutoffs, doubled.truncation.cutoffs))
+
+
+def test_thirty_db_thermal_tail_converges_as_fast_as_doubling():
+    """The marginal tail of a 30 dB two-mode squeezer, modelled as the
+    thermal (1-q) q^(c-1) with mean photon number sinh^2 r, starting at
+    4<n> + 10: three runs, as doubling takes, within the six allowed."""
+    r = db_to_squeezing_parameter(30.0)
+    n = math.sinh(r) ** 2
+    q = n / (n + 1)
+    tried = []
+
+    def thermal(cut):
+        tried.append(cut)
+        return _vacuum_tensor(cut), np.array([(1 - q) * q ** (cut[0] - 1)])
+
+    state = _converge_cutoffs(thermal, (math.ceil(4 * n + 10),), num_ancilla=0)
+    assert state.attempts == 3 and state.deficiency <= LEAKAGE_TOL
+    assert tried[-1][0] < 4 * tried[0][0]
+
+
+def test_three_mode_circuit_cutoffs_grow_by_the_measured_tail():
+    """The fig3 circuit leaks at its first cutoffs (19, 12, 13) and ends
+    below the doubled (38, 24, 26), within LEAKAGE_TOL, in two attempts."""
+    from pspurity.scenarios import topology_search
+
+    topology, _ = topology_search(alpha=1.6, s_db=3.0)
+    state = run_circuit_fock(three_mode_circuit(topology, alpha=1.6, s_db=3.0))
+    assert state.attempts == 2 and state.deficiency <= LEAKAGE_TOL
+    assert all(c < d for c, d in zip(state.truncation.cutoffs, (38, 24, 26)))
+    assert state.truncation.cutoffs == (30, 18, 22)

@@ -260,3 +260,22 @@ def test_bad_extent_reported():
     lying = GridSpec(np.zeros(2), np.diag([0.1, 0.1]) ** 2)
     with pytest.raises(GridExtentError):
         purity_by_grid(gaussian_wigner_fn(th), 1, lying)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("m", [1, 2])
+def test_rule_equals_the_uncached_tensor_rule_bitwise(n, m):
+    """The cached whitened nodes and product weights, scaled by each call's
+    own Cholesky factor, give every node and weight the bits of the rule
+    built from the line rule on every call."""
+    state = random_state(m, 17 + m, d_max=3.0)
+    grid = GridSpec.for_state(state)
+    for scale in (1.0, 0.5):
+        nodes, weights = grid.rule(m, scale, n)
+        chol = np.linalg.cholesky(scale * grid.covariance)
+        z, w = _line_rule(n)
+        index = np.indices((n,) * 2 * m).reshape(2 * m, -1).T
+        assert nodes.tobytes() == (grid.center + z[index] @ chol.T).tobytes()
+        assert weights.tobytes() == (np.prod(w[index], axis=1)
+                                     * np.prod(np.diag(chol))).tobytes()
+        assert nodes.flags.writeable and weights.flags.writeable

@@ -148,16 +148,16 @@ def test_stacked_selector_raises_the_error_of_its_first_bad_row():
 def test_stacked_selectors_need_a_stack_of_their_length(monkeypatch):
     states = random_state(1, SEEDS[:3])
     selectors = ModeSelector.for_mode([0, 0, 0], 1)
-    for name, call in (("mean_photon", mean_photon), ("subtract_photon", subtract_photon)):
-        with pytest.raises(ValueError, match=rf"^{name} takes a single ModeSelector, not a stack"):
-            call(states[0], selectors)
-    with pytest.raises(ValueError, match="^a stack of 2 selectors needs a stack of as many "
-                                         "states, got 3 states$"):
-        extract_bogoliubov(states, ModeSelector.for_mode([0, 0], 1))
-    with pytest.raises(ValueError, match="got a single state$"):
-        extract_bogoliubov(states[0], ModeSelector.for_mode([0], 1))
-    with pytest.raises(ValueError, match="selector dimension"):
-        extract_bogoliubov(states, ModeSelector.for_mode([0, 1, 0], 2))
+    with pytest.raises(ValueError, match="^mean_photon takes a single ModeSelector, not a stack"):
+        mean_photon(states[0], selectors)
+    for call in (extract_bogoliubov, subtract_photon):
+        with pytest.raises(ValueError, match="^a stack of 2 selectors needs a stack of as many "
+                                             "states, got 3 states$"):
+            call(states, ModeSelector.for_mode([0, 0], 1))
+        with pytest.raises(ValueError, match="got a single state$"):
+            call(states[0], ModeSelector.for_mode([0], 1))
+        with pytest.raises(ValueError, match="selector dimension"):
+            call(states, ModeSelector.for_mode([0, 1, 0], 2))
     # a failing stack replays each state with its own selector: here every
     # state passes alone, so the stack's own error is raised
     real = subtraction.williamson
@@ -367,9 +367,6 @@ def single_state_calls(state, rows, sel, transform):
         "purity_gaussian": lambda: purity_gaussian(state),
         "gaussian_wigner_fn": lambda: gaussian_wigner_fn(state),
         "wigner_gaussian_at": lambda: wigner_gaussian_at(state, np.zeros(2)),
-        "subtract_photon": lambda: subtract_photon(state, sel),
-        "SubtractedState": lambda: SubtractedState(state, 1.0, np.zeros(2), np.zeros((2, 2)),
-                                                   1.0),
         "GridSpec.for_state": lambda: GridSpec.for_state(state),
         "gaussian_state_to_fock": lambda: gaussian_state_to_fock(state),
         "mode_ratio_table": lambda: mode_ratio_table(state),
@@ -402,7 +399,7 @@ def test_single_state_functions_refuse_stacks():
 def test_refusal_table_covers_every_single_state_function():
     """Every public function whose parameters name a GaussianState or a
     BogoliubovRow is in the refusal table or takes stacks."""
-    batched = {"extract_bogoliubov", "relative_purity_closed_form"}
+    batched = {"extract_bogoliubov", "relative_purity_closed_form", "subtract_photon"}
     found = set()
     for module in (gaussian, subtraction, bounds, scenarios, fock):
         for name, func in inspect.getmembers(module, inspect.isfunction):
@@ -415,3 +412,80 @@ def test_refusal_table_covers_every_single_state_function():
     sel = ModeSelector.for_mode(0, 1)
     table = single_state_calls(stack, extract_bogoliubov(stack, sel), sel, None)
     assert len(found) > 10 and found - batched <= set(table)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("d_max", [8.0, 0.0], ids=["displaced", "undisplaced"])
+def test_moment_route_stack_rows_equal_single_calls_bitwise(m, d_max):
+    """subtract_photon, purity_subtracted and moments_subtracted of a stack:
+    each row is bit for bit its state's single call, with one selector for
+    all and with one selector per state."""
+    states = random_state(m, SEEDS, d_max=d_max)
+    directions = np.random.default_rng(m).standard_normal((len(SEEDS), 2 * m))
+    selectors = {"one": ModeSelector.for_mode(m - 1, m),
+                 "one direction": ModeSelector(np.arange(1.0, 2 * m + 1)),
+                 "for_mode": ModeSelector.for_mode([seed % m for seed in SEEDS], m),
+                 "directions": ModeSelector(directions)}
+    for name, sel in selectors.items():
+        subs = subtract_photon(states, sel)
+        purities = subtraction.purity_subtracted(subs)
+        reports = subtraction.moments_subtracted(subs)
+        assert subs.stacked and reports.stacked and purities.shape == (len(SEEDS),)
+        assert same_fields(subs.base, states)
+        for i, row in enumerate(subs):
+            alone = subtract_photon(states[i], sel[i] if sel.stacked else sel)
+            assert not alone.stacked and type(alone.c0) is type(alone.normalization) is float
+            assert same_fields(row, alone) and same_fields(subs[i], alone), (name, i)
+            purity = subtraction.purity_subtracted(alone)
+            assert type(purity) is float and same_bits(purities[i], purity), (name, i)
+            assert same_fields(reports[i], subtraction.moments_subtracted(alone)), (name, i)
+            assert all(same_bits(a, b) for a, b in zip(subs[i].prefactor_centered(),
+                                                          alone.prefactor_centered()))
+
+
+def test_moment_route_stack_raises_the_error_of_its_first_bad_row():
+    """A vacuum row and a row whose normalization squares past float64: the
+    stack raises the error of whichever comes first, as that row alone."""
+    good = random_state(1, SEEDS[:1], d_max=2.0)
+    cov = np.repeat(good.covariance, 4, axis=0)
+    disp = np.repeat(good.displacement, 4, axis=0)
+    cov[1], disp[1] = np.eye(2), 0.0  # the vacuum: no photon to subtract
+    disp[2] = [1e160, 0.0]  # 4<n_g> = 1e320 is inf already
+    sel = ModeSelector.for_mode(0, 1)
+    for order in ([0, 1, 2, 3], [0, 2, 1, 3]):
+        states = GaussianState(cov[order], disp[order])
+        with pytest.raises(ValueError) as alone:
+            subtract_photon(states[1], sel)
+        with pytest.raises(ValueError) as stacked:
+            subtract_photon(states, sel)
+        assert type(stacked.value) is type(alone.value)
+        assert str(stacked.value) == str(alone.value)
+    assert type(stacked.value) is NumericDegenerateError
+    # the constructor checks its rows in order too: row 1 empty, row 2 asymmetric
+    sub = subtract_photon(GaussianState(cov[[0, 0, 3]], disp[[0, 0, 3]]), sel)
+    c2 = sub.c2.copy()
+    c2[2, 0, 1] += 1.0
+    norm = sub.normalization.copy()
+    norm[1] = 0.0
+    for bad_c2, bad_norm, error in ((c2, norm, SubtractionFromVacuumError),
+                                    (c2, sub.normalization, ValueError)):
+        with pytest.raises(error) as info:
+            SubtractedState(sub.base, sub.c0, sub.c1, bad_c2, bad_norm)
+        assert type(info.value) is error
+    assert str(info.value) == "quadratic prefactor must be symmetric"
+
+
+def test_subtracted_stacks_iterate_and_single_state_functions_refuse_them():
+    states = random_state(2, SEEDS[:5], d_max=3.0)
+    subs = subtract_photon(states, ModeSelector.for_mode(1, 2))
+    reports = subtraction.moments_subtracted(subs)
+    for stack in (subs, reports):
+        rows = list(stack)
+        assert len(rows) == 5 and all(same_fields(row, stack[i]) for i, row in enumerate(rows))
+    assert same_fields(subs[1:3][1], subs[2])
+    for call in (lambda s: subtraction.marginal_subtracted(s, [0]),
+                 subtraction.subtracted_wigner_fn,
+                 lambda s: subtraction.wigner_subtracted_at(s, np.zeros(4))):
+        with pytest.raises(ValueError, match=r"takes a single SubtractedState, not a stack"):
+            call(subs)
+        call(subs[0])

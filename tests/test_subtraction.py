@@ -9,6 +9,7 @@ from pspurity import (
     GaussianState,
     ModeSelector,
     NumericDegenerateError,
+    SubtractedState,
     SubtractionFromVacuumError,
     apply_displacement,
     extract_bogoliubov,
@@ -378,3 +379,125 @@ def test_complementary_marginals_of_pure_random_states(m):
     states = random_state(m, range(600, 620), n_max=1.0)
     for i in range(20):
         assert_complementary_marginals_agree(states[i])
+
+
+# ---------------------------------------------------------------------------
+# the stacked moment route, its independence and its range
+# ---------------------------------------------------------------------------
+
+def test_moment_route_reads_no_bogoliubov_row(monkeypatch):
+    """The prefactor-moment route checks the closed form, so it must run
+    with the normal-mode decomposition, the Bogoliubov extraction and the
+    closed form all broken, and give the same bits."""
+    import pspurity
+    from pspurity import gaussian, subtraction
+
+    states = random_state(3, range(40), d_max=4.0)
+    sel = ModeSelector.for_mode([i % 3 for i in range(40)], 3)
+
+    def route():
+        sub = subtract_photon(states, sel)
+        return purity_subtracted(sub), moments_subtracted(sub)
+
+    purities, report = route()
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the moment route called the closed-form machinery")
+
+    for module in (pspurity, gaussian, subtraction):
+        for name in ("extract_bogoliubov", "williamson", "relative_purity_closed_form"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, broken)
+    with pytest.raises(AssertionError, match="closed-form machinery"):
+        subtraction.extract_bogoliubov(states, sel)
+    again, report_again = route()
+    assert again.tobytes() == purities.tobytes()
+    assert report_again.mean.tobytes() == report.mean.tobytes()
+    assert report_again.covariance.tobytes() == report.covariance.tobytes()
+
+
+@pytest.mark.parametrize("count", [None, 3])
+def test_subtracted_state_arrays_are_read_only(count):
+    """The purity, moments and marginals read a centered prefactor cached
+    from c0, c1, c2 and the normalization, so none of them can be written
+    in place; the arrays a caller passes keep their own flags."""
+    seeds = 5 if count is None else range(count)
+    sub = subtract_photon(random_state(2, seeds, d_max=2.0), ModeSelector.for_mode(0, 2))
+    arrays = [sub.c1, sub.c2, *sub.prefactor_centered()[1:]]
+    if count is not None:
+        arrays += [sub.c0, sub.normalization, sub.prefactor_centered()[0], sub[1].c2]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+    c1, c2 = np.zeros(4), np.eye(4)
+    SubtractedState(base=GaussianState(np.eye(4), np.zeros(4)), c0=1.0, c1=c1, c2=c2,
+                    normalization=4.0)
+    assert c1.flags.writeable and c2.flags.writeable
+
+
+def gathered_marginal(sub, modes):
+    """``marginal_subtracted`` as one np.ix_ gather per block: the reference
+    its block slices must equal bit for bit."""
+    modes = list(modes)
+    m = sub.base.mode_count
+    keep = np.array(modes + [m + j for j in modes])
+    drop = np.array([i for i in range(2 * m) if i not in set(keep)])
+    d0, d1, c2 = sub.prefactor_centered()
+    if drop.size == 0:
+        return d0, d1[keep], c2[np.ix_(keep, keep)]
+    v = sub.base.covariance
+    vaa, vab, vbb = v[np.ix_(keep, keep)], v[np.ix_(keep, drop)], v[np.ix_(drop, drop)]
+    reg = np.linalg.solve(vaa.T, vab).T
+    cond_cov = vbb - reg @ vab
+    c2aa, c2ab, c2bb = c2[np.ix_(keep, keep)], c2[np.ix_(keep, drop)], c2[np.ix_(drop, drop)]
+    q2 = c2aa + c2ab @ reg + reg.T @ c2ab.T + reg.T @ c2bb @ reg
+    q1 = d1[keep] + reg.T @ d1[drop]
+    q0 = d0 + float(np.trace(c2bb @ cond_cov))
+    return q0, q1, q2
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_marginal_blocks_equal_per_block_gathers_bitwise(m):
+    subsets = [[0], [m - 1], list(range(m)), list(range(m))[::-1], [0, m - 1][: min(m, 2)],
+               list(range(1, m)) or [0], [m - 1, 0][: min(m, 2)]]
+    states = random_state(m, range(10 * m, 10 * m + 6), d_max=3.0)
+    for i in range(6):
+        sub = subtract_photon(states[i], ModeSelector.for_mode(i % m, m))
+        for modes in subsets:
+            q0, q1, q2 = gathered_marginal(sub, modes)
+            alpha = sub.base.displacement[modes + [m + j for j in modes]]
+            marginal = marginal_subtracted(sub, modes)
+            assert marginal.c2.tobytes() == (0.5 * (q2 + q2.T)).tobytes(), modes
+            assert marginal.c1.tobytes() == (q1 - 2.0 * q2 @ alpha).tobytes(), modes
+            assert marginal.c0 == float(q0 - q1 @ alpha + alpha @ q2 @ alpha), modes
+
+
+def test_huge_noise_is_refused_before_it_is_squared():
+    """A noise factor whose square overflows float64 is refused with
+    NumericDegenerateError, with no warning (warnings are errors here)."""
+    sel = selector1()
+    state = GaussianState(1e160 * np.eye(2), np.zeros(2))
+    with pytest.raises(NumericDegenerateError,
+                       match=r"^noise factor 1\.000e\+160 overflows float64 when squared$"):
+        extract_bogoliubov(state, sel)
+    stack = GaussianState(np.stack([np.eye(2) * 3.0, 1e160 * np.eye(2), 1e200 * np.eye(2)]),
+                          np.zeros((3, 2)))
+    with pytest.raises(NumericDegenerateError, match="1.000e[+]160"):
+        extract_bogoliubov(stack, sel)
+    with pytest.raises(NumericDegenerateError, match="1.000e[+]200"):
+        BogoliubovRow(np.zeros(2, dtype=complex), np.zeros((2, 1)), np.ones((2, 1)),
+                      np.array([[3.0], [1e200]]))
+    # in range, the rows keep their bits: the weight is (n * n - 1) / (2 n)
+    row = BogoliubovRow(0j, np.zeros(1), np.ones(1), np.array([3.0]))
+    assert row.z == 0.0 and row.y == 1.0 and row.x == -1.0 / 3.0
+
+
+def test_mean_photon_past_float64_is_refused():
+    sel = selector1()
+    with pytest.raises(NumericDegenerateError, match="mean photon number inf"):
+        mean_photon(GaussianState(np.eye(2), np.array([1e160, 0.0])), sel)
+    assert mean_photon(GaussianState(np.eye(2), np.array([1e150, 0.0])), sel) == \
+        pytest.approx(2.5e299, rel=1e-15)
+    # the subtraction keeps its own refusal of the normalization's square
+    with pytest.raises(NumericDegenerateError, match="overflows float64 when squared"):
+        subtract_photon(GaussianState(np.eye(2), np.array([1e160, 0.0])), sel)
