@@ -5,8 +5,9 @@ Photon subtraction can raise the purity of a Gaussian state, but never to
 sufficient purification conditions for a given mode-transform row, the
 reachable envelope ``bound_f`` obtained by aligning all angle factors, its
 maximum over the displacement, and the monotone bound in the noise-balance
-variable zeta.  Every one of them reads the four aggregates x, y, z and cross
-that a ``BogoliubovRow`` sums when it is built.
+variable zeta.  Every one of them reads the aggregates that a
+``BogoliubovRow`` sums when it is built, among them the alignment term
+Re(conj(alpha_g)^2 cross) that the closed form reads too.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .errors import InconsistentRowError, SubtractionFromVacuumError
 from .gaussian import require_single
@@ -29,15 +28,15 @@ ZERO_DISPLACEMENT_SQ = 1e-24
 class BoundReport:
     """Verdicts and bounds for one subtraction row.
 
-    The aggregates x, y, z and cross they derive from are fields of the row
-    (see ``BogoliubovRow``).
+    The aggregates they derive from, |alpha_g|^2 among them, are fields of
+    the row (see ``BogoliubovRow``).
 
     Attributes:
-        alpha: squared displacement magnitude |alpha_g|^2.
         zeta: x / y when y > 0 and x > 0, else None (the zeta bound is then
             evaluated with |x|; see tests).
         condition_direction: sum k~_i l~_i (n_i^2-1)/(2 n_i)
-            cos(2 phi - phi_i - theta_i); purification requires it positive.
+            cos(2 phi - phi_i - theta_i), the row's ``align`` / |alpha_g|^2
+            (Re cross when undisplaced); purification requires it positive.
         threshold_alpha_sq: displacement-squared threshold beyond which the
             purity gain is >= 1, or None when the direction term is not
             positive.
@@ -46,7 +45,6 @@ class BoundReport:
         purifiable: verdict of the two purification conditions.
     """
 
-    alpha: float
     zeta: Optional[float]
     condition_direction: float
     threshold_alpha_sq: Optional[float]
@@ -118,8 +116,7 @@ def purification_conditions(row: BogoliubovRow) -> BoundReport:
     x, y, z, cross, a2 = row.x, row.y, row.z, row.cross, row.alpha_sq
     if y + a2 <= VACUUM_THRESHOLD:
         raise SubtractionFromVacuumError("row describes an empty mode")
-    phi = np.angle(row.alpha_g) if a2 > ZERO_DISPLACEMENT_SQ else 0.0
-    direction = float(np.real(np.exp(2j * phi) * np.conj(cross)))
+    direction = row.align / a2 if a2 > ZERO_DISPLACEMENT_SQ else cross.real
     # gain numerator: ratio >= 1  iff  x^2 + 2|cross|^2 - y^2 + 4 a2 dir >= 0
     gain = x * x + 2.0 * row.cross_sq - y * y + 4.0 * a2 * direction
     if a2 <= ZERO_DISPLACEMENT_SQ:
@@ -137,7 +134,7 @@ def purification_conditions(row: BogoliubovRow) -> BoundReport:
     else:
         f_max = 1.0  # supremum of f over alpha when the cross aggregate vanishes
     zeta = x / y if (y > 0.0 and x > 0.0) else None
-    return BoundReport(alpha=a2, zeta=zeta, condition_direction=direction,
+    return BoundReport(zeta=zeta, condition_direction=direction,
                        threshold_alpha_sq=threshold, f_alpha=f_alpha, f_max=f_max,
                        purifiable=bool(purifiable))
 

@@ -18,6 +18,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -147,13 +148,16 @@ _QUOTED = re.compile(r"""('(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")\s*(?:#.*)?""")
 
 def _string_literal(text: str) -> str:
     """The Python string literal that makes up ``text`` but for a trailing
-    comment; ValueError when there is none."""
+    comment; ValueError when there is none, or when it holds an escape
+    that Python warns is invalid (as ``\\d``) and will refuse."""
     quoted = _QUOTED.fullmatch(text)
     if quoted is None:
         raise ValueError(text)
     try:
-        return ast.literal_eval(quoted[1])
-    except SyntaxError:  # a malformed escape such as '\x'
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the parser raises such a warning as SyntaxError
+            return ast.literal_eval(quoted[1])
+    except SyntaxError:  # that, or a malformed escape such as '\x'
         raise ValueError(text) from None
 
 

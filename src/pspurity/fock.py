@@ -19,8 +19,9 @@ symplectic part, displacements close it.  Photon subtraction is the
 annihilation operator as a row shift along the mode, and purities come from
 partial traces (a Hermitian rank-k Gram matrix).  Nothing here
 shares code with the covariance-matrix purity and moment machinery, which
-is the point; the covariance route only sizes the initial cutoffs and
-supplies the normal modes of a Gaussian input.
+is the point; the covariance route only sizes the initial cutoffs,
+supplies the normal modes of a Gaussian input and checks a mode or a mode
+subset for both routes.
 
 Truncation bookkeeping: unitaries of truncated anti-Hermitian generators
 preserve the norm exactly, so lost-norm is not a usable error signal.  The
@@ -55,6 +56,8 @@ from .gaussian import (
     CircuitDescription,
     Gate,
     GaussianState,
+    _check_mode,
+    _mode_subset,
     _resolve_squeezing,
     circuit_to_gaussian,
     require_single,
@@ -474,13 +477,6 @@ def _passive_gates(o: np.ndarray) -> list:
 # measurements and operations
 # ---------------------------------------------------------------------------
 
-def _check_mode(state: FockState, mode):
-    """Refuse a mode that is not an integer, is a bool, or is not one of the state's."""
-    if (not isinstance(mode, numbers.Integral) or isinstance(mode, bool)
-            or not 0 <= mode < state.mode_count):
-        raise ValueError(f"mode {mode!r} is not an integer in [0, {state.mode_count})")
-
-
 def subtract_photon_fock(state: FockState, mode: int) -> FockState:
     """Apply the annihilation operator on one mode and renormalize.
 
@@ -488,7 +484,7 @@ def subtract_photon_fock(state: FockState, mode: int) -> FockState:
     and the top level is left empty; ``annihilator`` is the same map as a
     matrix.
     """
-    _check_mode(state, mode)
+    _check_mode(mode, state.mode_count)
     amp = state.amplitudes
     lower, upper, root = [slice(None)] * amp.ndim, [slice(None)] * amp.ndim, [1] * amp.ndim
     lower[mode], upper[mode], root[mode] = slice(None, -1), slice(1, None), -1
@@ -506,11 +502,7 @@ def subtract_photon_fock(state: FockState, mode: int) -> FockState:
 
 def _split_modes(state: FockState, modes) -> np.ndarray:
     """Amplitudes as a matrix: rows over ``modes``, columns over the rest."""
-    modes = list(modes)
-    for j in modes:
-        _check_mode(state, j)
-    if len(set(modes)) != len(modes):
-        raise ValueError("duplicate mode indices")
+    modes = _mode_subset(modes, state.mode_count)
     rest = [j for j in range(state.mode_count) if j not in modes]
     dim_keep = int(np.prod([state.truncation.cutoffs[j] for j in modes]))
     return np.transpose(state.amplitudes, modes + rest).reshape(dim_keep, -1)
@@ -582,7 +574,7 @@ def wigner_origin_fock(state: FockState, modes) -> float:
 
     In this package's convention W(0) = (1/2pi)^m * <parity>.
     """
-    modes = list(modes)
+    modes = _mode_subset(modes, state.mode_count)
     # parity is diagonal: only the populations, the squared row norms of
     # the mode-first amplitude matrix, enter
     populations = np.sum(np.abs(_split_modes(state, modes)) ** 2, axis=1)

@@ -475,6 +475,22 @@ def _check_mode(mode, num_modes: int):
         raise ValueError(f"mode {mode!r} out of range for {num_modes} modes")
 
 
+def _mode_subset(modes, num_modes: int) -> list:
+    """The check of every function that traces modes out, on either route: a
+    non-empty sequence of distinct modes of an m-mode state, as a list."""
+    try:
+        subset = list(modes)
+    except TypeError:  # an int, say: not a sequence
+        raise ValueError(f"modes must be a sequence of mode indices, got {modes!r}") from None
+    if not subset:
+        raise ValueError("mode subset must be non-empty")
+    for j in subset:
+        _check_mode(j, num_modes)
+    if len(set(subset)) != len(subset):
+        raise ValueError("duplicate mode indices")
+    return subset
+
+
 def _resolve_squeezing(r, db) -> float:
     """The squeezing parameter of a gate given by r or by db (the other is
     None); its variance factor e^(2|r|) must be a finite float64."""
@@ -713,14 +729,8 @@ def apply_displacement(state: GaussianState, delta) -> GaussianState:
 def reduce_modes(state: GaussianState, modes) -> GaussianState:
     """Marginal state on a subset of modes (partial trace over the rest)."""
     require_single(state, "reduce_modes")
-    modes = list(modes)
-    if not modes:
-        raise ValueError("mode subset must be non-empty")
     m = state.mode_count
-    for j in modes:
-        _check_mode(j, m)
-    if len(set(modes)) != len(modes):
-        raise ValueError("duplicate mode indices")
+    modes = _mode_subset(modes, m)
     idx = np.array(modes + [m + j for j in modes])
     return GaussianState(
         state.covariance[np.ix_(idx, idx)], state.displacement[idx]

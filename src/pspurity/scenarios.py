@@ -20,6 +20,7 @@ from .gaussian import (
     Gate,
     GaussianState,
     ModeSelector,
+    _first_failing_row,
     _is_integer,
     circuit_to_gaussian,
     db_to_squeezing_parameter,
@@ -55,31 +56,28 @@ def single_mode_family(n_g, s_db, alpha_mag, phi) -> GaussianState:
     ``alpha_mag`` is the magnitude of the complex amplitude <a> and ``phi``
     its phase, so the phase-space displacement is
     (2 alpha_mag cos(phi), 2 alpha_mag sin(phi)).  Array arguments broadcast
-    to a stack with one state per entry.
+    to a stack with one state per entry, which raises the error its first
+    failing entry raises alone.
     """
     params = np.broadcast_arrays(*(np.asarray(p, dtype=float)
                                    for p in (n_g, s_db, alpha_mag, phi)))
     n_g, s_db, alpha_mag, phi = (p.ravel() for p in params)
-    bad = ~np.isfinite(params).all(axis=0).ravel() | (n_g < 1.0) | (alpha_mag < 0.0)
-    if bad.any():  # the message of the first bad entry
-        _check_family(*(float(p[np.argmax(bad)]) for p in (n_g, s_db, alpha_mag, phi)))
-    # Python's pow, entry by entry: NumPy's vectorized power rounds differently
-    s = np.array([db_to_variance_factor(db) for db in s_db.tolist()])
-    cov = np.zeros((n_g.size, 2, 2))
-    cov[:, 0, 0], cov[:, 1, 1] = n_g * s, n_g / s
-    disp = np.stack([2.0 * alpha_mag * np.cos(phi), 2.0 * alpha_mag * np.sin(phi)], axis=-1)
-    if params[0].ndim == 0:
-        cov, disp = cov[0], disp[0]
-    return GaussianState(cov, disp)
-
-
-def _check_family(n_g: float, s_db: float, alpha_mag: float, phi: float):
-    if not np.isfinite([n_g, s_db, alpha_mag, phi]).all():
-        raise ValueError("parameters must be finite")
-    if n_g < 1.0:
-        raise ValueError(f"thermal factor must be >= 1, got {n_g}")
-    if alpha_mag < 0.0:
-        raise ValueError("displacement magnitude must be nonnegative")
+    with _first_failing_row(n_g.size if params[0].ndim else 0,
+                            lambda i: single_mode_family(n_g[i], s_db[i], alpha_mag[i], phi[i])):
+        if not np.isfinite(params).all():
+            raise ValueError("parameters must be finite")
+        if (n_g < 1.0).any():
+            raise ValueError(f"thermal factor must be >= 1, got {n_g.min()}")
+        if (alpha_mag < 0.0).any():
+            raise ValueError("displacement magnitude must be nonnegative")
+        # Python's pow, entry by entry: NumPy's vectorized power rounds differently
+        s = np.array([db_to_variance_factor(db) for db in s_db.tolist()])
+        cov = np.zeros((n_g.size, 2, 2))
+        cov[:, 0, 0], cov[:, 1, 1] = n_g * s, n_g / s
+        disp = np.stack([2.0 * alpha_mag * np.cos(phi), 2.0 * alpha_mag * np.sin(phi)], axis=-1)
+        if params[0].ndim == 0:
+            cov, disp = cov[0], disp[0]
+        return GaussianState(cov, disp)
 
 
 def reference_single_mode_state() -> GaussianState:

@@ -21,11 +21,12 @@ factor-of-two errors.
 
 ``extract_bogoliubov`` takes a stack of states (see ``gaussian``), with one
 selector for all or a stack of selectors, and returns a stack of rows.  A row
-sums itself, once and over the whole stack, into the four aggregates x, y, z
-and cross that the closed form and the purification conditions (``bounds``)
-read, its normalization defect and the squared magnitudes |alpha_g|^2 and
-|cross|^2.  ``relative_purity_closed_form`` takes a stack of rows and returns
-one ratio per row; the purification conditions take one row, ``rows[i]``.
+sums itself, once and over the whole stack, into its normalization defect
+and the aggregates that the closed form and the purification conditions
+(``bounds``) read: x, y, z, cross, |alpha_g|^2, |cross|^2 and the alignment
+term Re(conj(alpha_g)^2 cross).  ``relative_purity_closed_form`` takes a
+stack of rows and returns one ratio per row; the purification conditions
+take one row, ``rows[i]``.
 
 The prefactor-moment route takes stacks too: ``subtract_photon`` of a stack
 of states (one selector or a stack of them) is a stacked
@@ -51,6 +52,7 @@ from .gaussian import (
     ModeSelector,
     _check_selector,
     _first_failing_row,
+    _mode_subset,
     _purity_gaussian,
     _selected_mode,
     _Stack,
@@ -173,10 +175,11 @@ class BogoliubovRow(_Stack):
         z = 2 sum |k_i| |l_i| w_i >= 0,  cross = sum k_i l_i w_i (complex,
         phase-bearing, |cross| <= z / 2),
 
-    the normalization defect |sum(|l_i|^2 - |k_i|^2) - 1|, and
+    the normalization defect |sum(|l_i|^2 - |k_i|^2) - 1|,
     ``alpha_sq`` = |alpha_g|^2 and ``cross_sq`` = |cross|^2, each the product
-    ``abs(c) * abs(c)`` of Python's ``abs``; N-vectors on a stack, whose
-    ``rows[i]`` carries row i's as Python scalars.
+    ``abs(c) * abs(c)`` of Python's ``abs``, and the alignment term
+    ``align`` = Re(conj(alpha_g)^2 cross), expanded in real arithmetic;
+    N-vectors on a stack, whose ``rows[i]`` carries row i's as Python scalars.
     """
 
     alpha_g: complex
@@ -190,6 +193,7 @@ class BogoliubovRow(_Stack):
     defect: float = field(init=False, repr=False, compare=False)
     alpha_sq: float = field(init=False, repr=False, compare=False)
     cross_sq: float = field(init=False, repr=False, compare=False)
+    align: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha_g, dtype=complex)
@@ -227,8 +231,10 @@ class BogoliubovRow(_Stack):
             if not math.isfinite(norm4 * norm4):
                 _refuse_normalization(norm4)
         alpha_sq, cross_sq = np.square(mag), np.square(np.hypot(cross.real, cross.imag))
-        fields = dict(x=x, y=y, z=z, cross=cross, defect=np.abs(norm - 1.0),
-                      alpha_sq=alpha_sq, cross_sq=cross_sq, k=k, l=l, noise=n, alpha_g=alpha)
+        ar, ai = alpha.real, alpha.imag
+        align = (ar * ar - ai * ai) * cross.real + 2.0 * (ar * ai) * cross.imag
+        fields = dict(x=x, y=y, z=z, cross=cross, defect=np.abs(norm - 1.0), alpha_sq=alpha_sq,
+                      cross_sq=cross_sq, align=align, k=k, l=l, noise=n, alpha_g=alpha)
         for name, value in fields.items():
             object.__setattr__(self, name, value.item() if value.ndim == 0 else value)
 
@@ -380,10 +386,10 @@ def extract_bogoliubov(state: GaussianState, selector: ModeSelector) -> Bogoliub
 def relative_purity_closed_form(row: BogoliubovRow) -> float | np.ndarray:
     """Ratio of purities after/before subtraction, from the row's aggregates.
 
-    With x, y and cross as in ``BogoliubovRow`` and a = alpha_g the ratio is
+    With the aggregates of ``BogoliubovRow`` and a = alpha_g the ratio is
 
-        1/2 + [x^2/2 + |a|^4/2 + |cross|^2 + 2 Re(conj(a)^2 cross)
-               + |a|^2 y] / (y + |a|^2)^2
+        1/2 + [x^2/2 + |a|^4/2 + |cross|^2 + 2 align + |a|^2 y] / (y + |a|^2)^2,
+        align = Re(conj(a)^2 cross),
 
     and always lies in [1/2, 1.2).  A stack of rows gives an N-vector, one
     row a Python float.  Only +, -, * and / act on the row's fields, so each
@@ -396,14 +402,8 @@ def relative_purity_closed_form(row: BogoliubovRow) -> float | np.ndarray:
             raise InconsistentRowError(f"row violates normalization by {defect:.3e}")
         if d <= VACUUM_THRESHOLD:
             raise SubtractionFromVacuumError("row describes an empty mode")
-    a2, ar, ai, cross = row.alpha_sq, row.alpha_g.real, row.alpha_g.imag, row.cross
-    num = (
-        0.5 * (row.x * row.x)
-        + 0.5 * (a2 * a2)
-        + row.cross_sq
-        + 2.0 * ((ar * ar - ai * ai) * cross.real + 2.0 * (ar * ai) * cross.imag)
-        + a2 * row.y
-    )
+    a2 = row.alpha_sq
+    num = 0.5 * (row.x * row.x) + 0.5 * (a2 * a2) + row.cross_sq + 2.0 * row.align + a2 * row.y
     return 0.5 + num / (denom * denom)
 
 
@@ -459,9 +459,9 @@ def marginal_subtracted(sub: SubtractedState, modes) -> SubtractedState:
     The normalization constant is untouched.
     """
     require_single(sub, "marginal_subtracted")
-    modes = list(modes)
-    base = reduce_modes(sub.base, modes)
     m = sub.base.mode_count
+    modes = _mode_subset(modes, m)
+    base = reduce_modes(sub.base, modes)
     keep = modes + [m + j for j in modes]
     kept = set(keep)
     order = np.array(keep + [i for i in range(2 * m) if i not in kept])

@@ -13,6 +13,7 @@ from pspurity import (
     zero_displacement_ratio_bound,
     zeta_bound,
 )
+from pspurity.bounds import ZERO_DISPLACEMENT_SQ
 from pspurity.scenarios import random_state, single_mode_family
 
 
@@ -181,6 +182,42 @@ def test_threshold_equality_gives_unity_ratio():
         assert purification_conditions(row_t).purifiable
         hits += 1
     assert hits > 100  # the construction must actually exercise the branch
+
+
+def reference_direction(row) -> float:
+    """The direction term as Re(e^{2i phi} conj(cross)) at the phase phi of
+    alpha_g, taken as 0 when undisplaced: the conditions' own route before
+    the row carried the alignment term."""
+    phi = np.angle(row.alpha_g) if row.alpha_sq > ZERO_DISPLACEMENT_SQ else 0.0
+    return float(np.real(np.exp(2j * phi) * np.conj(row.cross)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("d_max", [8.0, 0.0], ids=["displaced", "undisplaced"])
+def test_conditions_agree_with_the_phase_route(m, d_max):
+    """Read from the row's alignment term, the conditions give the verdicts
+    of the phase route, and its direction and threshold to 1e-12 relative."""
+    seeds = range(41_000 + 1_000 * m, 41_250 + 1_000 * m)
+    states = random_state(m, list(seeds), d_max=d_max)
+    rows = extract_bogoliubov(states, ModeSelector.for_mode([s % m for s in seeds], m))
+    thresholds = 0
+    for row in rows:
+        report = purification_conditions(row)
+        x, y, a2, cross_sq = row.x, row.y, row.alpha_sq, row.cross_sq
+        direction = reference_direction(row)
+        assert report.condition_direction == pytest.approx(direction, rel=1e-12, abs=1e-300)
+        if a2 <= ZERO_DISPLACEMENT_SQ:
+            assert report.threshold_alpha_sq is None and not report.purifiable
+        elif direction > 0.0:
+            threshold = (y * y - x * x - 2.0 * cross_sq) / (4.0 * direction)
+            assert report.threshold_alpha_sq == pytest.approx(threshold, rel=1e-12)
+            assert report.purifiable == (a2 >= threshold - 1e-12 * max(abs(threshold), 1.0))
+            thresholds += 1
+        else:
+            gain = x * x + 2.0 * cross_sq - y * y + 4.0 * a2 * direction
+            assert report.threshold_alpha_sq is None
+            assert report.purifiable == (gain >= -1e-12 * max(y * y, 1.0))
+    assert thresholds > 50 if d_max else thresholds == 0
 
 
 def test_envelope_dominates_ratio_fuzz():

@@ -6,11 +6,13 @@ import json
 import math
 import shlex
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pspurity import ModeSelector, SubtractionFromVacuumError
 from pspurity.cli import COMMANDS, RunConfig, _write_csv, build_parser, main
 from pspurity.fock import reduced_purity_fock, run_circuit_fock, subtract_photon_fock
 from pspurity.scenarios import (
@@ -253,6 +255,66 @@ def test_fuzz_failing_group_is_replayed_state_by_state(monkeypatch, capsys):
     assert len(checked) == 38
 
 
+def test_fuzz_records_a_broken_guarantee_and_skips_a_refused_state(
+        tmp_path, monkeypatch, capsys):
+    """A closed form that breaks a guarantee on one state gives one record
+    with that state's problems, covariance and displacement, from which
+    ``random_state`` rebuilds the state bit for bit; a state whose closed
+    form refuses an empty mode is skipped, in process."""
+    from pspurity import cli
+
+    plan = fuzz_plan(7, 40)
+    broken, empty = next(p for p in plan if p[2]), plan[5]
+    rows = {}
+    for name, (m, seed, displaced, g) in (("broken", broken), ("empty", empty)):
+        state = random_state(m, seed, d_max=8.0 if displaced else 0.0)
+        rows[name] = cli.extract_bogoliubov(state, ModeSelector.for_mode(g, m))
+    real_closed, reports = cli.relative_purity_closed_form, []
+
+    def is_row(row, target):
+        return all(np.array_equal(getattr(row, name), getattr(target, name))
+                   for name in ("alpha_g", "k", "l", "noise"))
+
+    def closed_form(row):
+        if is_row(row, rows["empty"]):
+            raise SubtractionFromVacuumError("injected")
+        if is_row(row, rows["broken"]):
+            reports.append(cli.purification_conditions(row))
+            return 1.5
+        return real_closed(row)
+
+    monkeypatch.setattr(cli, "relative_purity_closed_form", closed_form)
+    out = tmp_path / "violations.json"
+    assert main(["fuzz", "--count", "40", "--seed", "7", "--output", str(out)]) == 1
+    assert capsys.readouterr().out.strip().splitlines()[-1] == "fuzz: 1 violations in 40 states"
+    (record,) = json.loads(out.read_text())
+    m, seed, displaced, g = broken
+    assert {key: record[key] for key in ("seed", "modes", "displaced", "subtract_mode")} == {
+        "seed": seed, "modes": m, "displaced": displaced, "subtract_mode": g}
+    assert record["problems"][0] == "ratio 1.5 outside [0.5, 1.2)"
+    assert record["problems"] == cli._fuzz_problems(1.5, reports[0], displaced)
+    rebuilt = random_state(m, seed, d_max=8.0 if displaced else 0.0)
+    assert np.array(record["covariance"]).tobytes() == rebuilt.covariance.tobytes()
+    assert np.array(record["displacement"]).tobytes() == rebuilt.displacement.tobytes()
+
+
+@pytest.mark.parametrize("ratio, displaced, report, problem", [
+    (0.4, True, (1.0, 1.0, False), "ratio 0.4 outside [0.5, 1.2)"),
+    (1.1, False, (1.15, 1.15, True), "undisplaced ratio 1.1 > 1"),
+    (1.1, True, (1.05, 1.1, True), "ratio 1.1 above envelope 1.05"),
+    (0.9, True, (1.1, 1.05, False), "envelope 1.1 above max 1.05"),
+    (0.9, True, (1.0, 1.0, True), "verdict True but ratio 0.9")],
+    ids=["range", "undisplaced", "envelope", "maximum", "verdict"])
+def test_fuzz_names_each_broken_guarantee(ratio, displaced, report, problem):
+    from pspurity import cli
+    from pspurity.bounds import BoundReport
+
+    f_alpha, f_max, purifiable = report
+    report = BoundReport(zeta=None, condition_direction=0.0, threshold_alpha_sq=None,
+                         f_alpha=f_alpha, f_max=f_max, purifiable=purifiable)
+    assert cli._fuzz_problems(ratio, report, displaced) == [problem]
+
+
 def test_fuzz_output_holds_every_violation(tmp_path, monkeypatch, capsys):
     """The ``--output`` file gets every record, stdout the first ten; a clean
     run overwrites an earlier file with an empty list."""
@@ -475,6 +537,26 @@ def test_config_round_trip_quoted_output(output):
 def test_config_refuses_malformed_quoted_string(value):
     with pytest.raises(ValueError, match=r"line 2: output: invalid str value"):
         RunConfig.from_text(f"command = 'fuzz'\noutput = {value}\n")
+
+
+@pytest.mark.parametrize("action", ["ignore", "always"])
+def test_config_refuses_an_invalid_escape_whether_or_not_warnings_show(
+        tmp_path, monkeypatch, capsys, action):
+    """``\\d`` and ``\\o`` are escapes Python warns are invalid (hidden on
+    3.11, shown on 3.12, an error later): under any warning filter the value
+    is refused, exit 2 with one line naming the key and its line, no
+    warning and nothing written."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_text("command = fuzz\ncount = 1\noutput = 'C:\\data\\out.json'\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "bad.cfg"])
+    assert exc.value.code == 2 and caught == []
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines()[-1].startswith("pspurity: error: line 3: output: invalid str")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
 
 
 def test_config_unknown_key_rejected():

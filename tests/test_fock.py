@@ -18,6 +18,7 @@ from pspurity import (
     gaussian_wigner_fn,
     make_thermal,
     make_vacuum,
+    marginal_subtracted,
     mean_photon,
     moments_subtracted,
     purity_gaussian,
@@ -169,13 +170,33 @@ def test_truncation_takes_numpy_integers():
 @pytest.mark.parametrize("mode", [0.5, True, -1, 2], ids=["float", "bool", "negative", "m"])
 def test_oracle_refuses_bad_mode_naming_it(mode):
     """A mode that is not an integer of the state, or is a bool, stops at the
-    boundary with a ValueError naming it, in subtraction and partial trace."""
+    boundary with a ValueError naming it, in subtraction and partial trace,
+    worded as the covariance route words it."""
     state = run_circuit_fock(circuit(2, Gate("displacement", {"re": 0.7, "im": 0.0}, (0,))))
-    message = rf"^mode {re.escape(repr(mode))} is not an integer in \[0, 2\)$"
+    message = rf"^mode {re.escape(repr(mode))} out of range for 2 modes$"
     with pytest.raises(ValueError, match=message):
         subtract_photon_fock(state, mode)
     with pytest.raises(ValueError, match=message):
         reduced_purity_fock(state, [mode])
+
+
+@pytest.mark.parametrize("modes, message", [
+    (0, "modes must be a sequence of mode indices, got 0"),
+    ([], "mode subset must be non-empty"),
+    ([1, 1], "duplicate mode indices")], ids=["int", "empty", "repeated"])
+def test_every_partial_trace_refuses_a_bad_mode_subset_alike(modes, message):
+    """Every function that traces modes out, on either route, takes a
+    non-empty sequence of distinct modes of the state and refuses anything
+    else with the same ValueError."""
+    displaced = circuit(2, Gate("displacement", {"re": 0.7, "im": 0.0}, (0,)))
+    state, number_state = circuit_to_gaussian(displaced), run_circuit_fock(displaced)
+    sub = subtract_photon(state, ModeSelector.for_mode(0, 2))
+    calls = ((reduce_modes, state), (marginal_subtracted, sub),
+             (reduced_purity_fock, number_state), (reduced_density_matrix, number_state),
+             (wigner_origin_fock, number_state))
+    for function, argument in calls:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            function(argument, modes)
 
 
 def test_subtract_single_photon_gives_vacuum():

@@ -145,12 +145,13 @@ def gaussian_names(source: str) -> set[str]:
 def test_fock_oracle_reads_no_gate_builder():
     """The oracle states every gate's generator itself: of the Gaussian-state
     layer it reads the circuit types, the covariance route that sizes its
-    cutoffs, Williamson and the squeezing conversion, never the symplectic
-    blocks of the gates it checks."""
+    cutoffs, Williamson, the squeezing conversion and the mode and
+    mode-subset checks both routes share, never the symplectic blocks of the
+    gates it checks."""
     source = (Path(pspurity.__file__).parent / "fock.py").read_text()
     assert gaussian_names(source) == {
-        "CircuitDescription", "Gate", "GaussianState", "_resolve_squeezing",
-        "circuit_to_gaussian", "require_single", "williamson"}
+        "CircuitDescription", "Gate", "GaussianState", "_check_mode", "_mode_subset",
+        "_resolve_squeezing", "circuit_to_gaussian", "require_single", "williamson"}
 
 
 def test_grid_oracle_is_independent():

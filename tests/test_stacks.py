@@ -215,6 +215,30 @@ def test_stack_slices_and_single_rows():
         random_state(2, [])
 
 
+def alignment_by_parts(row):
+    """Re(conj(alpha_g)^2 cross) as the closed form spelled it out before
+    the row carried it."""
+    ar, ai, cross = row.alpha_g.real, row.alpha_g.imag, row.cross
+    return (ar * ar - ai * ai) * cross.real + 2.0 * (ar * ai) * cross.imag
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("d_max", [8.0, 0.0], ids=["displaced", "undisplaced"])
+def test_row_alignment_term_is_the_closed_forms_expression_bitwise(m, d_max):
+    """``align`` holds the closed form's own expression, bit for bit, on a
+    stack, on each of its rows and on each single extraction, so the closed
+    form that reads it keeps its bits."""
+    states = random_state(m, SEEDS, d_max=d_max)
+    rows = extract_bogoliubov(states, ModeSelector.for_mode(m - 1, m))
+    assert same_bits(rows.align, alignment_by_parts(rows))
+    for i, row in enumerate(rows):
+        alone = extract_bogoliubov(states[i], ModeSelector.for_mode(m - 1, m))
+        for one in (row, rows[i], alone):
+            assert type(one.align) is float
+            assert same_bits(one.align, alignment_by_parts(one))
+            assert same_bits(one.align, rows.align[i])
+
+
 def test_single_mode_family_broadcasts_bitwise():
     phi = np.linspace(0.0, 2.0 * np.pi, 9)
     alpha = np.linspace(0.0, 12.0, 9)
@@ -233,6 +257,20 @@ def test_single_mode_family_reports_first_bad_entry():
         single_mode_family(2.0, 3.0, np.array([1.0, -1.0]), 0.0)
     with pytest.raises(ValueError, match="finite"):
         single_mode_family(2.0, 3.0, 1.0, np.array([0.0, np.nan]))
+
+
+def test_single_mode_family_raises_its_first_failing_entry_for_any_check():
+    """Entry 2 fails only the covariance's range check, entry 5 the
+    thermal-factor check: the stack raises entry 2's error, as every
+    stacked builder does, not the first error of a check run stack-wide."""
+    n_g, s_db = [1.0, 1.0, 1.0, 1.0, 1.0, 0.5], [0.0, 0.0, 400.0, 0.0, 0.0, 0.0]
+    with pytest.raises(NumericDegenerateError) as alone:
+        single_mode_family(n_g[2], s_db[2], 0.0, 0.0)
+    with pytest.raises(NumericDegenerateError) as stacked:
+        single_mode_family(n_g, s_db, 0.0, 0.0)
+    assert str(stacked.value) == str(alone.value)
+    with pytest.raises(ValueError, match=r"^thermal factor must be >= 1, got 0\.5$"):
+        single_mode_family(n_g[3:], s_db[3:], 0.0, 0.0)
 
 
 def bad_rows(m):
