@@ -7,7 +7,8 @@ reachable envelope ``bound_f`` obtained by aligning all angle factors, its
 maximum over the displacement, and the monotone bound in the noise-balance
 variable zeta.  Every one of them reads the aggregates that a
 ``BogoliubovRow`` sums when it is built, among them the alignment term
-Re(conj(alpha_g)^2 cross) that the closed form reads too.
+Re(conj(alpha_g)^2 cross) that the closed form reads too.  Both
+undisplaced rules read |alpha_g|^2 <= ``ZERO_DISPLACEMENT_SQ``.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InconsistentRowError, SubtractionFromVacuumError
+from .errors import InconsistentRowError
 from .gaussian import require_single
-from .subtraction import VACUUM_THRESHOLD, BogoliubovRow, relative_purity_closed_form
+from .subtraction import BogoliubovRow, relative_purity_closed_form
 
 #: displacement-squared below this counts as undisplaced
 ZERO_DISPLACEMENT_SQ = 1e-24
@@ -110,12 +111,11 @@ def purification_conditions(row: BogoliubovRow) -> BoundReport:
     ``threshold_alpha_sq``.  Undisplaced rows are never purifiable (the
     ratio then never exceeds 1).  When the direction term vanishes the
     threshold is undefined and the verdict falls back to the exact boundary
-    check (gain numerator >= 0, i.e. ratio = 1).
+    check (gain numerator >= 0, i.e. ratio = 1).  A built row is normalized
+    and not empty, so this raises nothing for one row.
     """
     require_single(row, "purification_conditions")
     x, y, z, cross, a2 = row.x, row.y, row.z, row.cross, row.alpha_sq
-    if y + a2 <= VACUUM_THRESHOLD:
-        raise SubtractionFromVacuumError("row describes an empty mode")
     direction = row.align / a2 if a2 > ZERO_DISPLACEMENT_SQ else cross.real
     # gain numerator: ratio >= 1  iff  x^2 + 2|cross|^2 - y^2 + 4 a2 dir >= 0
     gain = x * x + 2.0 * row.cross_sq - y * y + 4.0 * a2 * direction
@@ -146,7 +146,7 @@ def zero_displacement_ratio_bound(row: BogoliubovRow) -> float:
     interval as an internal inconsistency.
     """
     require_single(row, "zero_displacement_ratio_bound")
-    if abs(row.alpha_g) >= 1e-12:
+    if row.alpha_sq > ZERO_DISPLACEMENT_SQ:
         raise ValueError("row is displaced; the undisplaced bound does not apply")
     ratio = relative_purity_closed_form(row)
     if not 0.5 - 1e-10 <= ratio <= 1.0 + 1e-10:

@@ -26,7 +26,9 @@ and the aggregates that the closed form and the purification conditions
 (``bounds``) read: x, y, z, cross, |alpha_g|^2, |cross|^2 and the alignment
 term Re(conj(alpha_g)^2 cross).  ``relative_purity_closed_form`` takes a
 stack of rows and returns one ratio per row; the purification conditions
-take one row, ``rows[i]``.
+take one row, ``rows[i]``.  A row refuses a defect above ``ROW_TOL`` and an
+empty mode when it is built, by the empty-mode rule ``SubtractedState``
+keeps too, so those two functions raise nothing.
 
 The prefactor-moment route takes stacks too: ``subtract_photon`` of a stack
 of states (one selector or a stack of them) is a stacked
@@ -63,7 +65,7 @@ from .gaussian import (
     williamson,
 )
 
-#: photon subtraction is undefined below this mean-photon-scaled threshold
+#: photon subtraction is undefined from a mode with <n_g> at or below this
 VACUUM_THRESHOLD = 1e-12
 
 #: how far a row's normalization may stray from 1, and a noise factor below 1
@@ -77,11 +79,16 @@ _ROOT_MAX = math.sqrt(sys.float_info.max)
 # subtracted states
 # ---------------------------------------------------------------------------
 
-def _refuse_normalization(norm: float):
-    """The refusal of a subtracted mode whose normalization 4<n_g> squares
-    past float64: its purity and moments divide by that square."""
-    raise NumericDegenerateError(f"normalization 4<n_g> = {norm:.3e} of the subtracted mode "
-                                 "overflows float64 when squared")
+def _check_normalization(norm: float):
+    """The one rule for 4<n_g> on both routes: an empty mode, <n_g> <=
+    ``VACUUM_THRESHOLD``, has no photon to subtract, and a norm that squares
+    past float64 (or NaN) cannot divide the purity and moments."""
+    if norm <= 4.0 * VACUUM_THRESHOLD:  # the factor 4 is exact
+        raise SubtractionFromVacuumError(
+            f"cannot subtract a photon from an empty mode: <n_g> = {norm / 4.0:.3e}")
+    if not norm <= _ROOT_MAX:
+        raise NumericDegenerateError(f"normalization 4<n_g> = {norm:.3e} of the subtracted mode "
+                                     "overflows float64 when squared")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -126,10 +133,7 @@ class SubtractedState(_Stack):
         scale = np.abs(rows).max(axis=(1, 2)).tolist()
         # every check of a row before the next row: the first failing row raises
         for n, a, c in zip(np.ravel(norm).tolist(), asym, scale):
-            if n <= VACUUM_THRESHOLD:
-                raise SubtractionFromVacuumError("cannot subtract a photon from an empty mode")
-            if not n <= _ROOT_MAX:  # also NaN: the purity and moments divide by n * n
-                _refuse_normalization(n)
+            _check_normalization(n)
             if a > 1e-10 * max(1.0, c):
                 raise ValueError("quadratic prefactor must be symmetric")
         # read-only, as the cached centered prefactor is computed from them
@@ -180,6 +184,8 @@ class BogoliubovRow(_Stack):
     ``abs(c) * abs(c)`` of Python's ``abs``, and the alignment term
     ``align`` = Re(conj(alpha_g)^2 cross), expanded in real arithmetic;
     N-vectors on a stack, whose ``rows[i]`` carries row i's as Python scalars.
+    A row refuses a defect above ``ROW_TOL`` and an empty mode,
+    <n_g> = y + |alpha_g|^2, when it is built.
     """
 
     alpha_g: complex
@@ -225,15 +231,16 @@ class BogoliubovRow(_Stack):
         x, y, z, cross, norm = (a.sum(axis=-1) for a in sums)
         # hypot is what Python's abs(complex) computes; NumPy's complex abs rounds otherwise
         mag = np.hypot(alpha.real, alpha.imag)
+        defect = np.abs(norm - 1.0)
         # every row passed the checks above, so the first row to fail here fails first
-        for a, b in zip(mag.reshape(-1).tolist(), y.reshape(-1).tolist()):
-            norm4 = 4.0 * (b + a * a)  # Python floats: past float64 is inf, with no warning
-            if not math.isfinite(norm4 * norm4):
-                _refuse_normalization(norm4)
+        for a, b, d in zip(*(v.reshape(-1).tolist() for v in (mag, y, defect))):
+            _check_normalization(4.0 * (b + a * a))  # Python floats: no overflow warning
+            if d > ROW_TOL:
+                raise InconsistentRowError(f"row violates normalization by {d:.3e}")
         alpha_sq, cross_sq = np.square(mag), np.square(np.hypot(cross.real, cross.imag))
         ar, ai = alpha.real, alpha.imag
         align = (ar * ar - ai * ai) * cross.real + 2.0 * (ar * ai) * cross.imag
-        fields = dict(x=x, y=y, z=z, cross=cross, defect=np.abs(norm - 1.0), alpha_sq=alpha_sq,
+        fields = dict(x=x, y=y, z=z, cross=cross, defect=defect, alpha_sq=alpha_sq,
                       cross_sq=cross_sq, align=align, k=k, l=l, noise=n, alpha_g=alpha)
         for name, value in fields.items():
             object.__setattr__(self, name, value.item() if value.ndim == 0 else value)
@@ -292,13 +299,10 @@ def subtract_photon(state: GaussianState, selector: ModeSelector) -> SubtractedS
         v = _stacked(state.covariance, 2)
         alpha = _stacked(state.displacement, 1)
         g = selector.matrix
-        # a normalization that squares past float64 is refused by SubtractedState
+        # SubtractedState refuses an empty mode and a norm that squares past float64
         with np.errstate(over="ignore", invalid="ignore"):
             photons, v_g, a_g = _selected_mode(v, alpha, g)
             norm = 4.0 * photons
-            for n in norm.tolist():
-                if n <= VACUUM_THRESHOLD:
-                    raise SubtractionFromVacuumError(f"selected mode holds {n / 4.0:.2e} photons")
             gt, col = g.swapaxes(-1, -2), alpha[..., None]
             x_t = (gt @ (v - np.eye(v.shape[-1]))).swapaxes(-1, -2)  # X^T
             m_t = np.linalg.solve(v.swapaxes(-1, -2), x_t)  # (X V^-1)^T
@@ -393,15 +397,10 @@ def relative_purity_closed_form(row: BogoliubovRow) -> float | np.ndarray:
 
     and always lies in [1/2, 1.2).  A stack of rows gives an N-vector, one
     row a Python float.  Only +, -, * and / act on the row's fields, so each
-    entry of a stack rounds as its row alone; the rows are checked in order,
-    so a stack raises its first failing row's error.
+    entry of a stack rounds as its row alone.  A built row is normalized and
+    not empty, so this raises nothing.
     """
     denom = row.y + row.alpha_sq
-    for defect, d in zip(np.atleast_1d(row.defect).tolist(), np.atleast_1d(denom).tolist()):
-        if defect > ROW_TOL:
-            raise InconsistentRowError(f"row violates normalization by {defect:.3e}")
-        if d <= VACUUM_THRESHOLD:
-            raise SubtractionFromVacuumError("row describes an empty mode")
     a2 = row.alpha_sq
     num = 0.5 * (row.x * row.x) + 0.5 * (a2 * a2) + row.cross_sq + 2.0 * row.align + a2 * row.y
     return 0.5 + num / (denom * denom)

@@ -1,9 +1,13 @@
 """Purification conditions, the gain envelope and its bounds."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from pspurity import (
+    BogoliubovRow,
+    InconsistentRowError,
     ModeSelector,
     bound_f,
     bound_f_max,
@@ -297,3 +301,45 @@ def test_zero_displacement_fuzz():
         row = extract_bogoliubov(state, ModeSelector.for_mode(seed % m, m))
         val = zero_displacement_ratio_bound(row)
         assert 0.5 - 1e-10 <= val <= 1.0 + 1e-10
+
+
+def test_undisplaced_rule_is_one_for_both_functions():
+    """alpha_g = 1e-12 has |alpha_g|^2 = 1e-24 = ZERO_DISPLACEMENT_SQ: the
+    conditions and the undisplaced bound both take the row as undisplaced."""
+    row = BogoliubovRow(1e-12 + 0j, [0.3], [np.sqrt(1.09)], [2.0])
+    assert row.alpha_sq == ZERO_DISPLACEMENT_SQ
+    report = purification_conditions(row)
+    assert report.threshold_alpha_sq is None and not report.purifiable
+    assert zero_displacement_ratio_bound(row) == relative_purity_closed_form(row)
+    with pytest.raises(ValueError, match="row is displaced"):
+        zero_displacement_ratio_bound(BogoliubovRow(2e-12 + 0j, [0.3], [np.sqrt(1.09)], [2.0]))
+
+
+def test_unnormalized_row_is_refused_when_built():
+    """A row with normalization defect 0.75 never reaches the conditions."""
+    with pytest.raises(InconsistentRowError, match=r"^row violates normalization by 7\.500e-01$"):
+        BogoliubovRow(1.0, [0.0], [0.5], [2.0])
+
+
+# sha256 of the repr of every (ratio, zeta, condition_direction,
+# threshold_alpha_sq, f_alpha, f_max, purifiable) of the corpus below, recorded
+# from the code whose closed form and conditions checked each row themselves
+CORPUS_DIGEST = "181cfbd71bd79737e77646b6113b4898608ec89d30203ff6b673a0a7e04ad38e"
+
+
+def test_checks_at_construction_keep_every_bit():
+    """40,000 rows: m = 1..4, 5,000 displaced (seeds 10,000 m + 0..4,999) and
+    5,000 undisplaced (10,000 m + 5,000..9,999), one stacked extraction each,
+    subtracting mode seed mod m."""
+    entries = []
+    for m in range(1, 5):
+        for start, d_max in ((0, 8.0), (5_000, 0.0)):
+            seeds = [10_000 * m + start + i for i in range(5_000)]
+            states = random_state(m, seeds, d_max=d_max)
+            rows = extract_bogoliubov(states, ModeSelector.for_mode([s % m for s in seeds], m))
+            for row, ratio in zip(rows, relative_purity_closed_form(rows).tolist()):
+                r = purification_conditions(row)
+                entries.append((ratio, r.zeta, r.condition_direction, r.threshold_alpha_sq,
+                                r.f_alpha, r.f_max, r.purifiable))
+    assert len(entries) == 40_000
+    assert hashlib.sha256(repr(entries).encode()).hexdigest() == CORPUS_DIGEST

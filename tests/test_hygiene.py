@@ -3,7 +3,8 @@ module-level function is referenced somewhere else in the package, and every
 public one (function or class) somewhere in the package, the tests or the
 benchmark harness; ``import pspurity``, ``pspurity fuzz`` and the fig1a and
 fig1b sweeps load no SciPy; the stackable classes state their row protocol
-once; and the benchmark's self-test passes against this source."""
+once; one function reads the empty-mode threshold; and the benchmark's
+self-test passes against this source."""
 
 import ast
 import os
@@ -229,6 +230,47 @@ def test_stacks_state_their_row_protocol_once():
         assert defined.isdisjoint({"_rows", "_iter_rows", "_replay_rows"}), module
         assert not any(isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Name)
                        and node.type.id == "ValueError" for node in ast.walk(tree)), module
+
+
+def readers(sources: dict, name: str) -> list[str]:
+    """``module:function`` of each innermost function that reads ``name``, as
+    a bare name or an attribute (``module:`` at module level), once each."""
+    found = []
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if ((isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load))
+                or (isinstance(node, ast.Attribute) and node.attr == name)):
+            found.append(f"{module}:{scope}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for module, text in sources.items():
+        visit(ast.parse(text), module, "")
+    return sorted(set(found))
+
+
+def test_readers_detected():
+    sources = {"a.py": "LIMIT = 1\n\nclass A:\n    def check(self, n):\n"
+                       "        def inner():\n            return n <= LIMIT\n"
+                       "        return inner()\n",
+               "b.py": "from . import a\n\nX = a.LIMIT\n"}
+    assert readers(sources, "LIMIT") == ["a.py:inner", "b.py:"]
+
+
+def test_one_empty_mode_rule():
+    """The empty-mode threshold is read by one function, the rule both purity
+    routes call when a row or a subtracted state is built, and the closed
+    form and the purification conditions, which take a built row, refuse
+    nothing themselves."""
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert readers(sources, "VACUUM_THRESHOLD") == ["subtraction.py:_check_normalization"]
+    for module, function in (("subtraction.py", "relative_purity_closed_form"),
+                             ("bounds.py", "purification_conditions")):
+        (node,) = (node for node in ast.parse(sources[module]).body
+                   if isinstance(node, ast.FunctionDef) and node.name == function)
+        assert not any(isinstance(inner, ast.Raise) for inner in ast.walk(node)), function
 
 
 def test_benchmark_harness_selftest_passes():

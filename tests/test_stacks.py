@@ -371,25 +371,21 @@ def test_bogoliubov_stack_raises_the_error_of_its_bad_row():
 
 
 def test_stacked_closed_form_raises_the_error_of_its_first_bad_row():
-    # rows: good (y = 1), empty (y = 0, undisplaced), normalization defect 3
-    good, empty, defect = (subtraction.BogoliubovRow(0j, np.zeros(1), np.array([l]),
-                                                      np.array([n]))
-                           for l, n in ((1.0, 3.0), (1.0, 1.0), (2.0, 3.0)))
-    bad, errors = {"empty": empty, "defect": defect}, {}
-    for name, row in bad.items():
+    # rows (l, noise): good (y = 1), empty (y = 0, undisplaced), normalization
+    # defect 3; the bad rows are refused when they are built
+    good, bad = (1.0, 3.0), {"empty": (1.0, 1.0), "defect": (2.0, 3.0)}
+    errors = {}
+    for name, (l, n) in bad.items():
         with pytest.raises(ValueError) as alone:
-            relative_purity_closed_form(row)
+            subtraction.BogoliubovRow(0j, np.zeros(1), np.array([l]), np.array([n]))
         errors[name] = alone.value
     assert type(errors["empty"]) is SubtractionFromVacuumError
     assert type(errors["defect"]) is InconsistentRowError
     for order in (("empty", "defect"), ("defect", "empty")):
-        rows = [good, *(bad[name] for name in order), good]
-        stack = subtraction.BogoliubovRow(np.zeros(4, dtype=complex),
-                                          np.stack([r.k for r in rows]),
-                                          np.stack([r.l for r in rows]),
-                                          np.stack([r.noise for r in rows]))
+        rows = np.array([good, *(bad[name] for name in order), good])
         with pytest.raises(ValueError) as stacked:
-            relative_purity_closed_form(stack)
+            subtraction.BogoliubovRow(np.zeros(4, dtype=complex), np.zeros((4, 1)),
+                                      rows[:, :1], rows[:, 1:])
         first = errors[order[0]]
         assert type(stacked.value) is type(first) and str(stacked.value) == str(first)
 

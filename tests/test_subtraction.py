@@ -56,6 +56,25 @@ def test_subtract_from_vacuum_raises():
         subtract_photon(make_vacuum(1), selector1())
 
 
+def test_both_routes_share_one_empty_mode_rule():
+    """<n_g> = 5.0e-13 lies between the two thresholds the routes once kept
+    apart, (1/4) 1e-12 and 1e-12: the prefactor route and the row both
+    refuse it, with one message; at <n_g> = 2e-12 both give a ratio."""
+    sel = selector1()
+    empty = make_thermal([1.0 + 1e-12])
+    messages = []
+    for route in (subtract_photon, extract_bogoliubov):
+        with pytest.raises(SubtractionFromVacuumError) as info:
+            route(empty, sel)
+        messages.append(str(info.value))
+    assert messages == ["cannot subtract a photon from an empty mode: <n_g> = 5.000e-13"] * 2
+    state = make_thermal([1.0 + 4e-12])
+    assert purity_subtracted(subtract_photon(state, sel)) / purity_gaussian(state) == \
+        pytest.approx(1.0, abs=1e-10)
+    assert relative_purity_closed_form(extract_bogoliubov(state, sel)) == \
+        pytest.approx(1.0, abs=1e-10)
+
+
 def test_coherent_state_is_fixed_point():
     state = apply_displacement(make_vacuum(1), [12.0, 0.0])
     sub = subtract_photon(state, selector1())
@@ -115,7 +134,7 @@ def test_bogoliubov_row_rejects_non_finite(name, bad):
     fields = {
         "alpha_g": 0.5 + 0.25j,
         "k": np.array([0.3, 0.1]),
-        "l": np.array([1.0, 0.2]),
+        "l": np.array([np.sqrt(1.06), 0.2]),  # normalized: 1.06 + 0.04 - 0.09 - 0.01 = 1
         "noise": np.array([1.5, 2.0]),
     }
     BogoliubovRow(**fields)
