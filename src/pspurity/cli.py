@@ -254,23 +254,22 @@ def _cmd_verify(config: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _fuzz_group(m: int, displaced: bool, seeds: tuple, modes: tuple):
-    """(states, rows) of one fuzz group: each row that of its seed's state
-    with that state's own subtracted mode, or the library error it raised.
-    The group is drawn and extracted as one stack, with a stacked selector;
-    if that raises, it is replayed one state at a time, so every error names
-    its own seed."""
-    d_max = 8.0 if displaced else 0.0
+def _fuzz_group(m: int, seeds, d_max, modes):
+    """(states, rows) of the fuzz states of one mode count: each row that of
+    its seed's state, drawn with its own d_max, with its own subtracted mode,
+    or the library error it raised.  The group is drawn and extracted as one
+    stack, with a stacked selector; if that raises, it is replayed one state
+    at a time, so every error names its own seed."""
     try:
         states = random_state(m, seeds, d_max=d_max)
         return states, extract_bogoliubov(states, ModeSelector.for_mode(modes, m))
     except PspurityError:
         pass
     states, rows = [], []
-    for seed, g in zip(seeds, modes):
+    for seed, d, g in zip(seeds, d_max, modes):
         state = None
         try:
-            state = random_state(m, seed, d_max=d_max)
+            state = random_state(m, seed, d_max=d)
             row = extract_bogoliubov(state, ModeSelector.for_mode(g, m))
         except PspurityError as exc:
             row = exc
@@ -296,23 +295,24 @@ def _fuzz_problems(ratio: float, report, displaced: bool) -> list:
 
 
 def _cmd_fuzz(config: RunConfig) -> int:
-    """Draw (m, seed, displaced, g) per state from the ``--seed`` generator,
-    build and extract each (m, displaced) group as one stack, then check the
-    closed form and the conditions state by state."""
+    """Draw every state's (m, seed, displaced, g) from the ``--seed``
+    generator in two array calls (uniforms for m, the flag and g, then raw
+    words for the seeds), build and extract the states of each mode count as
+    one stack, then check the closed form and the conditions state by
+    state."""
     rng = np.random.default_rng(config.seed)
-    groups = {}
-    for i in range(config.count):
-        m = int(rng.integers(1, 5))
-        seed = int(rng.integers(0, 2**63 - 1))
-        displaced = bool(rng.random() < 0.8)
-        g = int(rng.integers(0, m))
-        groups.setdefault((m, displaced), []).append((i, seed, g))
+    u = rng.random((3, config.count)).tolist()
+    state_seeds = (rng.bit_generator.random_raw(config.count) >> np.uint64(1)).tolist()
+    groups = {}  # m -> (index, seed, displaced, g) of its states, in state order
+    for i, (a, b, c, seed) in enumerate(zip(*u, state_seeds)):
+        m = 1 + int(4.0 * a)
+        # m c rounds below m for c < 1 and m <= 4
+        groups.setdefault(m, []).append((i, seed, b < 0.8, int(m * c)))
     failures = {}  # state index -> record, reported in state order
-    for (m, displaced), members in groups.items():
-        _, seeds, modes = zip(*members)
-        states, rows = _fuzz_group(m, displaced, seeds, modes)
-        for j, ((i, seed, g), outcome) in enumerate(zip(members, rows)):
-            record = {"seed": seed, "modes": m, "displaced": displaced, "subtract_mode": g}
+    for m, members in groups.items():
+        index, seeds, displaced, modes = zip(*members)
+        states, rows = _fuzz_group(m, seeds, [8.0 if flag else 0.0 for flag in displaced], modes)
+        for j, (i, flag, outcome) in enumerate(zip(index, displaced, rows)):
             try:
                 if isinstance(outcome, PspurityError):
                     raise outcome
@@ -321,14 +321,16 @@ def _cmd_fuzz(config: RunConfig) -> int:
             except SubtractionFromVacuumError:
                 continue
             except PspurityError as exc:
-                failures[i] = dict(record, exception=type(exc).__name__, message=str(exc))
-                continue
-            problems = _fuzz_problems(ratio, report, displaced)
-            if problems:
-                state = states[j]
-                failures[i] = dict(record, covariance=state.covariance.tolist(),
-                                   displacement=state.displacement.tolist(),
-                                   problems=problems)
+                details = {"exception": type(exc).__name__, "message": str(exc)}
+            else:
+                problems = _fuzz_problems(ratio, report, flag)
+                if not problems:
+                    continue
+                details = {"covariance": states[j].covariance.tolist(),
+                           "displacement": states[j].displacement.tolist(),
+                           "problems": problems}
+            failures[i] = {"seed": seeds[j], "modes": m, "displaced": flag,
+                           "subtract_mode": modes[j], **details}
     failures = [failures[i] for i in sorted(failures)]
     if config.output:  # every record; a clean run writes []
         with open(config.output, "w") as fh:

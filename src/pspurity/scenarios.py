@@ -11,6 +11,7 @@ rather than hard-coding one.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -178,9 +179,9 @@ def topology_search(alpha: float = 1.6, s_db: float = 3.0):
 # random states
 # ---------------------------------------------------------------------------
 
-#: the squeezing signs random_state draws from: indexing by rng.integers(0, 2)
-#: gives rng.choice([-1.0, 1.0])'s draw and stream at a fraction of its cost
-_SIGNS = np.array([-1.0, 1.0])
+#: a seed is Philox's 128-bit key, as the words seed mod 2**64 and seed // 2**64
+_SEED_LIMIT = 2**128
+_WORD = 2**64 - 1
 
 
 def _random_orthogonal_symplectic(z: np.ndarray) -> np.ndarray:
@@ -210,49 +211,65 @@ def random_state(
     magnitudes log-uniform in [min(0.01, r_max), r_max] (covers
     near-identity and strongly squeezed regimes; r = 0 when r_max is 0).
     Displacement amplitudes per mode are uniform in [0, d_max].  Identical
-    seeds give byte-identical states; a seed is a non-negative integer.  The
-    ranges must be finite with n_max >= 1, r_max >= 0 and d_max >= 0.
+    seeds give byte-identical states; a seed is an integer in [0, 2**128).
+    The ranges must be finite with n_max >= 1, r_max >= 0 and d_max >= 0.
 
     ``seed`` may be a sequence: the result is then a stack with one state per
-    seed, each bit for bit the state of its own seed.  Every state draws from
-    its own ``default_rng(seed)`` in four calls: the uniforms of n and log r,
-    the signs, the Gaussian matrices and the uniforms of the displacement.
-    The maps ``low + (high - low) u`` that ``Generator.uniform`` applies, and
-    the matrix algebra, run once on the stack.
+    seed, each bit for bit the state of its own seed, and ``d_max`` may be
+    one value per seed.  A state reads NumPy's counter-based ``Philox``
+    with key words (seed mod 2**64, seed // 2**64) from counter 0: one
+    ``random`` fill of 5 m uniforms (n, log r, the sign of r from u < 1/2,
+    the displacement amplitude, its phase) and one ``standard_normal`` fill
+    of the two complex m x m Gaussian matrices.  Every draw is made whatever
+    the ranges, so ``d_max`` only scales the amplitudes and a state is a
+    function of (m, seed, ranges).  The maps ``low + (high - low) u``, as
+    ``Generator.uniform`` applies them, and the matrix algebra run once on
+    the stack.
     """
     if not _is_integer(num_modes) or num_modes < 1:
         raise ValueError(f"num_modes must be an integer of at least 1, got {num_modes!r}")
-    if not (np.isfinite([n_max, r_max, d_max]).all()
-            and n_max >= 1.0 and r_max >= 0.0 and d_max >= 0.0):
-        raise ValueError(
-            f"random_state needs finite n_max >= 1, r_max >= 0 and d_max >= 0, "
-            f"got {n_max}, {r_max}, {d_max}"
-        )
     m = int(num_modes)
     stacked = np.ndim(seed) > 0
     seeds = list(seed) if stacked else [seed]
     if not seeds:
         raise ValueError("need at least one seed")
     for i, one in enumerate(seeds):
+        name = f"seed[{i}]" if stacked else "seed"
         if not _is_integer(one) or one < 0:
-            name = f"seed[{i}]" if stacked else "seed"
             raise ValueError(f"{name} must be a non-negative integer, got {one!r}")
-    r_top = r_max or 0.01  # r_max = 0 draws 0.01 (zeroed below): the same stream
-    low = np.array([1.0, np.log(min(0.01, r_top)), 0.0, 0.0])
-    span = np.array([n_max, np.log(r_top), d_max, 2.0 * np.pi]) - low
-    # per state: uniforms of n, log r, mag and phase; signs; re and im of two matrices
-    u = np.zeros((len(seeds), 4, m))  # mag stays 0 when d_max is 0
-    flips = np.empty((len(seeds), m), dtype=np.int64)
+        seeds[i] = int(one)
+        if seeds[i] >= _SEED_LIMIT:
+            raise ValueError(f"{name} = {one} does not fit a 128-bit Philox key")
+    d_max = np.asarray(d_max, dtype=float)
+    if d_max.ndim and (not stacked or d_max.shape != (len(seeds),)):
+        raise ValueError(f"d_max must be one value or one per seed, got shape {d_max.shape}")
+    if not (math.isfinite(n_max) and math.isfinite(r_max) and n_max >= 1.0 and r_max >= 0.0
+            and 0.0 <= d_max.min() and d_max.max() < math.inf):  # NaN fails both
+        raise ValueError(
+            f"random_state needs finite n_max >= 1, r_max >= 0 and d_max >= 0, "
+            f"got {n_max}, {r_max}, {d_max}"
+        )
+    # per state: uniforms of n, log r, the sign of r, amplitude and phase; the
+    # re and im of O1's and O2's Gaussian matrices
+    u = np.empty((len(seeds), 5, m))
     gauss = np.empty((len(seeds), 2, 2, m, m))
-    for i, one in enumerate(seeds):
-        rng = np.random.default_rng(one)
-        rng.random(out=u[i, :2])
-        flips[i] = rng.integers(0, 2, m)
-        rng.standard_normal(out=gauss[i])
-        rng.random(out=u[i, 2:] if d_max > 0 else u[i, 3])
-    n, r, mag, phase = (low[:, None] + span[:, None] * u).swapaxes(0, 1)
+    bits = np.random.Philox(key=seeds[0])  # the first state's key; the others reset it
+    gen = np.random.Generator(bits)
+    start = bits.state if len(seeds) > 1 else None  # counter 0, empty buffer
+    for i, (uniforms, normals) in enumerate(zip(u, gauss)):
+        if i:
+            start["state"]["key"] = (seeds[i] & _WORD, seeds[i] >> 64)
+            bits.state = start
+        gen.random(out=uniforms)
+        gen.standard_normal(out=normals)
+    r_top = r_max or 0.01  # any finite map for r_max = 0: r is zeroed below
+    r_low = math.log(min(0.01, r_top))
+    low = np.array([[1.0], [r_low], [0.0], [0.0], [0.0]])
+    span = np.array([[n_max - 1.0], [math.log(r_top) - r_low], [1.0], [1.0], [2.0 * math.pi]])
+    n, r, sign, mag, phase = (low + span * u).swapaxes(0, 1)
+    r = np.copysign(np.exp(r), sign - 0.5)  # negative where u < 1/2
+    mag = mag * d_max[..., None]  # one d_max, or one per state
     z = gauss[:, :, 0] + 1j * gauss[:, :, 1]
-    r = np.exp(r) * _SIGNS[flips]
     if r_max == 0.0:
         r[:] = 0.0
     o = _random_orthogonal_symplectic(z / np.sqrt(2.0))  # O1 and O2 of each state

@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -106,9 +105,14 @@ class SubtractedState(_Stack):
     ``W(b) = (c0 + c1.b + b^T c2 b) * W_gauss(b) / normalization``
     where ``W_gauss`` is the Wigner function of ``base`` and the
     normalization equals ``|a_g|^2 + tr(V_g) - 2`` (four times the mean
-    photon number of the subtracted mode).  A stack of N subtracted states
-    has a stacked ``base``, N-vectors ``c0`` and ``normalization``, N x 2m
-    ``c1`` and N x 2m x 2m ``c2``; one state holds Python floats.
+    photon number of the subtracted mode).  ``d0`` and ``d1`` are the
+    constant and linear coefficients of the same prefactor in
+    w = b - displacement, which the purity, the moments and the marginals
+    read.  A builder that has them passes them: recovered from c0 and c1
+    they cancel by about |displacement|^2.  Left out, they are recovered.
+    A stack of N subtracted states has a stacked ``base``, N-vectors ``c0``,
+    ``d0`` and ``normalization``, N x 2m ``c1`` and ``d1`` and N x 2m x 2m
+    ``c2``; one state holds Python floats.
     """
 
     base: GaussianState
@@ -116,6 +120,8 @@ class SubtractedState(_Stack):
     c1: np.ndarray
     c2: np.ndarray
     normalization: float
+    d0: float = field(default=None, kw_only=True, repr=False, compare=False)
+    d1: np.ndarray = field(default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
         c0 = np.asarray(self.c0, dtype=float)
@@ -136,31 +142,36 @@ class SubtractedState(_Stack):
             _check_normalization(n)
             if a > 1e-10 * max(1.0, c):
                 raise ValueError("quadratic prefactor must be symmetric")
-        # read-only, as the cached centered prefactor is computed from them
-        object.__setattr__(self, "c0", _read_only(c0) if stacked else c0.item())
-        object.__setattr__(self, "c1", _read_only(c1))
-        object.__setattr__(self, "c2", _read_only((0.5 * (rows + c2t)).reshape(c2.shape)))
-        object.__setattr__(self, "normalization", _read_only(norm) if stacked else norm.item())
+        c2 = (0.5 * (rows + c2t)).reshape(c2.shape)
+        if (self.d0 is None) != (self.d1 is None):
+            raise ValueError("give both d0 and d1 or neither")
+        if self.d0 is None:  # recovered from the b-monomials
+            alpha = _stacked(self.base.displacement, 1)
+            c1s, c2s, col = _stacked(c1, 1), _stacked(c2, 2), alpha[..., None]
+            d1 = (c1s + (2.0 * c2s @ col)[..., 0]).reshape(c1.shape)
+            d0 = (np.ravel(c0) + (c1s[:, None] @ col)[:, 0, 0]
+                  + (alpha[:, None] @ c2s @ col)[:, 0, 0]).reshape(c0.shape)
+        else:
+            d0 = np.asarray(self.d0, dtype=float)
+            d1 = np.asarray(self.d1, dtype=float)
+            if d0.shape != c0.shape or d1.shape != c1.shape:
+                raise ValueError("d0 and d1 must match c0 and c1")
+        # read-only: the purity, the moments and the marginals all read them
+        for name, value in (("c0", c0), ("c1", c1), ("c2", c2), ("normalization", norm),
+                            ("d0", d0), ("d1", d1)):
+            object.__setattr__(self, name, _read_only(value) if value.ndim else value.item())
 
     _AXIS = ("c1", 1)
 
-    @cached_property
+    @property
     def _centered(self) -> tuple:
-        """``prefactor_centered`` with a leading state axis, N = 1 for one
-        state: computed once per subtracted state, which the purity, the
-        moments and the marginals all read, and read-only."""
-        alpha = _stacked(self.base.displacement, 1)
-        c1, c2, col = _stacked(self.c1, 1), _stacked(self.c2, 2), alpha[..., None]
-        d1 = c1 + (2.0 * c2 @ col)[..., 0]
-        d0 = self.c0 + (c1[:, None] @ col)[:, 0, 0] + (alpha[:, None] @ c2 @ col)[:, 0, 0]
-        d0.flags.writeable = d1.flags.writeable = False
-        return d0, d1, c2
+        """(d0, d1, C2) with a leading state axis, N = 1 for one state."""
+        return np.array(self.d0, ndmin=1), _stacked(self.d1, 1), _stacked(self.c2, 2)
 
     def prefactor_centered(self) -> tuple:
         """(d0, d1, C2) of the prefactor in w = b - displacement (an N-vector,
         N x 2m and N x 2m x 2m for a stack)."""
-        d0, d1, c2 = self._centered
-        return (d0, d1, c2) if self.stacked else (float(d0[0]), d1[0], c2[0])
+        return self.d0, self.d1, self.c2
 
 
 @dataclass(frozen=True)
@@ -312,13 +323,15 @@ def subtract_photon(state: GaussianState, selector: ModeSelector) -> SubtractedS
             # expand |M (b - a0) + a_g|^2 + trace_term into b-monomials
             c2 = m_t @ m_mat
             lin_w = 2.0 * m_t @ a_g  # linear coefficient in w = b - a0
+            a_sq = (a_g.swapaxes(-1, -2) @ a_g)[:, 0, 0]
             c1 = lin_w - 2.0 * c2 @ col
-            c0 = ((alpha[:, None] @ c2 @ col - lin_w.swapaxes(-1, -2) @ col
-                   + a_g.swapaxes(-1, -2) @ a_g)[:, 0, 0] + trace_term)
-        c1 = c1[..., 0]
+            c0 = ((alpha[:, None] @ c2 @ col - lin_w.swapaxes(-1, -2) @ col)[:, 0, 0]
+                  + a_sq + trace_term)
+            d0 = a_sq + trace_term
+        c1, d1 = c1[..., 0], lin_w[..., 0]
         if not state.stacked:
-            c0, c1, c2, norm = c0[0], c1[0], c2[0], norm[0]
-        return SubtractedState(base=state, c0=c0, c1=c1, c2=c2, normalization=norm)
+            c0, c1, c2, norm, d0, d1 = c0[0], c1[0], c2[0], norm[0], d0[0], d1[0]
+        return SubtractedState(base=state, c0=c0, c1=c1, c2=c2, normalization=norm, d0=d0, d1=d1)
 
 
 def subtracted_wigner_fn(sub: SubtractedState):
@@ -483,4 +496,5 @@ def marginal_subtracted(sub: SubtractedState, modes) -> SubtractedState:
     alpha = base.displacement
     c1 = q1 - 2.0 * q2 @ alpha
     c0 = float(q0 - q1 @ alpha + alpha @ q2 @ alpha)
-    return SubtractedState(base=base, c0=c0, c1=c1, c2=q2, normalization=sub.normalization)
+    return SubtractedState(base=base, c0=c0, c1=c1, c2=q2, normalization=sub.normalization,
+                           d0=q0, d1=q1)

@@ -154,12 +154,19 @@ def test_zero_displacement_not_purifiable():
     assert not purification_conditions(row).purifiable
 
 
+def stacked_corpus(first_seed, count):
+    """(seed, row, ratio) of seeds first_seed + 0 .. count - 1: state i has
+    1 + i % 4 modes and subtracts mode i % m, each mode count drawn and
+    extracted as one stack."""
+    for m in range(1, 5):
+        offsets = range(m - 1, count, 4)
+        states = random_state(m, [first_seed + i for i in offsets])
+        rows = extract_bogoliubov(states, ModeSelector.for_mode([i % m for i in offsets], m))
+        yield from zip(offsets, rows, relative_purity_closed_form(rows).tolist())
+
+
 def test_condition_soundness_mini_fuzz():
-    for seed in range(2000):
-        m = 1 + seed % 4
-        state = random_state(m, 90_000 + seed)
-        row = extract_bogoliubov(state, ModeSelector.for_mode(seed % m, m))
-        ratio = relative_purity_closed_form(row)
+    for seed, row, ratio in stacked_corpus(90_000, 2000):
         verdict = purification_conditions(row).purifiable
         assert verdict == (ratio >= 1.0 - 1e-9), (seed, ratio, verdict)
 
@@ -225,11 +232,7 @@ def test_conditions_agree_with_the_phase_route(m, d_max):
 
 
 def test_envelope_dominates_ratio_fuzz():
-    for seed in range(2000):
-        m = 1 + seed % 4
-        state = random_state(m, 130_000 + seed)
-        row = extract_bogoliubov(state, ModeSelector.for_mode(seed % m, m))
-        ratio = relative_purity_closed_form(row)
+    for _, row, ratio in stacked_corpus(130_000, 2000):
         report = purification_conditions(row)
         assert ratio <= report.f_alpha + 1e-9
         assert report.f_alpha <= report.f_max + 1e-9
@@ -323,8 +326,8 @@ def test_unnormalized_row_is_refused_when_built():
 
 # sha256 of the repr of every (ratio, zeta, condition_direction,
 # threshold_alpha_sq, f_alpha, f_max, purifiable) of the corpus below, recorded
-# from the code whose closed form and conditions checked each row themselves
-CORPUS_DIGEST = "181cfbd71bd79737e77646b6113b4898608ec89d30203ff6b673a0a7e04ad38e"
+# when its states moved to keyed Philox draws
+CORPUS_DIGEST = "126644757b51552c4ced16868e441bfede1c608d5119601500ef1acbc9fc4a17"
 
 
 def test_checks_at_construction_keep_every_bit():

@@ -155,15 +155,16 @@ def test_fuzz_small_run_passes(capsys):
 
 def fuzz_plan(seed, count):
     """(modes, state seed, displaced, subtract mode) of each state, drawn
-    from the ``--seed`` generator in the order ``pspurity fuzz`` draws them."""
+    from the ``--seed`` generator as ``pspurity fuzz`` draws them: uniforms
+    for m, the flag and the mode, then the top 63 bits of raw words for the
+    seeds."""
     rng = np.random.default_rng(seed)
-    plan = []
-    for _ in range(count):
-        m = int(rng.integers(1, 5))
-        state_seed = int(rng.integers(0, 2**63 - 1))
-        displaced = bool(rng.random() < 0.8)
-        plan.append((m, state_seed, displaced, int(rng.integers(0, m))))
-    return plan
+    u = rng.random((3, count))
+    state_seed = rng.bit_generator.random_raw(count) // 2
+    m = [1 + math.floor(4.0 * x) for x in u[0].tolist()]
+    displaced = (u[1] < 0.8).tolist()
+    g = [math.floor(k * x) for k, x in zip(m, u[2].tolist())]
+    return list(zip(m, state_seed.tolist(), displaced, g))
 
 
 def fail_extraction_of(monkeypatch, *targets):
@@ -214,7 +215,7 @@ def test_fuzz_records_library_error_and_continues(monkeypatch, capsys):
     assert record["exception"] == "NumericDegenerateError"
     assert record["message"] == "injected"
     assert {"modes", "subtract_mode", "displaced"} <= set(record)
-    # the record alone replays the injected state: the flag picks the stream
+    # the record alone replays the injected state: the flag picks d_max
     m, seed, displaced, _ = plan[2]
     injected = random_state(m, seed, d_max=8.0 if displaced else 0.0)
     replayed = random_state(record["modes"], record["seed"],
@@ -231,9 +232,9 @@ def test_fuzz_failing_group_is_replayed_state_by_state(monkeypatch, capsys):
     from pspurity import cli
 
     plan = fuzz_plan(7, 40)
-    # a group is one (modes, displaced) pair, whatever the subtracted modes
-    group = [i for i, p in enumerate(plan) if (p[0], p[2]) == (plan[0][0], plan[0][2])]
-    assert len({plan[i][3] for i in group}) > 1
+    # a group is one mode count, whatever the subtracted modes and displacements
+    group = [i for i, p in enumerate(plan) if p[0] == plan[0][0]]
+    assert len({plan[i][3] for i in group}) > 1 and {plan[i][2] for i in group} == {True, False}
     # the first group is checked first; its second state comes after
     # state 1, which lies in another group
     later, earlier = group[1], 1
@@ -296,6 +297,36 @@ def test_fuzz_records_a_broken_guarantee_and_skips_a_refused_state(
     rebuilt = random_state(m, seed, d_max=8.0 if displaced else 0.0)
     assert np.array(record["covariance"]).tobytes() == rebuilt.covariance.tobytes()
     assert np.array(record["displacement"]).tobytes() == rebuilt.displacement.tobytes()
+
+
+def test_fuzz_undisplaced_state_of_a_mixed_stack_replays_from_its_record(monkeypatch, capsys):
+    """An undisplaced state, drawn in one stack with displaced states of its
+    mode count, is bit for bit ``random_state(modes, seed, d_max=0.0)``: the
+    record of a guarantee it breaks rebuilds it."""
+    from pspurity import cli
+
+    plan = fuzz_plan(7, 40)
+    target = next(p for p in plan if not p[2] and p[0] > 1)
+    assert any(p[2] for p in plan if p[0] == target[0])
+    m, seed, _, g = target
+    alone = cli.extract_bogoliubov(random_state(m, seed, d_max=0.0), ModeSelector.for_mode(g, m))
+    real_closed = cli.relative_purity_closed_form
+
+    def closed_form(row):
+        same = all(np.array_equal(getattr(row, name), getattr(alone, name))
+                   for name in ("alpha_g", "k", "l", "noise"))
+        return 1.5 if same else real_closed(row)
+
+    monkeypatch.setattr(cli, "relative_purity_closed_form", closed_form)
+    assert main(["fuzz", "--count", "40", "--seed", "7"]) == 1
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out[-1] == "fuzz: 1 violations in 40 states"
+    (record,) = json.loads("\n".join(out[:-1]))
+    assert (record["seed"], record["modes"], record["displaced"]) == (seed, m, False)
+    rebuilt = random_state(record["modes"], record["seed"], d_max=0.0)
+    assert np.array(record["covariance"]).tobytes() == rebuilt.covariance.tobytes()
+    assert np.array(record["displacement"]).tobytes() == rebuilt.displacement.tobytes()
+    assert not rebuilt.displacement.any()
 
 
 @pytest.mark.parametrize("ratio, displaced, report, problem", [

@@ -40,7 +40,6 @@ from pspurity.scenarios import (
     three_mode_circuit,
     topology_search,
 )
-from pspurity.scenarios import _SIGNS
 
 
 def test_single_mode_family_reference():
@@ -222,28 +221,115 @@ def test_random_state_deterministic():
     assert not np.array_equal(a.covariance, c.covariance)
 
 
-def test_random_state_sign_draw_is_rng_choice():
-    """Indexing _SIGNS by integers(0, 2, m) is rng.choice([-1.0, 1.0], m):
-    the same signs, and the generator left in the same state."""
-    for m in range(1, 5):
-        for seed in range(2000):
-            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert np.array_equal(_SIGNS[ours.integers(0, 2, m)], theirs.choice([-1.0, 1.0], m))
-            assert ours.bit_generator.state == theirs.bit_generator.state
+class RecordingGenerator(np.random.Generator):
+    """A Generator that keeps a copy of every array it fills."""
+
+    fills = []
+
+    def random(self, *args, out=None, **kwargs):
+        result = super().random(*args, out=out, **kwargs)
+        self.fills.append(("random", out.copy()))
+        return result
+
+    def standard_normal(self, *args, out=None, **kwargs):
+        result = super().standard_normal(*args, out=out, **kwargs)
+        self.fills.append(("standard_normal", out.copy()))
+        return result
+
+
+def recorded_draws(monkeypatch, m, seeds, **ranges):
+    """(state, [(uniforms, normals) per seed]) of one ``random_state`` call."""
+    RecordingGenerator.fills = []
+    monkeypatch.setattr(np.random, "Generator", RecordingGenerator)
+    state = random_state(m, seeds, **ranges)
+    monkeypatch.undo()
+    kinds, arrays = zip(*RecordingGenerator.fills)
+    assert kinds == ("random", "standard_normal") * (len(kinds) // 2)
+    return state, list(zip(arrays[::2], arrays[1::2]))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**62, 2**64 + 5, 2**128 - 1])
+def test_random_state_reads_philox_keyed_by_its_seed(monkeypatch, seed):
+    """A state's uniforms and normals are the first 5 m and 4 m^2 draws of a
+    fresh ``Generator(Philox(key=seed))``, bit for bit, in a stack as alone;
+    the amplitudes and phases of its displacement are read from them."""
+    for m in (1, 3):
+        for seeds in (seed, [11, seed]):
+            state, draws = recorded_draws(monkeypatch, m, seeds, d_max=2.0)
+            uniforms, normals = draws[-1]
+            fresh = np.random.Generator(np.random.Philox(key=seed))
+            assert uniforms.tobytes() == fresh.random((5, m)).tobytes()
+            assert normals.tobytes() == fresh.standard_normal((2, 2, m, m)).tobytes()
+            mag, phase = 2.0 * uniforms[3], 2.0 * np.pi * uniforms[4]
+            disp = np.concatenate([2.0 * mag * np.cos(phase), 2.0 * mag * np.sin(phase)])
+            assert disp.tobytes() == np.atleast_2d(state.displacement)[-1].tobytes()
+
+
+def test_random_state_seed_fills_both_key_words():
+    """A seed is the 128-bit key: seeds that share their low 64 bits differ,
+    the largest key is taken, and a larger seed is refused by name."""
+    low = random_state(2, 5)
+    for seed in (2**64 + 5, 2**127 + 5):
+        assert low.covariance.tobytes() != random_state(2, seed).covariance.tobytes()
+    random_state(2, [0, 2**128 - 1])
+    for seeds, name in ((2**128, "seed"), ([3, 2**128 + 1], "seed[1]"),
+                        (np.array([2**64 - 1, 2**130], dtype=object), "seed[1]")):
+        bad = seeds if name == "seed" else seeds[1]
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} = {bad} does not fit a "
+                                             rf"128-bit Philox key$"):
+            random_state(1, seeds)
+
+
+def test_random_state_squeezing_sign_is_read_from_a_uniform(monkeypatch):
+    """r < 0 exactly when its uniform is below 1/2.  For one mode
+    V = n O1 diag(e^{2r}, e^{-2r}) O1^T with O1 the rotation by the phase of
+    the first Gaussian draw, so the sign shows as V's variance along O1's
+    first axis against det(V)^{1/2} = n."""
+    seeds = list(range(400))
+    states, draws = recorded_draws(monkeypatch, 1, seeds)
+    signs = set()
+    for cov, (uniforms, normals) in zip(states.covariance, draws):
+        theta = np.arctan2(normals[0, 1, 0, 0], normals[0, 0, 0, 0])
+        axis = np.array([np.cos(theta), np.sin(theta)])
+        stretched = axis @ cov @ axis > np.sqrt(np.linalg.det(cov))
+        assert stretched == (uniforms[2, 0] >= 0.5)
+        signs.add(stretched)
+    assert signs == {True, False}
+
+
+def test_random_state_takes_a_d_max_per_seed():
+    """Each state of a stack with one d_max per seed is bit for bit its own
+    single call; d_max only scales the amplitudes, so d_max = 0 zeroes the
+    displacement of the state that d_max = 8 displaces."""
+    seeds, d_max = [3, 4, 5, 2**64 + 6], [8.0, 0.0, 2.5, 0.0]
+    for m in (1, 2, 4):
+        stack = random_state(m, seeds, d_max=d_max)
+        for i, (seed, d) in enumerate(zip(seeds, d_max)):
+            alone = random_state(m, seed, d_max=d)
+            assert stack.covariance[i].tobytes() == alone.covariance.tobytes()
+            assert stack.displacement[i].tobytes() == alone.displacement.tobytes()
+        undisplaced, displaced = random_state(m, 4, d_max=0.0), random_state(m, 4)
+        assert undisplaced.covariance.tobytes() == displaced.covariance.tobytes()
+        assert not undisplaced.displacement.any() and displaced.displacement.any()
+    for seeds, d_max in ((3, [1.0]), ([3, 4], [1.0, 2.0, 3.0]), ([3, 4], [[1.0, 2.0]])):
+        with pytest.raises(ValueError, match=r"^d_max must be one value or one per seed"):
+            random_state(2, seeds, d_max=d_max)
+    with pytest.raises(ValueError, match="random_state needs"):
+        random_state(2, [3, 4], d_max=[1.0, -1.0])
 
 
 #: sha256 of the covariance and displacement bytes of random_state(m, range(3000))
 #: and of the single seeds 0, 7 and 2**62, for m = 1 .. 4 in turn, per range
-#: setting; recorded before the draws were batched, so they pin the corpus
+#: setting; recorded when the draws moved to keyed Philox, so they pin the corpus
 CORPUS_DIGESTS = {
-    "default": ({}, "1a82b9df93fc45591e168796afb3035a80ed611ca74d644b4e6ea44d75da4a08"),
+    "default": ({}, "1de8df1c1df8172c664913bdbd6d7e075b1db2b56509794b11aa0050115b67bd"),
     "undisplaced": ({"d_max": 0.0},
-                    "8de5b0aa0f3d67394dc2147351d069e96db6204b8e2a654d9606493ebfde0860"),
+                    "fb0062aa4417385b421d6466d4d52116d2239ed50777864b34804a619ddf9d80"),
     "unsqueezed": ({"r_max": 0.0},
-                   "8d3721b0e9197ea3b4c31ace9644ef45620ce6dac8e949a48a42faee5d9633d1"),
+                   "8ba8648f67266785c21bf249386f01bb0f6c16b103f463c0cf8261ef0b168bbe"),
     "narrow": ({"n_max": 3.0, "r_max": 0.6, "d_max": 2.0},
-               "7f23ed0f4315f2952ab4f1d50cc2b56904b8151f3a7d07ce3aa62acef2fb4595"),
-    "pure": ({"n_max": 1.0}, "b61ff0d12bd3c4ab12f640b2ccdb6483b5b725e03b7eb1739a9ede2e47cc2d50"),
+               "71bc3d70e3fc2eb8dd1790f40997bb1f4b3e050474bce07bb8965598c06f2cb3"),
+    "pure": ({"n_max": 1.0}, "3451a92283902499ebcffa468847ddcfd4e9c47b5633e16bc0bcf8e21ffb2a34"),
 }
 
 

@@ -12,6 +12,8 @@ from pspurity import (
     SubtractedState,
     SubtractionFromVacuumError,
     apply_displacement,
+    apply_symplectic,
+    beamsplitter,
     extract_bogoliubov,
     make_thermal,
     make_vacuum,
@@ -22,6 +24,7 @@ from pspurity import (
     purity_subtracted,
     relative_purity_closed_form,
     subtract_photon,
+    two_mode_squeezer,
     wigner_gaussian_at,
     wigner_subtracted_at,
 )
@@ -330,6 +333,35 @@ def test_regime_map():
     assert accepted > 0 and refused > 0
 
 
+@pytest.mark.parametrize("shift", [20.0, 100.0, 1000.0])
+def test_moment_route_keeps_its_accuracy_at_large_displacement(shift):
+    """A two-mode squeezer (r = 0.1) then a beamsplitter (t = 0.9), displaced
+    by (0.3, -shift, 0.1, 0) and subtracted on mode 0: the prefactor-moment
+    purity agrees with the closed form within RANGE_K cond(V) eps at every
+    shift.  Recovered from the b-monomials, the centered prefactor cancels
+    by about shift^2, which put the moment route 190, 2,864 and 6,319
+    cond(V) eps from a 60-digit reference (the closed form: 1.5).  The
+    marginals keep theirs: each integrates to its normalization, and the
+    two one-mode marginals of this pure state are equally pure."""
+    state = apply_symplectic(make_vacuum(2), two_mode_squeezer(0.1, mode_a=0, mode_b=1,
+                                                                num_modes=2))
+    state = apply_symplectic(state, beamsplitter(0.9, 0, 1, 2))
+    state = GaussianState(state.covariance, np.array([0.3, -shift, 0.1, 0.0]))
+    sel = ModeSelector.for_mode(0, 2)
+    lam = np.linalg.eigvalsh(state.covariance)
+    bound = RANGE_K * (lam[-1] / lam[0]) * np.finfo(float).eps
+    closed = relative_purity_closed_form(extract_bogoliubov(state, sel)) * purity_gaussian(state)
+    sub = subtract_photon(state, sel)
+    assert abs(purity_subtracted(sub) - closed) / closed <= bound
+    for modes in ([0], [1], [0, 1]):
+        marg = marginal_subtracted(sub, modes)
+        d0, _, c2 = marg.prefactor_centered()
+        expected = d0 + np.trace(c2 @ marg.base.covariance)
+        assert expected == pytest.approx(marg.normalization, rel=1e-13, abs=0.0)
+    one, two = (purity_subtracted(marginal_subtracted(sub, [j])) for j in (0, 1))
+    assert one == pytest.approx(two, rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("alpha", [1e60, 5.7e76, 5.8e76, 1e100, 1e160])
 def test_displacement_range(alpha):
     """Both routes hold a displacement while the normalization 4<n_g>
@@ -452,6 +484,24 @@ def test_subtracted_state_arrays_are_read_only(count):
     SubtractedState(base=GaussianState(np.eye(4), np.zeros(4)), c0=1.0, c1=c1, c2=c2,
                     normalization=4.0)
     assert c1.flags.writeable and c2.flags.writeable
+
+
+def test_subtracted_state_reads_the_centered_prefactor_it_is_given():
+    """``subtract_photon`` passes d0 and d1, which ``prefactor_centered``
+    returns as given; left out, they are recovered from c0 and c1 (to
+    rounding here, at a displacement of about 5); one without the other, or
+    either of the wrong shape, is refused."""
+    sub = subtract_photon(random_state(2, 5, d_max=2.0), ModeSelector.for_mode(0, 2))
+    d0, d1, c2 = sub.prefactor_centered()
+    assert (d0, d1.tobytes()) == (sub.d0, sub.d1.tobytes())
+    plain = SubtractedState(sub.base, sub.c0, sub.c1, sub.c2, sub.normalization)
+    r0, r1, r2 = plain.prefactor_centered()
+    assert r0 == pytest.approx(d0, rel=1e-12) and np.allclose(r1, d1, rtol=1e-12, atol=1e-12)
+    assert r2.tobytes() == c2.tobytes()
+    for extra, message in (({"d0": d0}, "give both d0 and d1 or neither"),
+                           ({"d0": d0, "d1": d1[:2]}, "d0 and d1 must match c0 and c1")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SubtractedState(sub.base, sub.c0, sub.c1, sub.c2, sub.normalization, **extra)
 
 
 def gathered_marginal(sub, modes):
