@@ -8,6 +8,8 @@ not read are all built from it and the field types.
 Output files are deterministic: identical (command, config, seed) triples
 produce byte-identical bytes, and every file starts with a header naming
 the config hash and the numeric conventions (displacement scale, dB rule).
+A CSV number is the float's ``repr``, made for whole columns at once by
+``floattext`` and written as bytes with ``\\n`` line ends on every platform.
 """
 
 import argparse
@@ -28,6 +30,7 @@ import numpy as np
 from . import __version__
 from .bounds import purification_conditions
 from .errors import PspurityError, SubtractionFromVacuumError
+from .floattext import csv_blocks
 from .gaussian import ModeSelector, gaussian_wigner_fn
 from .scenarios import (
     random_state,
@@ -168,21 +171,24 @@ def _header(config: RunConfig) -> str:
 
 
 def _write_csv(path: str, config: RunConfig, columns: dict):
-    """Write equal-length float columns, each number as its shortest
-    round-trip ``repr``.  ``repr`` runs once per distinct value of a column;
-    values are told apart by bit pattern, so 0.0 and -0.0 are never merged."""
-    fields = []
-    for k, values in enumerate(columns.values(), start=1):
-        col = np.ascontiguousarray(values, dtype=np.float64)
-        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-        text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-        if k == len(columns):
-            text += "\n"  # the last column's text ends each row
-        fields.append(text[inverse].tolist())
-    with open(path, "w") as fh:
-        fh.write(_header(config))
-        fh.write(",".join(columns) + "\n")
-        fh.writelines(map(",".join, zip(*fields, strict=True)))
+    """Write equal-length 1-D float columns, each number as its ``repr``,
+    rendered for every distinct value at once by ``floattext.csv_blocks``.
+    The file is written as bytes, so rows end in ``\\n`` on every platform.
+    Columns that are not 1-D or not all of one length raise ValueError,
+    naming the column, before the file is opened."""
+    arrays = {name: np.ascontiguousarray(values, dtype=np.float64)
+              for name, values in columns.items()}
+    for name, col in arrays.items():
+        if col.ndim != 1:
+            raise ValueError(f"column {name!r} must be 1-D, got shape {col.shape}")
+    first, *rest = arrays
+    for name in rest:
+        if len(arrays[name]) != len(arrays[first]):
+            raise ValueError(f"column {name!r} has {len(arrays[name])} values, "
+                             f"column {first!r} has {len(arrays[first])}")
+    with open(path, "wb") as fh:
+        fh.write((_header(config) + ",".join(arrays) + "\n").encode())
+        fh.writelines(csv_blocks(list(arrays.values())))
 
 
 def _reproduce_sweep(config: RunConfig) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 
 import numpy as np
 
@@ -183,6 +184,19 @@ def topology_search(alpha: float = 1.6, s_db: float = 3.0):
 _SEED_LIMIT = 2**128
 _WORD = 2**64 - 1
 
+#: each thread's Philox and its state at counter 0 with an empty buffer,
+#: built on first use; every draw sets the key first
+_PHILOX = threading.local()
+
+
+def _thread_philox():
+    """This thread's (Philox, start state).  Seeding with 0 builds it without
+    the OS entropy that ``Philox(key=...)`` reads and discards."""
+    if not hasattr(_PHILOX, "bits"):
+        _PHILOX.bits = np.random.Philox(0)
+        _PHILOX.start = _PHILOX.bits.state
+    return _PHILOX.bits, _PHILOX.start
+
 
 def _random_orthogonal_symplectic(z: np.ndarray) -> np.ndarray:
     """Orthogonal symplectic [[Re U, -Im U], [Im U, Re U]] of the Haar unitary
@@ -253,13 +267,11 @@ def random_state(
     # re and im of O1's and O2's Gaussian matrices
     u = np.empty((len(seeds), 5, m))
     gauss = np.empty((len(seeds), 2, 2, m, m))
-    bits = np.random.Philox(key=seeds[0])  # the first state's key; the others reset it
+    bits, start = _thread_philox()
     gen = np.random.Generator(bits)
-    start = bits.state if len(seeds) > 1 else None  # counter 0, empty buffer
-    for i, (uniforms, normals) in enumerate(zip(u, gauss)):
-        if i:
-            start["state"]["key"] = (seeds[i] & _WORD, seeds[i] >> 64)
-            bits.state = start
+    for one, uniforms, normals in zip(seeds, u, gauss):
+        start["state"]["key"] = (one & _WORD, one >> 64)
+        bits.state = start  # counter 0, empty buffer
         gen.random(out=uniforms)
         gen.standard_normal(out=normals)
     r_top = r_max or 0.01  # any finite map for r_max = 0: r is zeroed below

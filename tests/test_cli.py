@@ -6,6 +6,7 @@ import json
 import math
 import shlex
 import struct
+import sys
 import warnings
 from pathlib import Path
 
@@ -79,9 +80,12 @@ def test_fig3_default_config_hash():
 
 def test_csv_column_edge_values(tmp_path):
     """Every field is ``repr`` of its float, distinct bit patterns keep their
-    own text (0.0 and -0.0), and finite fields parse back to the same bits."""
+    own text (0.0 and -0.0, NaN with either sign bit), and finite fields
+    parse back to the same bits."""
+    negative_nan = struct.unpack("<d", struct.pack("<Q", 0xFFF8_0000_0000_0000))[0]
     values = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5,
-              0.1 + 0.2, -0.0, 0.1 + 0.2, 0.0]
+              0.1 + 0.2, -0.0, 0.1 + 0.2, 0.0, negative_nan, sys.float_info.max,
+              -sys.float_info.max, sys.float_info.min, math.nextafter(sys.float_info.min, 0.0)]
     out = tmp_path / "edge.csv"
     _write_csv(str(out), RunConfig(command="reproduce", figure="fig1a"),
                {"v": values, "w": list(reversed(values))})
@@ -93,6 +97,18 @@ def test_csv_column_edge_values(tmp_path):
             assert field == repr(float(value))
             if math.isfinite(value):
                 assert struct.pack("<d", float(field)) == struct.pack("<d", value)
+
+
+def test_csv_refuses_mismatched_columns(tmp_path):
+    """Columns of unequal length or of more than one dimension are refused,
+    naming the column, before the file is opened."""
+    out = tmp_path / "bad.csv"
+    config = RunConfig(command="reproduce", figure="fig1a")
+    with pytest.raises(ValueError, match=r"^column 'b' has 2 values, column 'a' has 3$"):
+        _write_csv(str(out), config, {"a": [1.0, 2.0, 3.0], "b": [1.0, 2.0]})
+    with pytest.raises(ValueError, match=r"^column 'b' must be 1-D, got shape \(2, 2\)$"):
+        _write_csv(str(out), config, {"a": [1.0, 2.0], "b": [[1.0, 2.0], [3.0, 4.0]]})
+    assert not out.exists()
 
 
 def test_fig1b_dataset(tmp_path):

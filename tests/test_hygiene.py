@@ -1,10 +1,11 @@
 """Source hygiene: no module imports a name it never uses, every private
 module-level function is referenced somewhere else in the package, and every
 public one (function or class) somewhere in the package, the tests or the
-benchmark harness; ``import pspurity``, ``pspurity fuzz`` and the fig1a and
-fig1b sweeps load no SciPy; the stackable classes state their row protocol
-once; one function reads the empty-mode threshold; and the benchmark's
-self-test passes against this source."""
+benchmark harness; ``import pspurity`` loads only the core modules, and it,
+``pspurity fuzz`` and the fig1a and fig1b sweeps load no SciPy; the
+stackable classes state their row protocol once; one function reads the
+empty-mode threshold; and the benchmark's self-test passes against this
+source."""
 
 import ast
 import os
@@ -184,9 +185,15 @@ def scipy_modules(loaded: set[str]) -> set[str]:
 
 
 def test_import_loads_no_scipy():
+    """``import pspurity`` loads NumPy and the core modules only: no SciPy,
+    no ``numpy.random``, no CLI and no float formatter with its tables."""
     loaded = modules_after("import pspurity")
     assert "numpy" in loaded
     assert scipy_modules(loaded) == set()
+    assert {name for name in loaded if name.partition(".")[0] == "pspurity"} == {
+        "pspurity", "pspurity.bounds", "pspurity.errors", "pspurity.gaussian",
+        "pspurity.subtraction"}
+    assert {"numpy.random", "pspurity.cli", "pspurity.floattext"}.isdisjoint(loaded)
 
 
 def test_fock_loads_no_sparse_scipy():

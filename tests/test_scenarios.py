@@ -4,6 +4,8 @@ import hashlib
 import itertools
 import json
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -278,6 +280,41 @@ def test_random_state_seed_fills_both_key_words():
         with pytest.raises(ValueError, match=rf"^{re.escape(name)} = {bad} does not fit a "
                                              rf"128-bit Philox key$"):
             random_state(1, seeds)
+
+
+def test_random_state_threads_draw_their_own_seeds():
+    """Each thread keys its own Philox: threads drawing different seeds at
+    once, switching every microsecond, each get their own seed's states bit
+    for bit, single and stacked."""
+    seeds = [3, 11, 2**64 + 7, 2**127 + 1]
+    want = {seed: random_state(3, [seed, seed + 1]) for seed in seeds}
+    got = {seed: [] for seed in seeds}
+    start = threading.Barrier(len(seeds))
+
+    def draw(seed):
+        start.wait(timeout=30)
+        for _ in range(100):
+            got[seed].append(random_state(3, seed))
+            got[seed].append(random_state(3, [seed, seed + 1]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(seed,)) for seed in seeds]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for seed in seeds:
+        assert len(got[seed]) == 200
+        for single, stacked in zip(got[seed][::2], got[seed][1::2]):
+            assert single.covariance.tobytes() == want[seed].covariance[0].tobytes()
+            assert single.displacement.tobytes() == want[seed].displacement[0].tobytes()
+            assert stacked.covariance.tobytes() == want[seed].covariance.tobytes()
+            assert stacked.displacement.tobytes() == want[seed].displacement.tobytes()
 
 
 def test_random_state_squeezing_sign_is_read_from_a_uniform(monkeypatch):
