@@ -7,8 +7,7 @@ numerical oracles (truncated number basis and grid quadrature).
 
 ``import pspurity`` loads NumPy only.  The oracle and CLI modules (``fock``,
 ``quadrature``, ``crosscheck``, ``scenarios``, ``cli``) load on first use,
-as ``pspurity.fock`` or ``from pspurity import fock``; only ``pspurity.fock``
-loads SciPy.
+as ``pspurity.fock`` or ``from pspurity import fock``, and need NumPy alone.
 """
 
 import importlib

@@ -215,7 +215,7 @@ def _reproduce_fig2(config: RunConfig) -> int:
 
 
 def _reproduce_fig3(config: RunConfig) -> int:
-    from .crosscheck import check_three_mode_fock  # loads the Fock oracle and SciPy
+    from .crosscheck import check_three_mode_fock  # loads the Fock oracle
 
     topology, table = topology_search(alpha=config.alpha, s_db=config.s_db)
     payload = {
@@ -250,7 +250,7 @@ def _reproduce_fig3(config: RunConfig) -> int:
 
 
 def _cmd_verify(config: RunConfig) -> int:
-    from .crosscheck import verify_all  # loads both oracles and SciPy
+    from .crosscheck import verify_all  # loads both oracles
 
     results = verify_all()
     for res in results:

@@ -8,20 +8,23 @@ is one chain n -> n + 1, a single-mode squeezer conserves n mod 2 along
 n -> n + 2, a two-mode squeezer n_a - n_b along (n_a + 1, n_b + 1), a
 beamsplitter n_a + n_b along (n_a + 1, n_b - 1), and a phase rotation is
 diagonal.  Row-major order over the gate's modes runs up every chain, so
-each chain is a strided view of the amplitude matrix's rows and is updated
-in place, with no sort, gather or scatter.  Only the chains that hold
-amplitude are exponentiated; an empty chain maps to exact zeros, so
+each chain is a strided set of the amplitude matrix's rows, found with no
+sort.  A chain's generator is a real antisymmetric tridiagonal with a zero
+diagonal (up to a diagonal phase), whose exponential follows from the SVD
+of a bidiagonal half the chain's size; a gate's occupied chains go through
+one stacked NumPy SVD and four batched real products.  Only the chains that
+hold amplitude are exponentiated; an empty chain maps to exact zeros, so
 skipping it is exact.
 A Gaussian state is compiled to such a circuit: ancilla two-mode squeezers
 purify its thermal normal modes (the ancillas are traced out by all
 measurement helpers), Bloch-Messiah and beamsplitter meshes give its
 symplectic part, displacements close it.  Photon subtraction is the
 annihilation operator as a row shift along the mode, and purities come from
-partial traces (a Hermitian rank-k Gram matrix).  Nothing here
-shares code with the covariance-matrix purity and moment machinery, which
-is the point; the covariance route only sizes the initial cutoffs,
-supplies the normal modes of a Gaussian input and checks a mode or a mode
-subset for both routes.
+partial traces (the smaller-side Gram matrix).  The module needs NumPy
+alone.  Nothing here shares code with the covariance-matrix purity and
+moment machinery, which is the point; the covariance route only sizes the
+initial cutoffs, supplies the normal modes of a Gaussian input and checks a
+mode or a mode subset for both routes.
 
 Truncation bookkeeping: unitaries of truncated anti-Hermitian generators
 preserve the norm exactly, so lost-norm is not a usable error signal.  The
@@ -48,8 +51,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import zherk
-from scipy.linalg.lapack import dstevd
 
 from .errors import SubtractionFromVacuumError, TruncationInsufficientError
 from .gaussian import (
@@ -198,13 +199,9 @@ def _apply_gate(psi: np.ndarray, kind: str, params: dict, modes: tuple) -> np.nd
     by e^{-i theta n} along its mode.  For the other kinds the gate's modes
     go first in one private C-ordered copy, whose rows are row-major over
     them; ``_gate_chains`` states each conserved-number chain as a strided
-    view of those rows, on which H = -i gen is tridiagonal with a zero
-    diagonal and sub-diagonal s * base (``_chain_scale``).  With u = s / |s|,
-    the diagonal unitary D = (1, u, u^2, ...) makes T = D^dag H D =
-    |s| * base real symmetric tridiagonal; with T = Q diag(w) Q^T from LAPACK
-    dstevd, exp(gen) = D Q exp(iw) Q^T D^dag.  Q is real, so Q^T and Q are
-    each one real gemm on the float64 view of the complex block, and the
-    result is written back into the chain's rows in place.
+    set of those rows, on which gen is tridiagonal with a zero diagonal and
+    the element i s * base up the chain (``_chain_scale``), and
+    ``_exponentiate_chains`` exponentiates the occupied chains in one batch.
 
     Chains of one state and chains that hold no amplitude are left as they
     are, which is exact: exp(gen) is linear and block diagonal, so a chain
@@ -229,20 +226,70 @@ def _apply_gate(psi: np.ndarray, kind: str, params: dict, modes: tuple) -> np.nd
     rows = np.flatnonzero(np.any(mat != 0, axis=1))
     start, stride, length, label = _gate_chains(kind, lead, rows)
     chains = np.flatnonzero((np.bincount(label, minlength=start.size) > 0) & (length > 1))
-    # D's diagonal for the longest chain; shorter ones take its head
-    phase = np.cumprod(np.concatenate(([1.0], np.full(length.max() - 1, scale / abs(scale)))))
-    for j in chains:
-        size = length[j]
-        block = mat[start[j]:start[j] + stride * (size - 1) + 1:stride]
-        na, nb = np.divmod(start[j] + stride * np.arange(size - 1), lead[-1])
-        w, q, info = dstevd(np.zeros(size), abs(scale) * base(na, nb))
-        if info:
-            raise np.linalg.LinAlgError(f"dstevd failed with info {info}")
-        d = phase[:size, None]
-        rotated = (q.T @ (d.conj() * block).view(float)).view(complex)
-        rotated *= np.exp(1j * w)[:, None]
-        np.multiply(d, (q @ rotated.view(float)).view(complex), out=block)
+    if chains.size:
+        _exponentiate_chains(mat, start[chains], stride, length[chains], 1j * scale,
+                             base, lead[-1])
     return np.moveaxis(out, range(len(modes)), modes)
+
+
+def _exponentiate_chains(mat, start, stride, length, gain, base, width):
+    """Apply exp(gen) in place to the rows start + stride k, k < length, of
+    ``mat``, one chain per entry, where gen's element up a chain is
+    gain * base(n_a, n_b) (``width`` splits a row into n_a, n_b).
+
+    With w = gain / |gain| and D = (1, w, w^2, ...), gen = D A D^dag for the
+    real antisymmetric tridiagonal A with A[k + 1, k] = t_k = |gain| base;
+    a real gain (every gate but a displacement of complex amplitude) is t_k's
+    scale, sign included, and D is the identity.  Each chain is stored evens
+    first, e then o, where A = [[0, -C^T], [C, 0]] with C the
+    (size // 2) x ceil(size / 2) upper bidiagonal C[p, p] = t_2p,
+    C[p, p + 1] = -t_2p+1 (Golub and Kahan, SIAM J. Numer. Anal. B 2, 205,
+    1965).  With C = U diag(sigma) V^T from one SVD and full V, exp(A) maps
+    a = V^T e and b = U^T o to a_1 <- cos(sigma) a_1 - sin(sigma) b and
+    b <- sin(sigma) a_1 + cos(sigma) b, leaves V's null part a_0 as it is,
+    and returns e = V a and o = U b: four real gemms of half the chain's
+    size on the float64 view of the complex rows.
+
+    The chains are padded with zero couplings to the longest and go through
+    one stacked SVD and one set of batched products.  Padding is exact: a
+    zero singular value acts as the identity, padded rows are zero on the
+    way in and dropped on the way out.
+    """
+    count, size = start.size, int(length.max())
+    half, full = size // 2, size - size // 2
+    order = np.concatenate((np.arange(0, size, 2), np.arange(1, size, 2)))  # evens first
+    live = order < length[:, None]
+    index = (start[:, None] + stride * order)[live]
+    block = np.zeros((count, size, mat.shape[1]), dtype=complex)
+    block[live] = mat[index]
+    k = np.arange(size - 1)
+    couplings = base(*np.divmod(start[:, None] + stride * k, width))
+    couplings[k + 1 >= length[:, None]] = 0.0  # the padding
+    couplings *= abs(gain) if gain.imag else gain.real
+    # row-major, C's diagonal is every (full + 1)-th entry and its superdiagonal
+    # the next: t_0, t_2, ... and -t_1, -t_3, ...
+    bidiagonal = np.zeros((count, half * full))
+    bidiagonal[:, ::full + 1] = couplings[:, ::2]
+    bidiagonal[:, 1::full + 1] = -couplings[:, 1::2]
+    if gain.imag:
+        phase = np.cumprod(np.concatenate(([1.0], np.full(size - 1, gain / abs(gain)))))[order]
+        block *= phase.conj()[:, None]
+    u, sigma, vt = np.linalg.svd(bidiagonal.reshape(count, half, full))
+    flat = block.view(float)
+    even, odd = flat[:, :full], flat[:, full:]
+    a = vt @ even
+    b = np.swapaxes(u, 1, 2) @ odd
+    cos, sin = np.cos(sigma)[..., None], np.sin(sigma)[..., None]
+    a1, turned = a[:, :half], sin * b
+    b *= cos
+    b += sin * a1
+    a1 *= cos
+    a1 -= turned
+    np.matmul(np.swapaxes(vt, 1, 2), a, out=even)
+    np.matmul(u, b, out=odd)
+    if gain.imag:
+        block *= phase[:, None]
+    mat[index] = block[live]
 
 
 def _vacuum_tensor(cutoffs: tuple) -> np.ndarray:
@@ -518,19 +565,12 @@ def reduced_purity_fock(state: FockState, modes) -> float:
     """Purity of the reduced state on the given modes.
 
     Uses the Gram matrix on the smaller side of the bipartition, so tracing
-    out many modes costs no more than keeping them.  The Gram matrix G is
-    Hermitian: BLAS zherk forms its upper triangle only, with half the flops
-    of a general product, and tr(rho^2) = sum |G_ij|^2 is twice the upper
-    triangle's sum less the diagonal's.
+    out many modes costs no more than keeping them: G = M M^dag or M^dag M
+    by one complex matmul, and tr(rho^2) = sum |G_ij|^2 = Re vdot(G, G).
     """
     mat = _split_modes(state, modes)
-    # the C-ordered matrix is its own transpose in Fortran order; the Gram
-    # matrices of the transpose are the conjugates of mat's, with equal |G_ij|
-    side = min(mat.shape)
-    gram = zherk(1.0, mat.T, trans=2 if mat.shape[0] <= mat.shape[1] else 0,
-                 c=np.zeros((side, side), dtype=complex, order="F"), overwrite_c=1)
-    total = np.sum(gram.real ** 2 + gram.imag ** 2)
-    return float(2.0 * total - np.sum(np.diagonal(gram).real ** 2))
+    gram = mat @ mat.conj().T if mat.shape[0] <= mat.shape[1] else mat.conj().T @ mat
+    return float(np.vdot(gram, gram).real)
 
 
 def _ladder_moments(state: FockState, mode: int) -> tuple[complex, complex, float]:

@@ -1,8 +1,9 @@
 """Source hygiene: no module imports a name it never uses, every private
 module-level function is referenced somewhere else in the package, and every
 public one (function or class) somewhere in the package, the tests or the
-benchmark harness; ``import pspurity`` loads only the core modules, and it,
-``pspurity fuzz`` and the fig1a and fig1b sweeps load no SciPy; the
+benchmark harness; ``import pspurity`` loads only the core modules; no
+module imports SciPy and NumPy is the one runtime dependency, so neither
+``pspurity fuzz`` nor any figure nor ``verify`` loads SciPy; the
 stackable classes state their row protocol once; one function reads the
 empty-mode threshold; and the benchmark's self-test passes against this
 source."""
@@ -196,10 +197,33 @@ def test_import_loads_no_scipy():
     assert {"numpy.random", "pspurity.cli", "pspurity.floattext"}.isdisjoint(loaded)
 
 
-def test_fock_loads_no_sparse_scipy():
-    loaded = modules_after("import pspurity.fock")
+@pytest.mark.parametrize("code", [
+    "import pspurity.fock",
+    "from pspurity import cli\ncli.main(['verify'])",
+    "from pspurity import cli\ncli.main(['reproduce', 'fig3'])",
+], ids=["fock", "verify", "fig3"])
+def test_oracles_load_no_scipy(tmp_path, code):
+    """The number-basis oracle, ``verify`` and fig3 run on NumPy alone."""
+    loaded = modules_after(code, cwd=tmp_path)
     assert "pspurity.fock" in loaded
-    assert {name for name in scipy_modules(loaded) if name.startswith("scipy.sparse")} == set()
+    assert scipy_modules(loaded) == set()
+
+
+def test_package_needs_numpy_alone():
+    """No module of the package imports SciPy, and NumPy is the one runtime
+    dependency; SciPy serves the tests' references only."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    for path in MODULES + [Path(pspurity.__file__)]:
+        tree = ast.parse(path.read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module}
+        assert not {name for name in imported if name.partition(".")[0] == "scipy"}, path.name
+    project = tomllib.loads((Path(__file__).resolve().parent.parent
+                             / "pyproject.toml").read_text())["project"]
+    assert [dep.partition(">")[0] for dep in project["dependencies"]] == ["numpy"]
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
 
 
 @pytest.mark.parametrize("argv", [["fuzz", "--count", "5"], ["reproduce", "fig1a"],
