@@ -50,7 +50,6 @@ from .gaussian import (
     symplectic_eigenvalues,
     symplectic_form,
     two_mode_squeezer,
-    wigner_gaussian_at,
     williamson,
 )
 from .subtraction import (
@@ -64,7 +63,6 @@ from .subtraction import (
     relative_purity_closed_form,
     subtract_photon,
     subtracted_wigner_fn,
-    wigner_subtracted_at,
 )
 
 __version__ = "0.1.0"

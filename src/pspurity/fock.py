@@ -16,8 +16,9 @@ one stacked NumPy SVD and four batched real products.  Only the chains that
 hold amplitude are exponentiated; an empty chain maps to exact zeros, so
 skipping it is exact.
 A Gaussian state is compiled to such a circuit: ancilla two-mode squeezers
-purify its thermal normal modes (the ancillas are traced out by all
-measurement helpers), Bloch-Messiah and beamsplitter meshes give its
+purify its thermal normal modes (every measurement helper traces the
+ancillas out and takes only physical modes, those ``FockState.mode_count``
+counts), Bloch-Messiah and beamsplitter meshes give its
 symplectic part, displacements close it.  Photon subtraction is the
 annihilation operator as a row shift along the mode, and purities come from
 partial traces (the smaller-side Gram matrix).  The module needs NumPy
@@ -91,8 +92,9 @@ class FockState:
     """Pure state vector over a truncated product basis.
 
     ``amplitudes`` has one tensor axis per mode (physical modes first, then
-    ``num_ancilla`` purification ancillas).  ``deficiency`` is the worst
-    top-level occupation recorded while preparing the state, and
+    ``num_ancilla`` purification ancillas); ``mode_count`` counts the
+    physical modes, the only ones a measurement names.  ``deficiency`` is
+    the worst top-level occupation recorded while preparing the state, and
     ``attempts`` the number of circuit runs the preparation took before its
     cutoffs met ``LEAKAGE_TOL``.
     """
@@ -108,13 +110,19 @@ class FockState:
         if amp.shape != self.truncation.cutoffs:
             raise ValueError("amplitude tensor does not match the truncation")
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > 1e-8:
+        if not abs(norm - 1.0) <= 1e-8:  # NaN fails too
             raise ValueError(f"state vector norm {norm} is not 1")
+        count = self.num_ancilla  # as TruncationSpec takes its integers
+        if (not isinstance(count, numbers.Integral) or isinstance(count, bool)
+                or not 0 <= count < amp.ndim):
+            raise ValueError(f"num_ancilla must be an integer from 0 to {amp.ndim - 1}, "
+                             f"got {count!r}")
         object.__setattr__(self, "amplitudes", amp)
 
     @property
     def mode_count(self) -> int:
-        return self.amplitudes.ndim
+        """The number of physical modes, the only ones a measurement takes."""
+        return self.amplitudes.ndim - self.num_ancilla
 
 
 def _memory_budget_bytes() -> float:
@@ -548,9 +556,10 @@ def subtract_photon_fock(state: FockState, mode: int) -> FockState:
 
 
 def _split_modes(state: FockState, modes) -> np.ndarray:
-    """Amplitudes as a matrix: rows over ``modes``, columns over the rest."""
+    """Amplitudes as a matrix: rows over the physical ``modes``, columns over
+    every other axis, ancillas included."""
     modes = _mode_subset(modes, state.mode_count)
-    rest = [j for j in range(state.mode_count) if j not in modes]
+    rest = [j for j in range(state.amplitudes.ndim) if j not in modes]
     dim_keep = int(np.prod([state.truncation.cutoffs[j] for j in modes]))
     return np.transpose(state.amplitudes, modes + rest).reshape(dim_keep, -1)
 

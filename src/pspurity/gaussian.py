@@ -197,7 +197,7 @@ def symplectic_eigenvalues(covariance: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a positive-definite matrix, one value per mode,
     sorted descending (errors as for ``GaussianState``, but no value need
     reach 1; a stack of matrices gives one spectrum per row)."""
-    cov = np.asarray(covariance, dtype=float)
+    cov = _real_array(covariance, UnphysicalStateError)
     disp = np.zeros(cov.shape[:-1])
     _check_shapes(cov, disp)
     with _first_failing_row(len(cov) if cov.ndim == 3 else 0,
@@ -239,6 +239,16 @@ def _checked_covariance(cov: np.ndarray, disp: np.ndarray):
     return cov, _normal_form(cov), tol
 
 
+def _real_array(value, error=ValueError) -> np.ndarray:
+    """``value`` as a float64 array, the one cast of every checking
+    constructor: a complex entry raises ``error`` instead of losing its
+    imaginary part."""
+    arr = np.asarray(value)
+    if arr.dtype.kind == "c":
+        raise error(f"entries must be real, got {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
 def _as_readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float, copy=True)
     out.flags.writeable = False
@@ -265,8 +275,8 @@ class GaussianState(_Stack):
     _vecs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cov = np.asarray(self.covariance, dtype=float)
-        disp = np.asarray(self.displacement, dtype=float)
+        cov = _real_array(self.covariance, UnphysicalStateError)
+        disp = _real_array(self.displacement, UnphysicalStateError)
         _check_shapes(cov, disp)
         with _first_failing_row(len(cov) if cov.ndim == 3 else 0,
                                 lambda i: GaussianState(cov[i], disp[i])):
@@ -298,7 +308,7 @@ class SymplecticTransform(_Stack):
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
+        mat = _real_array(self.matrix)
         if (mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2]
                 or mat.shape[-1] % 2 or mat.size == 0):
             raise ValueError(f"symplectic matrix must be 2m x 2m, got {mat.shape}")
@@ -339,7 +349,7 @@ class ModeSelector(_Stack):
     basis_p: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        gx = np.asarray(self.basis_x, dtype=float)
+        gx = _real_array(self.basis_x)
         if gx.ndim not in (1, 2) or gx.shape[-1] % 2 or gx.ndim == 2 and not len(gx):
             raise ValueError(f"direction must be a 2m-vector (N x 2m for a stack), "
                              f"got shape {gx.shape}")
@@ -386,7 +396,7 @@ class WilliamsonDecomposition(_Stack):
     noise_factors: np.ndarray = field(repr=True)
 
     def __post_init__(self):
-        n = _as_readonly(self.noise_factors)
+        n = _as_readonly(_real_array(self.noise_factors))
         matrix = self.symplectic.matrix
         modes = self.symplectic.mode_count
         expected = matrix.shape[:-2] + (modes,)
@@ -817,12 +827,6 @@ def gaussian_wigner_fn(state: GaussianState):
     return wigner
 
 
-def wigner_gaussian_at(state: GaussianState, point) -> float | np.ndarray:
-    """Gaussian Wigner function at one phase-space point (or a batch)."""
-    require_single(state, "wigner_gaussian_at")
-    return gaussian_wigner_fn(state)(point)
-
-
 # ---------------------------------------------------------------------------
 # normal-mode decomposition
 # ---------------------------------------------------------------------------
@@ -840,7 +844,7 @@ def williamson(state_or_cov) -> WilliamsonDecomposition:
     stack of either gives a stacked decomposition, row by row.
     """
     if not isinstance(state_or_cov, GaussianState):
-        cov = np.asarray(state_or_cov, dtype=float)
+        cov = _real_array(state_or_cov, UnphysicalStateError)
         state_or_cov = GaussianState(cov, np.zeros(cov.shape[:-1]))
     state = state_or_cov
     cov = _stacked(state.covariance, 2)

@@ -34,7 +34,7 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
 from .errors import GridExtentError
-from .gaussian import GaussianState, _check_mode, _is_integer, require_single
+from .gaussian import GaussianState, _check_mode, _is_integer, _real_array, require_single
 
 #: relative tolerance on the total-probability check of every frame
 NORMALIZATION_TOL = 1e-5
@@ -78,8 +78,8 @@ class GridSpec:
     points_per_axis: ClassVar[int] = 3
 
     def __post_init__(self):
-        center = np.array(self.center, dtype=float)
-        cov = np.array(self.covariance, dtype=float)
+        center = _real_array(self.center).copy()
+        cov = _real_array(self.covariance).copy()
         if center.ndim != 1 or cov.shape != (center.size, center.size):
             raise ValueError(
                 f"frame needs a k-vector and a k x k covariance, got "

@@ -55,6 +55,7 @@ from .gaussian import (
     _first_failing_row,
     _mode_subset,
     _purity_gaussian,
+    _real_array,
     _selected_mode,
     _Stack,
     _stacked,
@@ -105,14 +106,14 @@ class SubtractedState(_Stack):
     ``W(b) = (c0 + c1.b + b^T c2 b) * W_gauss(b) / normalization``
     where ``W_gauss`` is the Wigner function of ``base`` and the
     normalization equals ``|a_g|^2 + tr(V_g) - 2`` (four times the mean
-    photon number of the subtracted mode).  ``d0`` and ``d1`` are the
-    constant and linear coefficients of the same prefactor in
-    w = b - displacement, which the purity, the moments and the marginals
-    read.  A builder that has them passes them: recovered from c0 and c1
-    they cancel by about |displacement|^2.  Left out, they are recovered.
-    A stack of N subtracted states has a stacked ``base``, N-vectors ``c0``,
-    ``d0`` and ``normalization``, N x 2m ``c1`` and ``d1`` and N x 2m x 2m
-    ``c2``; one state holds Python floats.
+    photon number of the subtracted mode).  ``d0`` and ``d1``, required
+    keywords, are the constant and linear coefficients of the same
+    prefactor in w = b - displacement, which the purity, the moments and
+    the marginals read; recovered from c0 and c1 they would cancel by about
+    |displacement|^2.  A stack of N subtracted states has a stacked
+    ``base``, N-vectors ``c0``, ``d0`` and ``normalization``, N x 2m ``c1``
+    and ``d1`` and N x 2m x 2m ``c2``; one state holds Python floats.  Every
+    coefficient must be real and finite.
     """
 
     base: GaussianState
@@ -120,42 +121,36 @@ class SubtractedState(_Stack):
     c1: np.ndarray
     c2: np.ndarray
     normalization: float
-    d0: float = field(default=None, kw_only=True, repr=False, compare=False)
-    d1: np.ndarray = field(default=None, kw_only=True, repr=False, compare=False)
+    d0: float = field(kw_only=True, repr=False, compare=False)
+    d1: np.ndarray = field(kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
-        c0 = np.asarray(self.c0, dtype=float)
-        c1 = np.asarray(self.c1, dtype=float)
-        c2 = np.asarray(self.c2, dtype=float)
-        norm = np.asarray(self.normalization, dtype=float)
-        stacked = c1.ndim == 2
+        c0, c1, c2, norm, d0, d1 = (_real_array(getattr(self, name)) for name in
+                                    ("c0", "c1", "c2", "normalization", "d0", "d1"))
         if (c1.shape != self.base.displacement.shape or c2.shape != self.base.covariance.shape
                 or not c0.shape == norm.shape == c1.shape[:-1]):
             raise ValueError("c0, c1, c2 and normalization must match the base state "
                              "(a stack: N-vectors, N x 2m and N x 2m x 2m)")
+        if d0.shape != c0.shape or d1.shape != c1.shape:
+            raise ValueError("d0 and d1 must match c0 and c1")
         rows = _stacked(c2, 2)
         c2t = rows.swapaxes(-1, -2)
-        asym = np.abs(rows - c2t).max(axis=(1, 2)).tolist()
-        scale = np.abs(rows).max(axis=(1, 2)).tolist()
-        # every check of a row before the next row: the first failing row raises
-        for n, a, c in zip(np.ravel(norm).tolist(), asym, scale):
-            _check_normalization(n)
-            if a > 1e-10 * max(1.0, c):
-                raise ValueError("quadratic prefactor must be symmetric")
+        with _first_failing_row(len(c1) if c1.ndim == 2 else 0,
+                                lambda i: SubtractedState(self.base[i], c0[i], c1[i], c2[i],
+                                                          norm[i], d0=d0[i], d1=d1[i])):
+            # the normalization first: past float64 the coefficients are not finite either
+            for n in np.ravel(norm).tolist():
+                _check_normalization(n)
+            # a row's largest magnitude is finite exactly when all its entries are
+            scale = np.abs(rows).max(axis=(1, 2)).tolist()
+            if not (all(map(math.isfinite, np.ravel(c0).tolist() + np.ravel(d0).tolist() + scale))
+                    and np.isfinite(c1).all() and np.isfinite(d1).all()):
+                raise ValueError("c0, c1, c2, d0 and d1 must be finite")
+            asym = np.abs(rows - c2t).max(axis=(1, 2)).tolist()
+            for a, c in zip(asym, scale):
+                if a > 1e-10 * max(1.0, c):
+                    raise ValueError("quadratic prefactor must be symmetric")
         c2 = (0.5 * (rows + c2t)).reshape(c2.shape)
-        if (self.d0 is None) != (self.d1 is None):
-            raise ValueError("give both d0 and d1 or neither")
-        if self.d0 is None:  # recovered from the b-monomials
-            alpha = _stacked(self.base.displacement, 1)
-            c1s, c2s, col = _stacked(c1, 1), _stacked(c2, 2), alpha[..., None]
-            d1 = (c1s + (2.0 * c2s @ col)[..., 0]).reshape(c1.shape)
-            d0 = (np.ravel(c0) + (c1s[:, None] @ col)[:, 0, 0]
-                  + (alpha[:, None] @ c2s @ col)[:, 0, 0]).reshape(c0.shape)
-        else:
-            d0 = np.asarray(self.d0, dtype=float)
-            d1 = np.asarray(self.d1, dtype=float)
-            if d0.shape != c0.shape or d1.shape != c1.shape:
-                raise ValueError("d0 and d1 must match c0 and c1")
         # read-only: the purity, the moments and the marginals all read them
         for name, value in (("c0", c0), ("c1", c1), ("c2", c2), ("normalization", norm),
                             ("d0", d0), ("d1", d1)):
@@ -167,11 +162,6 @@ class SubtractedState(_Stack):
     def _centered(self) -> tuple:
         """(d0, d1, C2) with a leading state axis, N = 1 for one state."""
         return np.array(self.d0, ndmin=1), _stacked(self.d1, 1), _stacked(self.c2, 2)
-
-    def prefactor_centered(self) -> tuple:
-        """(d0, d1, C2) of the prefactor in w = b - displacement (an N-vector,
-        N x 2m and N x 2m x 2m for a stack)."""
-        return self.d0, self.d1, self.c2
 
 
 @dataclass(frozen=True)
@@ -216,7 +206,7 @@ class BogoliubovRow(_Stack):
         alpha = np.asarray(self.alpha_g, dtype=complex)
         k = np.asarray(self.k, dtype=complex)
         l = np.asarray(self.l, dtype=complex)
-        n = np.asarray(self.noise, dtype=float)
+        n = _real_array(self.noise)
         if (not (k.shape == l.shape == n.shape) or k.ndim not in (1, 2)
                 or alpha.shape != k.shape[:-1]):
             raise ValueError("k, l, noise must be equal-length vectors "
@@ -258,16 +248,6 @@ class BogoliubovRow(_Stack):
 
     _AXIS = ("k", 1)
 
-    def cross_sum_real(self):
-        """Re sum(k_i l_i^*) (one per row of a stack).
-
-        A textbook Bogoliubov row would have this vanish; rows extracted
-        from squeezed states generally do not (see tests), so it is exposed
-        for inspection rather than enforced.
-        """
-        total = (self.k * np.conj(self.l)).sum(axis=-1).real
-        return total if self.stacked else float(total)
-
 
 @dataclass(frozen=True)
 class MomentReport(_Stack):
@@ -283,13 +263,6 @@ class MomentReport(_Stack):
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def _square(x):
-    """x ** 2 by libm pow, which is what ``** 2`` on a Python float or a NumPy
-    scalar computes; ``**`` on an array squares by x * x, which differs in
-    the last bit for some x, so a stack keeps its rows' single-state bits."""
-    return np.float_power(x, 2.0)
-
 
 def subtract_photon(state: GaussianState, selector: ModeSelector) -> SubtractedState:
     """Construct the state after annihilating one photon in the selected mode.
@@ -351,12 +324,6 @@ def subtracted_wigner_fn(sub: SubtractedState):
         return float(vals[0]) if scalar else vals.reshape(pts.shape[:-1])
 
     return wigner
-
-
-def wigner_subtracted_at(sub: SubtractedState, point) -> float | np.ndarray:
-    """Subtracted-state Wigner function at a point; may be negative."""
-    require_single(sub, "wigner_subtracted_at")
-    return subtracted_wigner_fn(sub)(point)
 
 
 def extract_bogoliubov(state: GaussianState, selector: ModeSelector) -> BogoliubovRow:
@@ -433,10 +400,12 @@ def purity_subtracted(sub: SubtractedState) -> float | np.ndarray:
     cov = _stacked(sub.base.covariance, 2)
     sigma = cov / 2.0
     cs = c2 @ sigma
-    ep2 = (_square(d0 + cs.trace(0, -2, -1))
+    ep = d0 + cs.trace(0, -2, -1)  # E[P]
+    ep2 = (ep * ep
            + (d1[:, None] @ sigma @ d1[..., None])[:, 0, 0]
            + 2.0 * (cs * cs.swapaxes(-1, -2)).sum(axis=(-2, -1)))
-    mu = _purity_gaussian(cov) * ep2 / _square(sub.normalization)
+    norm = np.array(sub.normalization, ndmin=1)
+    mu = _purity_gaussian(cov) * ep2 / (norm * norm)
     return mu if sub.stacked else float(mu[0])
 
 
@@ -455,7 +424,7 @@ def moments_subtracted(sub: SubtractedState) -> MomentReport:
     sd1 = (cov @ d1[..., None])[..., 0]
     mean = alpha + sd1 / norm
     second = cov + 2.0 * cov @ c2 @ cov / norm[..., None]
-    cov_sub = second - sd1[..., None] * sd1[:, None] / _square(norm)[..., None]
+    cov_sub = second - sd1[..., None] * sd1[:, None] / (norm * norm)[..., None]
     if not sub.stacked:
         mean, cov_sub = mean[0], cov_sub[0]
     return MomentReport(mean=mean, covariance=cov_sub)
@@ -478,8 +447,7 @@ def marginal_subtracted(sub: SubtractedState, modes) -> SubtractedState:
     kept = set(keep)
     order = np.array(keep + [i for i in range(2 * m) if i not in kept])
     k = len(keep)  # the kept quadratures lead, the dropped ones follow
-    d0, d1, c2 = sub.prefactor_centered()
-    d1 = d1[order]
+    d0, d1, c2 = sub.d0, sub.d1[order], sub.c2
     if k == 2 * m:
         q0, q1, q2 = d0, d1, c2[np.ix_(order, order)]
     else:

@@ -28,12 +28,12 @@ from pspurity import (
     single_mode_squeezer,
     subtract_photon,
     subtracted_wigner_fn,
-    wigner_subtracted_at,
 )
 from pspurity import fock
 from pspurity.fock import (
     LEAKAGE_TOL,
     MEMORY_ENV_VAR,
+    FockState,
     TruncationSpec,
     _apply_gate,
     _converge_cutoffs,
@@ -223,9 +223,8 @@ def test_subtracted_squeezed_vacuum_wigner_origin_sign():
     # parity route: origin value of the subtracted state is negative, and it
     # matches the phase-space evaluator
     gs = GaussianState(np.diag([4.0, 0.25]), np.zeros(2))
-    analytic = wigner_subtracted_at(
-        subtract_photon(gs, ModeSelector.for_mode(0, 1)), [0.0, 0.0]
-    )
+    analytic = subtracted_wigner_fn(subtract_photon(gs, ModeSelector.for_mode(0, 1)))(
+        [0.0, 0.0])
     state = run_circuit_fock(
         circuit(1, Gate("single_mode_squeezer", {"r": math.log(2.0)}, (0,)))
     )
@@ -374,6 +373,27 @@ def test_gaussian_state_to_fock_thermal():
     assert state.num_ancilla == 1
     assert reduced_purity_fock(state, [0]) == pytest.approx(1.0 / 3.0, abs=1e-5)
     assert mean_photon_fock(state, 0) == pytest.approx(1.0, abs=1e-5)
+
+
+def test_measurements_take_only_physical_modes():
+    """A purified thermal mode has one ancilla: the measurement helpers count
+    and name only the physical mode, and trace the ancilla out.  Measured on
+    the ancilla too, the global state would read purity 1, and a subtraction
+    from it would change the physical mode's purity."""
+    state = gaussian_state_to_fock(make_thermal([3.0]))
+    assert state.amplitudes.ndim == 2 and state.mode_count == 1
+    message = "^mode 1 out of range for 1 modes$"
+    for call in (lambda: reduced_purity_fock(state, range(2)),
+                 lambda: reduced_density_matrix(state, [1]),
+                 lambda: wigner_origin_fock(state, [0, 1]),
+                 lambda: quadrature_moments_fock(state, 1),
+                 lambda: subtract_photon_fock(state, 1)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert reduced_purity_fock(state, range(1)) == pytest.approx(1.0 / 3.0, abs=1e-5)
+    for count in (2, -1, True):  # at least one physical mode, and an integer
+        with pytest.raises(ValueError, match="^num_ancilla must be an integer from 0 to 1"):
+            FockState(state.amplitudes, state.truncation, num_ancilla=count)
 
 
 def test_small_displaced_squeezed_thermal_full_agreement():

@@ -27,7 +27,6 @@ from pspurity import (
     symplectic_eigenvalues,
     symplectic_form,
     two_mode_squeezer,
-    wigner_gaussian_at,
     williamson,
 )
 from pspurity.fock import run_circuit_fock
@@ -260,8 +259,9 @@ def test_thermal_mean_photon():
 
 def test_wigner_vacuum_values():
     vac = make_vacuum(1)
-    assert wigner_gaussian_at(vac, [0.0, 0.0]) == pytest.approx(1 / (2 * np.pi))
-    assert wigner_gaussian_at(vac, [2.0, 0.0]) == pytest.approx(
+    wigner = gaussian_wigner_fn(vac)
+    assert wigner([0.0, 0.0]) == pytest.approx(1 / (2 * np.pi))
+    assert wigner([2.0, 0.0]) == pytest.approx(
         np.exp(-2.0) / (2 * np.pi)
     )
 
@@ -270,7 +270,7 @@ def test_wigner_coarse_normalization():
     state = make_thermal([2.0])
     xs = np.linspace(-12, 12, 161)
     grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
-    vals = wigner_gaussian_at(state, grid)
+    vals = gaussian_wigner_fn(state)(grid)
     step = xs[1] - xs[0]
     assert vals.sum() * step**2 == pytest.approx(1.0, abs=1e-3)
 

@@ -24,9 +24,9 @@ from pspurity import (
     purity_subtracted,
     relative_purity_closed_form,
     subtract_photon,
+    gaussian_wigner_fn,
+    subtracted_wigner_fn,
     two_mode_squeezer,
-    wigner_gaussian_at,
-    wigner_subtracted_at,
 )
 from pspurity.scenarios import (
     circuit_to_gaussian,
@@ -86,7 +86,7 @@ def test_coherent_state_is_fixed_point():
     assert np.abs(sub.c2).max() < 1e-12
     pts = np.random.default_rng(0).uniform(-4, 16, size=(50, 2))
     assert np.abs(
-        wigner_subtracted_at(sub, pts) - wigner_gaussian_at(state, pts)
+        subtracted_wigner_fn(sub)(pts) - gaussian_wigner_fn(state)(pts)
     ).max() < 1e-10
     report = moments_subtracted(sub)
     assert np.allclose(report.mean, state.displacement, atol=1e-12)
@@ -97,7 +97,7 @@ def test_coherent_state_is_fixed_point():
 def test_subtracted_squeezed_vacuum_negative_at_origin():
     state = GaussianState(np.diag([4.0, 0.25]), np.zeros(2))
     sub = subtract_photon(state, selector1())
-    assert wigner_subtracted_at(sub, [0.0, 0.0]) < 0.0
+    assert subtracted_wigner_fn(sub)([0.0, 0.0]) < 0.0
 
 
 def test_normalization_equals_four_mean_photons():
@@ -176,7 +176,7 @@ def test_cross_sum_not_imaginary_for_squeezed_states():
     # is reported rather than enforced
     state = GaussianState(np.diag([100.0, 1.0]), np.zeros(2))
     row = extract_bogoliubov(state, selector1())
-    assert row.cross_sum_real() > 0.5
+    assert (row.k * np.conj(row.l)).sum().real > 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +282,7 @@ def test_marginal_normalization_preserved():
     sub = subtract_photon(state, ModeSelector.for_mode(0, 2))
     marg = marginal_subtracted(sub, [1])
     # marginal Wigner must still integrate to one: E[Q] = normalization
-    d0, d1, c2 = marg.prefactor_centered()
-    expected = d0 + np.trace(c2 @ marg.base.covariance)
+    expected = marg.d0 + np.trace(marg.c2 @ marg.base.covariance)
     assert expected == pytest.approx(marg.normalization, rel=1e-10)
 
 
@@ -338,7 +337,8 @@ def test_moment_route_keeps_its_accuracy_at_large_displacement(shift):
     """A two-mode squeezer (r = 0.1) then a beamsplitter (t = 0.9), displaced
     by (0.3, -shift, 0.1, 0) and subtracted on mode 0: the prefactor-moment
     purity agrees with the closed form within RANGE_K cond(V) eps at every
-    shift.  Recovered from the b-monomials, the centered prefactor cancels
+    shift.  That is why a subtracted state takes d0 and d1 from its
+    builder: recovered from the b-monomials, the centered prefactor cancels
     by about shift^2, which put the moment route 190, 2,864 and 6,319
     cond(V) eps from a 60-digit reference (the closed form: 1.5).  The
     marginals keep theirs: each integrates to its normalization, and the
@@ -355,8 +355,7 @@ def test_moment_route_keeps_its_accuracy_at_large_displacement(shift):
     assert abs(purity_subtracted(sub) - closed) / closed <= bound
     for modes in ([0], [1], [0, 1]):
         marg = marginal_subtracted(sub, modes)
-        d0, _, c2 = marg.prefactor_centered()
-        expected = d0 + np.trace(c2 @ marg.base.covariance)
+        expected = marg.d0 + np.trace(marg.c2 @ marg.base.covariance)
         assert expected == pytest.approx(marg.normalization, rel=1e-13, abs=0.0)
     one, two = (purity_subtracted(marginal_subtracted(sub, [j])) for j in (0, 1))
     assert one == pytest.approx(two, rel=1e-13, abs=0.0)
@@ -469,39 +468,38 @@ def test_moment_route_reads_no_bogoliubov_row(monkeypatch):
 
 @pytest.mark.parametrize("count", [None, 3])
 def test_subtracted_state_arrays_are_read_only(count):
-    """The purity, moments and marginals read a centered prefactor cached
-    from c0, c1, c2 and the normalization, so none of them can be written
-    in place; the arrays a caller passes keep their own flags."""
+    """The purity, moments and marginals read the centered prefactor d0, d1,
+    c2 and the normalization, so none of them can be written in place; the
+    arrays a caller passes keep their own flags."""
     seeds = 5 if count is None else range(count)
     sub = subtract_photon(random_state(2, seeds, d_max=2.0), ModeSelector.for_mode(0, 2))
-    arrays = [sub.c1, sub.c2, *sub.prefactor_centered()[1:]]
+    arrays = [sub.c1, sub.c2, sub.d1]
     if count is not None:
-        arrays += [sub.c0, sub.normalization, sub.prefactor_centered()[0], sub[1].c2]
+        arrays += [sub.c0, sub.normalization, sub.d0, sub[1].c2]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
     c1, c2 = np.zeros(4), np.eye(4)
     SubtractedState(base=GaussianState(np.eye(4), np.zeros(4)), c0=1.0, c1=c1, c2=c2,
-                    normalization=4.0)
+                    normalization=4.0, d0=1.0, d1=c1)
     assert c1.flags.writeable and c2.flags.writeable
 
 
-def test_subtracted_state_reads_the_centered_prefactor_it_is_given():
-    """``subtract_photon`` passes d0 and d1, which ``prefactor_centered``
-    returns as given; left out, they are recovered from c0 and c1 (to
-    rounding here, at a displacement of about 5); one without the other, or
-    either of the wrong shape, is refused."""
+def test_subtracted_state_is_built_with_both_prefactor_forms():
+    """A subtracted state keeps the d0 and d1 it is given, bit for bit; built
+    without either it raises TypeError (no recovery from c0 and c1, which
+    cancels by about |displacement|^2), and with either of the wrong shape
+    ValueError."""
     sub = subtract_photon(random_state(2, 5, d_max=2.0), ModeSelector.for_mode(0, 2))
-    d0, d1, c2 = sub.prefactor_centered()
-    assert (d0, d1.tobytes()) == (sub.d0, sub.d1.tobytes())
-    plain = SubtractedState(sub.base, sub.c0, sub.c1, sub.c2, sub.normalization)
-    r0, r1, r2 = plain.prefactor_centered()
-    assert r0 == pytest.approx(d0, rel=1e-12) and np.allclose(r1, d1, rtol=1e-12, atol=1e-12)
-    assert r2.tobytes() == c2.tobytes()
-    for extra, message in (({"d0": d0}, "give both d0 and d1 or neither"),
-                           ({"d0": d0, "d1": d1[:2]}, "d0 and d1 must match c0 and c1")):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            SubtractedState(sub.base, sub.c0, sub.c1, sub.c2, sub.normalization, **extra)
+    args = (sub.base, sub.c0, sub.c1, sub.c2, sub.normalization)
+    again = SubtractedState(*args, d0=sub.d0, d1=sub.d1)
+    assert (again.d0, again.d1.tobytes()) == (sub.d0, sub.d1.tobytes())
+    for extra in ({}, {"d0": sub.d0}, {"d1": sub.d1}):
+        with pytest.raises(TypeError, match="required keyword-only argument"):
+            SubtractedState(*args, **extra)
+    for extra in ({"d0": np.zeros(1), "d1": sub.d1}, {"d0": sub.d0, "d1": sub.d1[:2]}):
+        with pytest.raises(ValueError, match="^d0 and d1 must match c0 and c1$"):
+            SubtractedState(*args, **extra)
 
 
 def gathered_marginal(sub, modes):
@@ -511,7 +509,7 @@ def gathered_marginal(sub, modes):
     m = sub.base.mode_count
     keep = np.array(modes + [m + j for j in modes])
     drop = np.array([i for i in range(2 * m) if i not in set(keep)])
-    d0, d1, c2 = sub.prefactor_centered()
+    d0, d1, c2 = sub.d0, sub.d1, sub.c2
     if drop.size == 0:
         return d0, d1[keep], c2[np.ix_(keep, keep)]
     v = sub.base.covariance
