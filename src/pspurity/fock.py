@@ -15,17 +15,20 @@ of a bidiagonal half the chain's size; a gate's occupied chains go through
 one stacked NumPy SVD and four batched real products.  Only the chains that
 hold amplitude are exponentiated; an empty chain maps to exact zeros, so
 skipping it is exact.
-A Gaussian state is compiled to such a circuit: ancilla two-mode squeezers
-purify its thermal normal modes (every measurement helper traces the
-ancillas out and takes only physical modes, those ``FockState.mode_count``
-counts), Bloch-Messiah and beamsplitter meshes give its
-symplectic part, displacements close it.  Photon subtraction is the
-annihilation operator as a row shift along the mode, and purities come from
-partial traces (the smaller-side Gram matrix).  The module needs NumPy
-alone.  Nothing here shares code with the covariance-matrix purity and
-moment machinery, which is the point; the covariance route only sizes the
-initial cutoffs, supplies the normal modes of a Gaussian input and checks a
-mode or a mode subset for both routes.
+A Gaussian state's centered part is compiled to such a circuit: ancilla
+two-mode squeezers purify its thermal normal modes (every measurement
+helper traces the ancillas out and takes only physical modes, those
+``FockState.mode_count`` counts), Bloch-Messiah and beamsplitter meshes
+give its symplectic part.  Its displacement is not a gate: the state
+carries it as a frame, ``FockState.frame`` = beta, and stands for
+D(beta)|amplitudes>.  Since a D(beta) = D(beta)(a + beta), photon
+subtraction applies a + beta to the amplitudes, a as a row shift along the
+mode, and keeps the frame; a mean gains beta, a variance and a purity do
+not see it, and purities come from partial traces (the smaller-side Gram
+matrix).  The module needs NumPy alone.  Nothing here shares code with the
+covariance-matrix purity and moment machinery, which is the point; the
+covariance route only sizes the initial cutoffs, supplies the normal modes
+of a Gaussian input and checks a mode or a mode subset for both routes.
 
 Truncation bookkeeping: unitaries of truncated anti-Hermitian generators
 preserve the norm exactly, so lost-norm is not a usable error signal.  The
@@ -39,8 +42,9 @@ within the memory budget, and record on the state how many runs that took
 (``attempts``).
 
 Quadrature moments come from the ladder operators: <a>, <a^2> and <a^dag a>
-are sums over neighbouring rows of the mode-first amplitude matrix, so no
-reduced density matrix is formed.
+of the amplitudes are sums over neighbouring rows of the mode-first
+amplitude matrix, so no reduced density matrix is formed; the variances
+are read in the centered frame, and the means and photon number add beta.
 """
 
 from __future__ import annotations
@@ -53,7 +57,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SubtractionFromVacuumError, TruncationInsufficientError
+from .errors import (
+    NumericDegenerateError,
+    SubtractionFromVacuumError,
+    TruncationInsufficientError,
+)
 from .gaussian import (
     CircuitDescription,
     Gate,
@@ -89,14 +97,21 @@ class TruncationSpec:
 
 @dataclass(frozen=True)
 class FockState:
-    """Pure state vector over a truncated product basis.
+    """Pure state D(frame)|amplitudes> over a truncated product basis.
 
     ``amplitudes`` has one tensor axis per mode (physical modes first, then
     ``num_ancilla`` purification ancillas); ``mode_count`` counts the
-    physical modes, the only ones a measurement names.  ``deficiency`` is
-    the worst top-level occupation recorded while preparing the state, and
-    ``attempts`` the number of circuit runs the preparation took before its
-    cutoffs met ``LEAKAGE_TOL``.
+    physical modes, the only ones a measurement names.  ``frame`` holds one
+    complex beta_j = <a_j> per physical mode (zeros by default, as for a
+    circuit), and the state is the product of displacements D(beta_j)
+    applied to ``amplitudes``, which ``gaussian_state_to_fock`` prepares
+    centered.  ``deficiency`` is the worst top-level occupation recorded
+    while preparing the state, and ``attempts`` the number of circuit runs
+    the preparation took before its cutoffs met ``LEAKAGE_TOL``.
+
+    A frame of the wrong length or with a non-finite entry raises
+    ValueError, and one whose |beta|^2 overflows float64 raises
+    NumericDegenerateError, since every photon number would carry it.
     """
 
     amplitudes: np.ndarray
@@ -104,6 +119,7 @@ class FockState:
     deficiency: float = 0.0
     num_ancilla: int = 0
     attempts: int = 1
+    frame: tuple | None = None
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex)
@@ -117,7 +133,20 @@ class FockState:
                 or not 0 <= count < amp.ndim):
             raise ValueError(f"num_ancilla must be an integer from 0 to {amp.ndim - 1}, "
                              f"got {count!r}")
+        physical = amp.ndim - count
+        frame = np.zeros(physical, complex) if self.frame is None else np.asarray(self.frame)
+        if frame.shape != (physical,) or frame.dtype.kind not in "biufc":
+            raise ValueError(f"frame must hold one number per physical mode ({physical}), "
+                             f"got {self.frame!r}")
+        frame = frame.astype(complex)
+        values = tuple(map(complex, frame))
+        if not np.all(np.isfinite(frame)):
+            raise ValueError(f"frame must be finite, got {values}")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(frame.real ** 2 + frame.imag ** 2)):
+                raise NumericDegenerateError(f"|frame|^2 overflows float64: {values}")
         object.__setattr__(self, "amplitudes", amp)
+        object.__setattr__(self, "frame", values)
 
     @property
     def mode_count(self) -> int:
@@ -356,13 +385,13 @@ def _grown_cutoff(cutoff: int, leak: float, before: tuple | None = None) -> int:
     return min(2 * cutoff, max(cutoff + 1, math.ceil(need)))
 
 
-def _converge_cutoffs(attempt, cutoffs: tuple, num_ancilla: int) -> FockState:
+def _converge_cutoffs(attempt, cutoffs: tuple, num_ancilla: int, frame=None) -> FockState:
     """Re-run ``attempt``, growing leaking modes by ``_grown_cutoff``, until
     ``LEAKAGE_TOL`` is met.
 
     Every attempt is checked against the memory budget first.  The state
     records the cutoffs and deficiency of its last run and, as ``attempts``,
-    how many runs it took.
+    how many runs it took, and takes ``frame`` as it is.
     """
     before = [None] * len(cutoffs)
     for attempts in range(1, 7):
@@ -371,7 +400,7 @@ def _converge_cutoffs(attempt, cutoffs: tuple, num_ancilla: int) -> FockState:
         deficiency = float(leak.max())
         if deficiency <= LEAKAGE_TOL:
             return FockState(psi, TruncationSpec(cutoffs), deficiency,
-                             num_ancilla=num_ancilla, attempts=attempts)
+                             num_ancilla=num_ancilla, attempts=attempts, frame=frame)
         tried = cutoffs
         cutoffs = tuple(
             _grown_cutoff(c, leak[j], before[j]) if leak[j] > LEAKAGE_TOL else c
@@ -406,33 +435,31 @@ def _cutoffs_from_mean_photons(photons) -> tuple:
 
 
 def _cutoffs_for_state(state: GaussianState) -> tuple:
-    """Initial cutoffs: mean-photon rule or the Gaussian-tail estimate.
+    """Initial cutoffs of the centered state: mean-photon rule or the
+    Gaussian-tail estimate, from the covariance alone.
 
-    The occupation tail of a displaced, strongly squeezed mode extends to
-    roughly (|mean| + 6.5 sigma)^2 / 4 quanta, far beyond 4<n> + 10; take
-    the larger of the two estimates per mode.
+    The occupation tail of a strongly squeezed mode extends to roughly
+    (6.5 sigma)^2 / 4 quanta, beyond 4<n> + 10; take the larger of the two
+    estimates per mode.  The displacement is the state's frame and sizes
+    nothing.
     """
     m = state.mode_count
     v = np.diag(state.covariance)
-    d = state.displacement
-    base = _cutoffs_from_mean_photons(_per_mode_photons(state))
-    out = []
-    for j in range(m):
-        reach = max(
-            abs(d[j]) + 6.5 * math.sqrt(v[j]), abs(d[m + j]) + 6.5 * math.sqrt(v[m + j])
-        )
-        out.append(max(base[j], int(math.ceil(0.25 * reach * reach)) + 14))
-    return tuple(out)
+    base = _cutoffs_from_mean_photons((v[:m] + v[m:] - 2.0) / 4.0)
+    reach = 6.5 * np.sqrt(np.maximum(v[:m], v[m:]))
+    return tuple(max(b, int(math.ceil(0.25 * r * r)) + 14) for b, r in zip(base, reach))
 
 
 def gaussian_state_to_fock(state: GaussianState) -> FockState:
     """Exact number-basis representation of a Gaussian state.
 
-    The state is compiled to a gate circuit (``_gaussian_circuit``) and run
-    on the vacuum by the same engine as ``run_circuit_fock``.  Ancilla modes
-    trail the physical ones; measurement helpers trace over them.  Cutoffs
-    start from the Gaussian tail estimates and grow as ``_converge_cutoffs``
-    decides.
+    The centered state (covariance only) is compiled to a gate circuit
+    (``_gaussian_circuit``) and run on the vacuum by the same engine as
+    ``run_circuit_fock``; its displacement d becomes the frame,
+    beta_j = (d_j + i d_{m+j}) / 2, so the result is D(beta)|centered>.
+    Ancilla modes trail the physical ones; measurement helpers trace over
+    them.  Cutoffs start from the Gaussian tail estimates of the covariance
+    and grow as ``_converge_cutoffs`` decides.
     """
     require_single(state, "gaussian_state_to_fock")
     circuit, noise = _gaussian_circuit(state)
@@ -442,17 +469,19 @@ def gaussian_state_to_fock(state: GaussianState) -> FockState:
         geom = int(math.ceil(math.log(1e-9) / math.log(ratio))) + 14
         anc.append(max(geom, int(math.ceil(2.0 * (n - 1.0) + 10.0))))
     cutoffs = _cutoffs_for_state(state) + tuple(anc)
+    m, d = state.mode_count, state.displacement
     return _converge_cutoffs(lambda cut: _run_gates(circuit, cut), cutoffs,
-                             num_ancilla=len(noise))
+                             num_ancilla=len(noise), frame=d[:m] / 2.0 + 0.5j * d[m:])
 
 
 def _gaussian_circuit(state: GaussianState) -> tuple[CircuitDescription, np.ndarray]:
-    """Gates preparing ``state`` from the vacuum, and its thermal noise factors.
+    """Gates preparing the centered ``state`` from the vacuum, and its thermal
+    noise factors; the displacement is left to the frame.
 
     With V = S diag(n, n) S^T (n sorted descending), thermal normal mode i is
     purified by a two-mode squeezer of parameter acosh(n_i)/2 with ancilla
     mode m + i (marginal noise exactly n_i); the gates of
-    ``_symplectic_gates(S)`` and the displacements follow.
+    ``_symplectic_gates(S)`` follow.
     """
     decomp = williamson(state)
     m = state.mode_count
@@ -460,9 +489,6 @@ def _gaussian_circuit(state: GaussianState) -> tuple[CircuitDescription, np.ndar
     gates = [Gate("two_mode_squeezer", {"r": float(np.arccosh(n)) / 2.0}, (i, m + i))
              for i, n in enumerate(noise)]
     gates += _symplectic_gates(decomp.symplectic.matrix)
-    d = state.displacement
-    gates += [Gate("displacement", {"re": d[j] / 2.0, "im": d[m + j] / 2.0}, (j,))
-              for j in range(m) if d[j] != 0.0 or d[m + j] != 0.0]
     return CircuitDescription(m + noise.size, tuple(gates)), noise
 
 
@@ -535,24 +561,25 @@ def _passive_gates(o: np.ndarray) -> list:
 def subtract_photon_fock(state: FockState, mode: int) -> FockState:
     """Apply the annihilation operator on one mode and renormalize.
 
-    a is a row shift along the mode's axis: psi'[n] = sqrt(n + 1) psi[n + 1],
-    and the top level is left empty; ``annihilator`` is the same map as a
-    matrix.
+    In the state's frame a D(beta) = D(beta)(a + beta), so the amplitudes
+    take a + beta_mode and the frame is kept.  a is a row shift along the
+    mode's axis: psi'[n] = sqrt(n + 1) psi[n + 1], and the top level keeps
+    only beta's share; ``annihilator`` is the same map as a matrix.
     """
     _check_mode(mode, state.mode_count)
     amp = state.amplitudes
     lower, upper, root = [slice(None)] * amp.ndim, [slice(None)] * amp.ndim, [1] * amp.ndim
     lower[mode], upper[mode], root[mode] = slice(None, -1), slice(1, None), -1
-    psi = np.zeros_like(amp)
-    np.multiply(np.sqrt(np.arange(1.0, amp.shape[mode])).reshape(root), amp[tuple(upper)],
-                out=psi[tuple(lower)])
+    shift = np.sqrt(np.arange(1.0, amp.shape[mode])).reshape(root)
+    psi = state.frame[mode] * amp
+    psi[tuple(lower)] += shift * amp[tuple(upper)]
     norm = np.linalg.norm(psi)
     if norm < 1e-10:
         raise SubtractionFromVacuumError(
             f"mode {mode} holds no photons to subtract"
         )
     return FockState(psi / norm, state.truncation, state.deficiency,
-                     state.num_ancilla, state.attempts)
+                     state.num_ancilla, state.attempts, state.frame)
 
 
 def _split_modes(state: FockState, modes) -> np.ndarray:
@@ -564,16 +591,30 @@ def _split_modes(state: FockState, modes) -> np.ndarray:
     return np.transpose(state.amplitudes, modes + rest).reshape(dim_keep, -1)
 
 
+def _centered_modes(state: FockState, modes, what: str) -> list:
+    """``modes`` as ``_mode_subset`` checks them; a kept mode with a nonzero
+    frame raises ValueError, since ``what`` is read off the amplitudes.  A
+    displaced mode that is traced out changes nothing."""
+    modes = _mode_subset(modes, state.mode_count)
+    displaced = [j for j in modes if state.frame[j] != 0]
+    if displaced:
+        raise ValueError(f"{what} of displaced modes {displaced} is not formed; "
+                         f"their frame is {[state.frame[j] for j in displaced]}")
+    return modes
+
+
 def reduced_density_matrix(state: FockState, modes) -> np.ndarray:
-    """Density matrix of a subset of modes (complement traced out)."""
-    mat = _split_modes(state, modes)
+    """Density matrix of a subset of modes (complement traced out); the kept
+    modes must have a zero frame."""
+    mat = _split_modes(state, _centered_modes(state, modes, "the density matrix"))
     return mat @ mat.conj().T
 
 
 def reduced_purity_fock(state: FockState, modes) -> float:
     """Purity of the reduced state on the given modes.
 
-    Uses the Gram matrix on the smaller side of the bipartition, so tracing
+    The frame is a local unitary, so the amplitudes give the purity.  Uses
+    the Gram matrix on the smaller side of the bipartition, so tracing
     out many modes costs no more than keeping them: G = M M^dag or M^dag M
     by one complex matmul, and tr(rho^2) = sum |G_ij|^2 = Re vdot(G, G).
     """
@@ -583,7 +624,8 @@ def reduced_purity_fock(state: FockState, modes) -> float:
 
 
 def _ladder_moments(state: FockState, mode: int) -> tuple[complex, complex, float]:
-    """<a>, <a^2> and <a^dag a> of one mode (the other modes traced out).
+    """<a>, <a^2> and <a^dag a> of one mode of the amplitudes, the centered
+    state (the other modes traced out).
 
     With rows of the mode-first amplitude matrix indexed by n,
     <a> = sum sqrt(n) <row n-1|row n> and
@@ -599,31 +641,39 @@ def _ladder_moments(state: FockState, mode: int) -> tuple[complex, complex, floa
 
 
 def mean_photon_fock(state: FockState, mode: int) -> float:
-    return _ladder_moments(state, mode)[2]
+    """<a^dag a> in the frame: <(a^dag + conj beta)(a + beta)> over the
+    amplitudes."""
+    a1, _, photons = _ladder_moments(state, mode)
+    beta = state.frame[mode]
+    return photons + 2.0 * (beta.conjugate() * a1).real + abs(beta) ** 2
 
 
 def quadrature_moments_fock(state: FockState, mode: int) -> dict:
     """Means and variances of x = a + a^dag and p = i(a^dag - a) for one mode.
 
     x^2 = a^2 + a^dag^2 + 2 a^dag a + 1 and p^2 = -a^2 - a^dag^2 + 2 a^dag a + 1,
-    so both variances follow from the three ladder moments.
+    so both variances follow from the three ladder moments of the centered
+    amplitudes, which a displacement leaves alone; the means gain the frame,
+    <a> + beta.
     """
     a1, a2, photons = _ladder_moments(state, mode)
-    mx, mp = 2.0 * a1.real, 2.0 * a1.imag
+    cx, cp = 2.0 * a1.real, 2.0 * a1.imag
+    mean = a1 + state.frame[mode]
     return {
-        "mean_x": mx,
-        "mean_p": mp,
-        "var_x": 2.0 * a2.real + 2.0 * photons + 1.0 - mx * mx,
-        "var_p": -2.0 * a2.real + 2.0 * photons + 1.0 - mp * mp,
+        "mean_x": 2.0 * mean.real,
+        "mean_p": 2.0 * mean.imag,
+        "var_x": 2.0 * a2.real + 2.0 * photons + 1.0 - cx * cx,
+        "var_p": -2.0 * a2.real + 2.0 * photons + 1.0 - cp * cp,
     }
 
 
 def wigner_origin_fock(state: FockState, modes) -> float:
     """W(0, ..., 0) of the reduced state on ``modes`` via the parity operator.
 
-    In this package's convention W(0) = (1/2pi)^m * <parity>.
+    In this package's convention W(0) = (1/2pi)^m * <parity>.  The kept
+    modes must have a zero frame.
     """
-    modes = _mode_subset(modes, state.mode_count)
+    modes = _centered_modes(state, modes, "W(0)")
     # parity is diagonal: only the populations, the squared row norms of
     # the mode-first amplitude matrix, enter
     populations = np.sum(np.abs(_split_modes(state, modes)) ** 2, axis=1)
@@ -634,7 +684,9 @@ def wigner_origin_fock(state: FockState, modes) -> float:
 
 
 def state_overlap_fock(a: FockState, b: FockState) -> float:
-    """|<a|b>|^2 for two states over the same truncation."""
+    """|<a|b>|^2 for two states over the same truncation and frame."""
     if a.truncation.cutoffs != b.truncation.cutoffs:
         raise ValueError("states live in different truncations")
+    if a.frame != b.frame:
+        raise ValueError(f"states live in different frames, {a.frame} and {b.frame}")
     return float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)

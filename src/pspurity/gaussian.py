@@ -241,11 +241,13 @@ def _checked_covariance(cov: np.ndarray, disp: np.ndarray):
 
 def _real_array(value, error=ValueError) -> np.ndarray:
     """``value`` as a float64 array, the one cast of every checking
-    constructor: a complex entry raises ``error`` instead of losing its
-    imaginary part."""
+    constructor.  Only bool, integer and float entries are taken: any other
+    dtype (complex, which would lose its imaginary part, strings, bytes,
+    objects, dates and times) raises ``error`` instead of being parsed or
+    cast."""
     arr = np.asarray(value)
-    if arr.dtype.kind == "c":
-        raise error(f"entries must be real, got {arr.dtype}")
+    if arr.dtype.kind not in "biuf":
+        raise error(f"entries must be real numbers, got dtype {arr.dtype}")
     return arr.astype(float, copy=False)
 
 

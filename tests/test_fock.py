@@ -11,6 +11,7 @@ from scipy.sparse.csgraph import connected_components
 from pspurity import (
     GaussianState,
     ModeSelector,
+    NumericDegenerateError,
     SubtractionFromVacuumError,
     TruncationInsufficientError,
     extract_bogoliubov,
@@ -829,3 +830,140 @@ def test_three_mode_circuit_cutoffs_grow_by_the_measured_tail():
     assert state.attempts == 2 and state.deficiency <= LEAKAGE_TOL
     assert all(c < d for c, d in zip(state.truncation.cutoffs, (38, 24, 26)))
     assert state.truncation.cutoffs == (30, 18, 22)
+
+
+def _displaced_squeezed_thermal():
+    """One mode: thermal 2, squeezed along x, displaced by beta = 1.1 e^{0.7i},
+    at an angle to the squeezing axis."""
+    from pspurity import apply_displacement, apply_symplectic
+
+    beta = 1.1 * np.exp(0.7j)
+    squeezer = single_mode_squeezer(r=0.5, mode=0, num_modes=1)
+    squeezed = apply_symplectic(make_thermal([2.0]), squeezer)
+    return apply_displacement(squeezed, [2.0 * beta.real, 2.0 * beta.imag])
+
+
+FRAME_CASES = {
+    "one-mode-at-an-angle": _displaced_squeezed_thermal,
+    "two-mode-seed-0": lambda: random_state(2, 0, n_max=2, r_max=0.4, d_max=1),
+    "two-mode-seed-3": lambda: random_state(2, 3, n_max=2, r_max=0.4, d_max=1),
+}
+
+
+@pytest.mark.parametrize("case", FRAME_CASES)
+def test_frame_route_matches_trailing_displacement_gates(case):
+    """The centered state in its frame, D(beta)|centered>, is the state that
+    the same circuit followed by displacement gates of beta prepares: the
+    means, variances and photon numbers of every physical mode before and
+    after subtracting from mode 0, and the subtracted purity ratio, agree
+    at the truncation's leakage scale.  Both states are cut where the top
+    levels hold LEAKAGE_TOL; subtracted second moments err by up to about
+    1,000 times that, a purity ratio by about 10 times."""
+    state = FRAME_CASES[case]()
+    m = state.mode_count
+    framed = gaussian_state_to_fock(state)
+    d = state.displacement
+    assert framed.frame == tuple(complex(d[j] / 2.0, d[m + j] / 2.0) for j in range(m))
+    assert any(framed.frame)
+    compiled, _ = fock._gaussian_circuit(state)
+    shifts = tuple(Gate("displacement", {"re": b.real, "im": b.imag}, (j,))
+                   for j, b in enumerate(framed.frame))
+    gated = run_circuit_fock(CircuitDescription(compiled.mode_count, compiled.gates + shifts))
+    physical = list(range(m))
+    pairs = [(framed, gated), (subtract_photon_fock(framed, 0), subtract_photon_fock(gated, 0))]
+    for by_frame, by_gates in pairs:
+        for j in physical:
+            got, want = quadrature_moments_fock(by_frame, j), quadrature_moments_fock(by_gates, j)
+            for key, value in want.items():
+                assert abs(got[key] - value) <= 1e3 * LEAKAGE_TOL * max(1.0, abs(value)), key
+            assert mean_photon_fock(by_frame, j) == pytest.approx(
+                mean_photon_fock(by_gates, j), abs=1e3 * LEAKAGE_TOL)
+    ratios = [reduced_purity_fock(after, physical) / reduced_purity_fock(before, physical)
+              for before, after in zip(*pairs)]
+    assert ratios[0] == pytest.approx(ratios[1], abs=10 * LEAKAGE_TOL)
+    ratio = relative_purity_closed_form(extract_bogoliubov(state, ModeSelector.for_mode(0, m)))
+    assert ratios[0] == pytest.approx(ratio, abs=10 * LEAKAGE_TOL)
+
+
+def test_coherent_state_is_the_vacuum_in_its_frame():
+    """A coherent state prepares as the vacuum's amplitudes in the frame
+    (beta,), reads <n> = |beta|^2, and photon subtraction, (a + beta)|0> =
+    beta|0>, leaves it as it is: the same amplitudes up to the global phase
+    beta / |beta|, and the same frame."""
+    beta = 1.3 - 0.8j
+    state = gaussian_state_to_fock(GaussianState(np.eye(2), [2 * beta.real, 2 * beta.imag]))
+    assert np.array_equal(state.amplitudes, _vacuum_tensor(state.truncation.cutoffs))
+    assert state.frame == (beta,) and state.num_ancilla == 0
+    assert mean_photon_fock(state, 0) == pytest.approx(abs(beta) ** 2, rel=1e-15)
+    sub = subtract_photon_fock(state, 0)
+    assert sub.frame == state.frame
+    assert np.abs(sub.amplitudes - state.amplitudes * beta / abs(beta)).max() <= 1e-15
+    assert state_overlap_fock(state, sub) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_preparation_runs_no_displacement_gate(monkeypatch):
+    """A displaced mixed state is prepared centered: the gate engine sees
+    its squeezers, beamsplitters and rotations, and never a displacement."""
+    kinds = []
+    apply_gate = fock._apply_gate
+
+    def recording(psi, kind, params, modes):
+        kinds.append(kind)
+        return apply_gate(psi, kind, params, modes)
+
+    monkeypatch.setattr(fock, "_apply_gate", recording)
+    state = random_state(2, 3, n_max=2, r_max=0.4, d_max=1)
+    assert np.all(state.displacement != 0)
+    gaussian_state_to_fock(state)
+    assert "two_mode_squeezer" in kinds and "displacement" not in kinds
+
+
+def test_frame_refusals():
+    """Quantities read off the amplitudes refuse a kept mode with a nonzero
+    frame; a displaced mode that is traced out is exact and accepted.  An
+    overlap needs equal frames."""
+    state = gaussian_state_to_fock(GaussianState(np.eye(4), [1.0, 0.0, 0.5, 0.0]))
+    assert state.frame == (0.5 + 0.25j, 0j)
+    for call in (lambda: reduced_density_matrix(state, [0]),
+                 lambda: reduced_density_matrix(state, [1, 0]),
+                 lambda: wigner_origin_fock(state, [0]),
+                 lambda: wigner_origin_fock(state, [0, 1])):
+        with pytest.raises(ValueError, match=r"displaced modes \[0\]"):
+            call()
+    vacuum = np.zeros((state.truncation.cutoffs[1],) * 2)
+    vacuum[0, 0] = 1.0
+    assert np.abs(reduced_density_matrix(state, [1]) - vacuum).max() <= 1e-15
+    assert wigner_origin_fock(state, [1]) == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-15)
+    centered = FockState(state.amplitudes, state.truncation)
+    assert centered.frame == (0j, 0j)
+    with pytest.raises(ValueError, match="different frames"):
+        state_overlap_fock(state, centered)
+    assert state_overlap_fock(state, state) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("frame, error, message", [
+    ((0.5,), ValueError, "one number per physical mode"),
+    ((0.5, 0.0, 0.0), ValueError, "one number per physical mode"),
+    (("0.5", "0"), ValueError, "one number per physical mode"),
+    ((complex(np.nan, 0.0), 0.0), ValueError, "finite"),
+    ((0.0, complex(0.0, np.inf)), ValueError, "finite"),
+    ((1e200, 0.0), NumericDegenerateError, "overflows"),
+    ((0.0, complex(1e154, 1e154)), NumericDegenerateError, "overflows"),
+], ids=["short", "counts-ancilla", "strings", "nan", "inf", "overflow", "overflow-split"])
+def test_fock_state_refuses_a_bad_frame(frame, error, message):
+    """A frame holds one finite complex number per physical mode (ancillas
+    have none), and its |beta|^2 must be a float64, or every photon number
+    would read inf."""
+    psi = np.zeros((3, 3, 3), complex)
+    psi[0, 0, 0] = 1.0
+    cut = TruncationSpec((3, 3, 3))
+    assert FockState(psi, cut, num_ancilla=1, frame=(0.5, 1j)).frame == (0.5 + 0j, 1j)
+    with pytest.raises(error, match=message):
+        FockState(psi, cut, num_ancilla=1, frame=frame)
+
+
+def test_preparing_a_frame_beyond_float64_is_refused():
+    """A displacement whose |beta|^2 overflows prepares no state: its photon
+    numbers would be inf."""
+    with pytest.raises(NumericDegenerateError, match="overflows"):
+        gaussian_state_to_fock(GaussianState(np.eye(2), [4e154, 0.0]))

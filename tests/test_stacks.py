@@ -369,6 +369,28 @@ def test_checking_constructors_refuse_non_finite_and_complex_entries(name, entry
         build(bad)
 
 
+NON_REAL_DTYPES = {
+    "numeric-str": lambda good: good.astype(str),
+    "word-str": lambda good: np.full(good.shape, "x"),
+    "bytes": lambda good: good.astype("S32"),
+    "object": lambda good: good.astype(object),
+    "timedelta": lambda good: good.astype(int).astype("m8[s]"),
+}
+
+
+@pytest.mark.parametrize("name, kind", [
+    (name, kind) for name in checking_constructors() if name != "FockState"
+    for kind in NON_REAL_DTYPES])
+def test_checking_constructors_refuse_every_non_real_dtype(name, kind):
+    """Only bool, integer and float arrays are taken: a string or bytes
+    array is not parsed, an object or time array is not cast, and each
+    raises the constructor's own error type with one message, not NumPy's
+    parse error."""
+    build, good, error = checking_constructors()[name]
+    with pytest.raises(error, match="^entries must be real numbers, got dtype "):
+        build(NON_REAL_DTYPES[kind](good))
+
+
 def test_stacked_transform_raises_the_error_of_its_bad_row():
     mats = np.stack([phase_rotation(0.1 * i, 0, 1).matrix for i in range(4)])
     mats[2] = np.diag([2.0, 2.0])
